@@ -19,9 +19,8 @@ from ..trace.events import TraceRecorder
 if TYPE_CHECKING:  # pragma: no cover
     from ..qos.config import QoSConfig
     from ..resilience.config import ResilienceConfig
-    from ..sim.sharded import ShardedSimulation
 
-__all__ = ["build_parallel_fs", "build_sharded_fs", "single_device_fs"]
+__all__ = ["build_parallel_fs", "single_device_fs"]
 
 
 def build_parallel_fs(
@@ -35,7 +34,6 @@ def build_parallel_fs(
     resilience: "ResilienceConfig | None" = None,
     qos: "QoSConfig | None" = None,
     batch_io: bool = False,
-    shards: "int | ShardedSimulation | None" = None,
 ) -> ParallelFileSystem:
     """A file system over ``n_devices`` identical drives.
 
@@ -60,31 +58,7 @@ def build_parallel_fs(
     for the hot-spare rebuilder either way. The layer wraps whatever data
     plane is active (direct or server-mediated), and the file system's
     ``resilience`` attribute exposes its stats/journal/rebuilder.
-
-    ``shards`` (a shard count, or a prebuilt
-    :class:`~repro.sim.sharded.ShardedSimulation`) switches to sharded
-    mode: the call returns a
-    :class:`~repro.sim.sharded.ShardedParallelFS` holding one complete
-    file system (``n_devices`` drives, plus any I/O-node/resilience/QoS
-    layers) per shard, each on its own :class:`Environment`. Pass
-    ``env=None`` with an integer ``shards`` (the sharded simulation is
-    created for you, with lookahead set to the default interconnect
-    latency) or ``env=None`` with a ``ShardedSimulation`` you built.
     """
-    if shards is not None:
-        return build_sharded_fs(
-            shards,
-            n_devices,
-            timing=timing,
-            geometry=geometry,
-            recorder=recorder,
-            scheduling=scheduling,
-            io_nodes=io_nodes,
-            resilience=resilience,
-            qos=qos,
-            batch_io=batch_io,
-            env=env,
-        )
     from ..devices.scheduling import make_policy
 
     geo = geometry or DiskGeometry()
@@ -126,68 +100,6 @@ def build_parallel_fs(
     if batch_io:
         pfs.set_batching(True)
     return pfs
-
-
-def build_sharded_fs(
-    shards: "int | ShardedSimulation",
-    n_devices: int,
-    timing: DiskTiming = WREN_1989,
-    geometry: DiskGeometry | None = None,
-    recorder: TraceRecorder | None = None,
-    scheduling: str | None = None,
-    io_nodes: int | None = None,
-    resilience: "ResilienceConfig | None" = None,
-    qos: "QoSConfig | None" = None,
-    batch_io: bool = False,
-    env: Environment | None = None,
-):
-    """One file system per shard under conservative-window sync.
-
-    ``shards`` is a shard count (a :class:`~repro.sim.sharded.
-    ShardedSimulation` is created, with lookahead set to the default
-    :class:`~repro.ionode.interconnect.Interconnect` latency — the
-    fastest any cross-shard message can travel) or a prebuilt
-    ``ShardedSimulation`` whose lookahead you chose yourself. Every
-    other parameter means what it means in :func:`build_parallel_fs`
-    and applies to each shard identically: shard *i* gets its own
-    ``n_devices`` drives, optional I/O nodes, resilience group, and QoS
-    layer, all living on shard *i*'s environment.
-
-    ``recorder``, when given, is shared by every shard — fine for
-    counting recorders like ``NullTraceRecorder``, but a full trace will
-    interleave events from N shard clocks.
-
-    Returns a :class:`~repro.sim.sharded.ShardedParallelFS`.
-    """
-    from ..sim.sharded import ShardedParallelFS, ShardedSimulation
-
-    if env is not None:
-        raise ValueError(
-            "sharded mode builds one Environment per shard: pass env=None "
-            "(a ShardedSimulation owns the shard environments)"
-        )
-    if isinstance(shards, ShardedSimulation):
-        sim = shards
-    else:
-        from ..ionode.interconnect import Interconnect
-
-        sim = ShardedSimulation(int(shards), lookahead=Interconnect().latency)
-    file_systems = [
-        build_parallel_fs(
-            shard.env,
-            n_devices,
-            timing=timing,
-            geometry=geometry,
-            recorder=recorder,
-            scheduling=scheduling,
-            io_nodes=io_nodes,
-            resilience=resilience,
-            qos=qos,
-            batch_io=batch_io,
-        )
-        for shard in sim.shards
-    ]
-    return ShardedParallelFS(sim, file_systems)
 
 
 def single_device_fs(

@@ -1,48 +1,13 @@
-"""Wall-clock performance observability: profiling, reporting, workloads.
+"""Shared deterministic workloads and the bench-record writer.
 
-The rest of the repo measures *simulated* seconds; this package measures
-the simulator — events per wall-clock second under the fast and legacy
-engine loops, per-subsystem wall-time attribution, and the shared
-deterministic workloads that the engine-throughput benchmark and the
-determinism regression tests both drive. See ``docs/PERF.md``.
+:mod:`~repro.perf.workloads` holds the six-organization workloads and the
+outcome :func:`digest` that the determinism goldens pin
+(``tests/perf/test_determinism.py``); :func:`write_bench_json` writes the
+``benchmarks/results/BENCH_*.json`` records. Wall-clock measurement lives
+in ``benchmarks/ledger/`` (see its README), not here.
 """
 
-from .profiler import PerfSample, Profiler, measure_run
-from .report import (
-    bench_record,
-    load_bench_json,
-    mode_summary,
-    regression_warnings,
-    speedup_rows,
-    write_bench_json,
-)
-from .workloads import (
-    ORGS,
-    WorkloadConfig,
-    digest,
-    fs_digest,
-    make_file,
-    run_org,
-    seed_file,
-    spawn_workload,
-)
+from .report import write_bench_json
+from .workloads import ORGS, WorkloadConfig, digest, run_org
 
-__all__ = [
-    "PerfSample",
-    "Profiler",
-    "measure_run",
-    "bench_record",
-    "load_bench_json",
-    "mode_summary",
-    "regression_warnings",
-    "speedup_rows",
-    "write_bench_json",
-    "ORGS",
-    "WorkloadConfig",
-    "digest",
-    "fs_digest",
-    "make_file",
-    "run_org",
-    "seed_file",
-    "spawn_workload",
-]
+__all__ = ["write_bench_json", "ORGS", "WorkloadConfig", "digest", "run_org"]

@@ -2,17 +2,15 @@
 
 One workload per file organization (S, PS, IS, SS, GDA, PDA), each a full
 read pass followed by a full write pass through the organization's own
-handle type. The workloads are shared by the engine-throughput benchmark
-(`benchmarks/bench_engine_throughput.py`) and the determinism regression
-tests (`tests/perf/test_determinism.py`): the benchmark measures their
-wall-clock cost, the tests pin their simulated outcome.
+handle type. The determinism regression tests
+(`tests/perf/test_determinism.py`) pin their simulated outcome.
 
 Everything here is deterministic by construction — no RNG, no wall-clock
 reads — so two runs of the same workload on the same configuration must
 produce the same event order, final clock, device statistics, and media
 bytes. :func:`digest` folds all of those into one hash; the fast engine
 loop and extent-batched submission are required to leave it unchanged
-relative to the legacy per-block paths (see ``docs/PERF.md``).
+relative to the hooked loop and per-block paths (see ``docs/PERF.md``).
 """
 
 from __future__ import annotations
@@ -65,10 +63,6 @@ class WorkloadConfig:
         self.n_processes = n_processes
         self.chunk = chunk
         self.cache_blocks = cache_blocks
-
-    def as_dict(self) -> dict[str, int]:
-        """The config as a plain dict (for the benchmark JSON record)."""
-        return {name: getattr(self, name) for name in self.__slots__}
 
 
 def make_file(
@@ -247,12 +241,21 @@ def _device_members(device) -> Iterable:
     return (device,)
 
 
-def _fold_outcomes(
-    h,
+def digest(
+    env: Environment,
     pfs: "ParallelFileSystem",
     files: "Iterable[ParallelFile]",
-) -> None:
-    """Fold per-device statistics and file media bytes into hash ``h``."""
+) -> str:
+    """Hash of everything the simulation produced that users can observe.
+
+    Folds in the final clock, the event-id and step counters (so any
+    reordering or extra/missing event changes the hash), per-device
+    statistics, and the media bytes of every workload file. Two runs that
+    agree on this digest produced byte-identical simulated results —
+    the fast/hooked and batched/per-block equivalence contract.
+    """
+    h = hashlib.sha256()
+    h.update(repr((float(env.now), env._eid, env.steps)).encode())
     for device in pfs.volume.devices:
         for d in _device_members(device):
             lat = d.latency
@@ -271,42 +274,4 @@ def _fold_outcomes(
         raw = f.volume.peek(f.entry.extent, f.layout, 0, f.attrs.file_bytes)
         h.update(f.name.encode())
         h.update(np.ascontiguousarray(raw).tobytes())
-
-
-def digest(
-    env: Environment,
-    pfs: "ParallelFileSystem",
-    files: "Iterable[ParallelFile]",
-) -> str:
-    """Hash of everything the simulation produced that users can observe.
-
-    Folds in the final clock, the event-id and step counters (so any
-    reordering or extra/missing event changes the hash), per-device
-    statistics, and the media bytes of every workload file. Two runs that
-    agree on this digest produced byte-identical simulated results —
-    the fast/normal and batched/per-block equivalence contract.
-    """
-    h = hashlib.sha256()
-    h.update(repr((float(env.now), env._eid, env.steps)).encode())
-    _fold_outcomes(h, pfs, files)
-    return h.hexdigest()
-
-
-def fs_digest(
-    pfs: "ParallelFileSystem",
-    files: "Iterable[ParallelFile]",
-) -> str:
-    """Hash of simulated *outcomes* only — no environment counters.
-
-    The cross-topology cousin of :func:`digest`: per-device statistics
-    (writes applied, service counts/time, transient errors) and the
-    media bytes of every workload file, but not the clock, event-id, or
-    step counters. Sharded and single-heap runs of the same workload
-    necessarily differ in per-environment bookkeeping (N shard clocks
-    versus one), yet must produce identical simulated results — this is
-    the digest that equivalence is pinned with. For same-topology
-    comparisons prefer :func:`digest`, which is strictly stronger.
-    """
-    h = hashlib.sha256()
-    _fold_outcomes(h, pfs, files)
     return h.hexdigest()

@@ -17,7 +17,6 @@ from .engine import (
 )
 from .resources import Container, PriorityResource, Resource, Store
 from .rng import RngStreams
-from .sharded import Shard, ShardChannel, ShardedSimulation
 from .stats import PercentileTally, Tally, TimeWeighted, UtilizationTracker
 from .sync import SimBarrier, SimLock, SimSemaphore, TicketCounter
 
@@ -35,9 +34,6 @@ __all__ = [
     "Resource",
     "Store",
     "RngStreams",
-    "Shard",
-    "ShardChannel",
-    "ShardedSimulation",
     "PercentileTally",
     "Tally",
     "TimeWeighted",

@@ -14,35 +14,25 @@ Determinism contract: given the same program and the same RNG seeds, a
 simulation run produces the same event order and the same final clock.
 Ties in scheduled time are broken by insertion order (FIFO).
 
-Fast mode: an :class:`Environment` runs its event loop through an inlined
-fast path whenever no sanitizer is attached (``fast=None``, the default,
-auto-detects; ``fast=False`` forces the legacy hooked loop). The fast loop
-is observationally identical to the legacy loop — same event order, same
-clock, same values — it only removes per-event hook checks, method-call
-overhead, and event allocations (via the :meth:`Environment.sleep`,
-:meth:`Environment.pooled_event`, and process-initialize pools). Attaching
-a sanitizer (``repro.sanitize.attach`` or ``strict=True``) always switches
+Fast mode: an :class:`Environment` runs its event loop through one inlined
+fast loop whenever no sanitizer is attached (``fast=None``, the default,
+auto-detects; ``fast=False`` forces the hooked ``step()`` loop). The fast
+loop is observationally identical to the hooked loop — same event order,
+same clock, same values — it only removes per-event hook checks,
+method-call overhead, and event allocations (via the
+:meth:`Environment.sleep` and process-initialize pools). Attaching a
+sanitizer (``repro.sanitize.attach`` or ``strict=True``) always switches
 the environment to the hooked loop.
 
-Queue flavours: the future-event set is a plain ``heapq`` list while it is
-small and a :class:`~repro.sim.calqueue.CalendarQueue` once it grows past a
-promotion threshold (``queue="auto"``, the default). Promotion/demotion is
-invisible: both flavours pop entries in the identical ``(when, eid)`` total
-order, so simulated behaviour — including the golden digests in
-``tests/baselines/engine_digests.json`` — is byte-identical across
-``queue="heap"``, ``queue="calendar"``, and ``"auto"``. Both event-loop
-flavours (fast and hooked) run on both queue flavours.
+The future-event set is a plain ``heapq`` list of ``(when, eid, event)``
+entries; both loops pop it in ``(when, eid)`` order.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
 from collections.abc import Generator
-from functools import partial
+from heapq import heappop, heappush
 from typing import Any, Callable
-
-from .calqueue import DEMOTE_LEN, CalendarQueue
 
 __all__ = [
     "Environment",
@@ -92,8 +82,8 @@ class Event:
         self._ok: bool | None = None
         self._processed = False
         self._defused = False
-        #: recycled by the fast loop after processing (see the pool methods
-        #: on Environment for the do-not-retain contract)
+        #: recycled by the fast loop after processing (see
+        #: :meth:`Environment.sleep` for the do-not-retain contract)
         self._poolable = False
 
     @property
@@ -410,17 +400,7 @@ class AnyOf(Condition):
 
 #: upper bound on recycled objects kept per environment, per pool
 _TIMEOUT_POOL_CAP = 256
-_EVENT_POOL_CAP = 256
 _INIT_POOL_CAP = 256
-
-#: heap→calendar promotion thresholds (schedule entries): "auto" promotes
-#: only once C heapq stops winning; "calendar" promotes almost immediately
-#: (test/bench knob); "heap" never does.
-_PROMOTE_LEN = 2048
-_PROMOTE_LEN_FORCED = 16
-_NEVER = 1 << 62
-
-_QUEUE_MODES = ("auto", "heap", "calendar")
 
 
 class Environment:
@@ -428,18 +408,9 @@ class Environment:
 
     ``fast`` selects the event-loop flavour: ``None`` (default) runs the
     inlined fast loop until a sanitizer is attached, ``False`` always runs
-    the legacy hooked loop (the pre-optimization baseline, useful as the
-    reference side of perf comparisons — see ``docs/PERF.md``).
-
-    ``queue`` selects the future-event-set flavour: ``"auto"`` (default)
-    starts on a binary heap and promotes to a
-    :class:`~repro.sim.calqueue.CalendarQueue` past ~2k pending entries
-    (demoting back when it shrinks or the distribution turns pathological);
-    ``"heap"``/``"calendar"`` force one flavour (the forced calendar still
-    starts on the heap until it has enough entries to pick a geometry, and
-    stays on the heap when the distribution admits none).
-
-    All four combinations produce byte-identical simulated results.
+    the hooked ``step()`` loop (what sanitizers require, and the reference
+    side of the fast==hooked tests). Both produce byte-identical simulated
+    results.
     """
 
     def __init__(
@@ -447,35 +418,18 @@ class Environment:
         initial_time: float = 0.0,
         strict: bool = False,
         fast: bool | None = None,
-        queue: str = "auto",
     ):
-        if queue not in _QUEUE_MODES:
-            raise ValueError(f"queue={queue!r} not one of {_QUEUE_MODES}")
         self._now = float(initial_time)
-        self._queue_mode = queue
-        #: schedule entries ``(when, eid, event)`` — a heapq list or a
-        #: CalendarQueue; ``_push``/``_pop`` are always bound to the live
-        #: flavour (C ``partial`` for the heap, methods for the calendar)
-        #: so the hot paths never dispatch on the flavour themselves
-        self._queue: list[tuple[float, int, Event]] | CalendarQueue = []
-        self._push: Callable[[tuple], None]
-        self._pop: Callable[[], tuple]
-        self._bind_queue(self._queue)
-        self._promote_at = (
-            _NEVER
-            if queue == "heap"
-            else _PROMOTE_LEN_FORCED if queue == "calendar" else _PROMOTE_LEN
-        )
+        #: the future-event set: a heapq list of ``(when, eid, event)``
+        self._queue: list[tuple[float, int, Event]] = []
         self._eid = 0
         self._active: Process | None = None
-        #: events processed so far (events/sec denominator for perf runs)
+        #: events processed so far
         self._steps = 0
         #: fast-loop eligibility; cleared when a sanitizer attaches
         self._fast = fast is not False
         #: recycled poolable Timeouts (see :meth:`sleep`)
         self._timeout_pool: list[Timeout] = []
-        #: recycled poolable generic Events (see :meth:`pooled_event`)
-        self._event_pool: list[Event] = []
         #: recycled process-Initialize events
         self._init_pool: list[Initialize] = []
         #: attached EngineSanitizer, if any (see ``repro.sanitize``)
@@ -496,17 +450,12 @@ class Environment:
         return self._fast and self._sanitizer is None
 
     @property
-    def queue_flavor(self) -> str:
-        """Current future-event-set flavour: ``"heap"`` or ``"calendar"``."""
-        return "heap" if type(self._queue) is list else "calendar"
-
-    @property
     def steps(self) -> int:
         """Events processed so far (both loop flavours count)."""
         return self._steps
 
     def _hooks_attached(self) -> None:
-        """A sanitizer attached: fall back to the hooked legacy loop.
+        """A sanitizer attached: fall back to the hooked loop.
 
         Takes effect at the next :meth:`run`/:meth:`step` call; a fast loop
         already in flight finishes its current ``run`` without hooks.
@@ -529,32 +478,6 @@ class Environment:
         """A fresh untriggered event."""
         return Event(self)
 
-    def pooled_event(self) -> Event:
-        """A fresh-or-recycled untriggered :class:`Event` for hot paths.
-
-        Contract (same as :meth:`sleep`): the event must be triggered
-        exactly once, and no reference may be retained after it is
-        processed — in fast mode the object is recycled the moment its
-        callbacks finish, so later ``.value``/``.processed`` reads observe
-        a *different* event. Pooling is timing-transparent: a recycled
-        event consumes the same schedule slot (eid) as a fresh one.
-        Outside fast mode this is exactly :meth:`event`.
-        """
-        if self._fast:
-            pool = self._event_pool
-            if pool:
-                ev = pool.pop()
-                ev._value = Event._PENDING
-                ev._ok = None
-                ev._processed = False
-                ev._defused = False
-                ev._poolable = True
-                return ev
-            ev = Event(self)
-            ev._poolable = True
-            return ev
-        return Event(self)
-
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """An event that fires ``delay`` time units from now."""
         return Timeout(self, delay, value)
@@ -573,7 +496,7 @@ class Environment:
         # Validate here, above every branch, so a bad delay is rejected
         # whether or not the pool is warm and whether or not the env is
         # fast. NaN must be caught too: a NaN `when` is incomparable and
-        # corrupts both heap and calendar ordering invariants.
+        # corrupts the heap ordering invariant.
         if delay < 0 or delay != delay:
             raise ValueError(f"negative or NaN delay {delay}")
         if not self._fast:
@@ -592,7 +515,7 @@ class Environment:
         # _schedule, inlined: sleep is the single hottest schedule site
         # (one per simulated wait) and the method call is measurable.
         self._eid += 1
-        self._push((self._now + delay, self._eid, t))
+        heappush(self._queue, (self._now + delay, self._eid, t))
         return t
 
     def process(
@@ -613,74 +536,20 @@ class Environment:
 
     # -- scheduling ---------------------------------------------------------
 
-    def _bind_queue(self, q: "list | CalendarQueue") -> None:
-        """Point ``_queue``/``_push``/``_pop`` at the given flavour."""
-        self._queue = q
-        if type(q) is list:
-            self._push = partial(heapq.heappush, q)
-            self._pop = partial(heapq.heappop, q)
-        else:
-            q.owner = self
-            self._push = q.push
-            self._pop = q.pop
-
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
         self._eid += 1
-        self._push((self._now + delay, self._eid, event))
-
-    def _maybe_promote(self) -> None:
-        """Called periodically by the loops: heap too big → try calendar."""
-        q = self._queue
-        if type(q) is list and len(q) > self._promote_at:
-            cal = CalendarQueue.from_entries(q)
-            if cal is not None:
-                self._bind_queue(cal)
-            elif self._queue_mode == "calendar":
-                # No usable bucket geometry yet (e.g. an initialization
-                # storm: every entry at one instant). Forced mode must
-                # still promote once spread appears, so retry as soon as
-                # the schedule changes shape — the refused probe was
-                # O(sample), not O(n), so this stays cheap.
-                self._promote_at = len(q)
-            else:
-                # Auto mode: stay on the heap, back off before retrying.
-                self._promote_at <<= 1
-
-    def _on_queue_demote(self, q: CalendarQueue) -> None:
-        """The calendar flagged itself unprofitable: act on it (or not).
-
-        A forced-calendar environment ignores the flag (it exists to pin
-        digests and benchmark the calendar specifically); auto mode drops
-        back to a heap, backing the promotion threshold off when the
-        demotion was for pathology rather than shrinkage.
-        """
-        if self._queue_mode == "calendar":
-            q.demote = False
-            return
-        entries = q.entries()
-        heapq.heapify(entries)
-        self._bind_queue(entries)
-        if len(entries) >= DEMOTE_LEN:
-            # Pathological distribution, not shrinkage: re-promoting at the
-            # same size would thrash, so require substantially more growth.
-            self._promote_at = max(self._promote_at * 2, len(entries) * 2)
-        else:
-            self._promote_at = _PROMOTE_LEN
+        heappush(self._queue, (self._now + delay, self._eid, event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if none."""
-        q = self._queue
-        if type(q) is list:
-            return q[0][0] if q else float("inf")
-        return q.peek() if q._len else float("inf")
+        return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
-        """Process the single next event (the hooked/legacy path)."""
+        """Process the single next event (the hooked path)."""
         try:
-            when, _, event = self._pop()
+            when, _, event = heappop(self._queue)
         except IndexError:
             raise SimulationError("step() on empty event queue") from None
-        self._maybe_promote()
         self._now = when
         self._steps += 1
         if self._sanitizer is not None:
@@ -704,135 +573,62 @@ class Environment:
         ``until`` may be:
 
         * ``None`` — run until the event queue drains;
-        * a number — run until the clock reaches that time;
+        * a number — run until the clock reaches that time (events *at*
+          that time are processed);
         * an :class:`Event` — run until that event is processed, returning
           its value (re-raising its exception if it failed).
         """
-        if self._fast and self._sanitizer is None:
-            return self._run_fast(until)
+        stop = horizon = None
         if isinstance(until, Event):
             stop = until
-            while not stop.processed:
-                if not self._queue:
-                    raise SimulationError(
-                        "event queue drained before target event triggered"
-                    )
-                self.step()
-            if stop._ok:
-                return stop._value
-            raise stop._value
-        if until is not None:
+        elif until is not None:
             horizon = float(until)
             if horizon < self._now:
                 raise ValueError(
                     f"until={horizon} is in the past (now={self._now})"
                 )
-            while True:
-                q = self._queue
-                if type(q) is list:
-                    if not q or q[0][0] > horizon:
-                        break
-                elif not q._len or q.peek() > horizon:
+        if self._fast and self._sanitizer is None:
+            self._run_fast(horizon, stop)
+        else:
+            queue = self._queue
+            while queue and (stop is None or not stop._processed):
+                if horizon is not None and queue[0][0] > horizon:
                     break
                 self.step()
+        if stop is not None:
+            if not stop._processed:
+                raise SimulationError(
+                    "event queue drained before target event triggered"
+                )
+            if stop._ok:
+                return stop._value
+            raise stop._value
+        if horizon is not None:
             self._now = horizon
-            return None
-        while self._queue:
-            self.step()
         return None
 
-    def run_window(self, horizon: float) -> int:
-        """Process every event scheduled *strictly before* ``horizon``.
-
-        The conservative-synchronization primitive for sharded simulation
-        (see ``repro.sim.sharded``): a shard that knows no cross-shard
-        message can arrive before ``horizon`` may safely execute everything
-        earlier than it. Unlike ``run(until=h)`` this uses a strict bound
-        (events *at* ``horizon`` stay queued — they may tie with incoming
-        arrivals) and does NOT advance the clock to ``horizon``: the clock
-        rests at the last processed event so :meth:`peek` keeps reporting
-        true event times for the next window computation.
-
-        Returns the number of events processed.
-        """
-        before = self._steps
-        if self._fast and self._sanitizer is None:
-            self._run_fast_bounded(horizon, strict=True)
-        else:
-            while True:
-                q = self._queue
-                if type(q) is list:
-                    if not q or q[0][0] >= horizon:
-                        break
-                elif not q._len or q.peek() >= horizon:
-                    break
-                self.step()
-        return self._steps - before
-
-    # -- the fast loop ------------------------------------------------------
-
-    def _run_fast(self, until: float | Event | None) -> Any:
+    def _run_fast(self, horizon: float | None, stop: Event | None) -> None:
         """The inlined fast event loop (no per-event hook checks).
 
-        Observationally identical to the legacy ``step()`` loop: it pops
-        the same entries in the same order, runs the same callbacks, and
-        raises the same errors. It exists so the hot path pays no method
-        call, no sanitizer test, and no Event/Timeout/Initialize
-        allocation per event (see the pools).
+        Runs until the queue drains, its head lies past ``horizon`` (when
+        given), or ``stop`` (when given) has been processed. Observationally
+        identical to the hooked ``step()`` loop: it pops the same entries in
+        the same order, runs the same callbacks, and raises the same errors.
+        It exists so the hot path pays no method call, no sanitizer test,
+        and no Timeout/Initialize allocation per event (see the pools).
         """
-        if isinstance(until, Event):
-            return self._run_fast_until_event(until)
-        if until is None:
-            self._run_fast_bounded(float("inf"), strict=False)
-            return None
-        horizon = float(until)
-        if horizon < self._now:
-            raise ValueError(
-                f"until={horizon} is in the past (now={self._now})"
-            )
-        self._run_fast_bounded(horizon, strict=False)
-        self._now = horizon
-        return None
-
-    def _run_fast_bounded(self, bound: float, strict: bool) -> None:
-        """Fast loop until the queue drains or its head reaches ``bound``.
-
-        ``strict=False`` processes events *at* ``bound`` too (the
-        ``run(until=...)`` contract); ``strict=True`` stops before them
-        (the :meth:`run_window` contract). ``bound=inf`` drains.
-
-        ``_pop``/``_push`` are re-read from ``self`` every iteration
-        because a callback's ``_schedule`` may promote the heap to a
-        calendar queue (and a calendar pop may demote it back) mid-run.
-        """
-        # One effective *exclusive* bound: an inclusive bound is the strict
-        # bound one ulp up, so the loop pays a single float compare per
-        # event. inf stays inf (drain mode: times are finite, never >= inf).
-        if not strict:
-            bound = math.nextafter(bound, math.inf)
+        queue = self._queue
         t_pool = self._timeout_pool
-        e_pool = self._event_pool
         i_pool = self._init_pool
-        Timeout_, Event_, Initialize_ = Timeout, Event, Initialize
+        Timeout_ = Timeout
         steps = self._steps
-        check = 512
         try:
-            while True:
-                try:
-                    entry = self._pop()
-                except IndexError:
-                    return  # drained
-                when = entry[0]
-                if when >= bound:
-                    self._push(entry)  # out of window: back it goes
+            while queue and (stop is None or not stop._processed):
+                if horizon is not None and queue[0][0] > horizon:
                     return
-                event = entry[2]
+                when, _, event = heappop(queue)
                 self._now = when
                 steps += 1
-                check -= 1
-                if not check:
-                    check = 512
-                    self._maybe_promote()
                 callbacks = event.callbacks
                 event.callbacks = None
                 event._processed = True
@@ -857,82 +653,11 @@ class Environment:
                         cb(event)
                     if event._ok is False and not event._defused:
                         raise event._value
-                    if event._poolable:
+                    if event._poolable:  # only Initialize, on this branch
                         event._poolable = False
-                        cls = type(event)
-                        if cls is Event_:
-                            if len(e_pool) < _EVENT_POOL_CAP:
-                                callbacks.clear()
-                                event.callbacks = callbacks
-                                e_pool.append(event)
-                        elif cls is Initialize_:
-                            if len(i_pool) < _INIT_POOL_CAP:
-                                callbacks.clear()
-                                event.callbacks = callbacks
-                                i_pool.append(event)
-        finally:
-            self._steps = steps
-
-    def _run_fast_until_event(self, stop: Event) -> Any:
-        """Fast loop until ``stop`` is processed; returns its value."""
-        t_pool = self._timeout_pool
-        e_pool = self._event_pool
-        i_pool = self._init_pool
-        Timeout_, Event_, Initialize_ = Timeout, Event, Initialize
-        steps = self._steps
-        check = 512
-        try:
-            while not stop._processed:
-                try:
-                    entry = self._pop()
-                except IndexError:
-                    raise SimulationError(
-                        "event queue drained before target event triggered"
-                    ) from None
-                self._now = entry[0]
-                event = entry[2]
-                steps += 1
-                check -= 1
-                if not check:
-                    check = 512
-                    self._maybe_promote()
-                callbacks = event.callbacks
-                event.callbacks = None
-                event._processed = True
-                if type(event) is Timeout_:
-                    proc = event._tight
-                    if proc is not None:
-                        event._tight = None
-                        proc._resume(event)
-                    if callbacks:
-                        for cb in callbacks:
-                            cb(event)
-                    if event._poolable:
-                        event._poolable = False
-                        if len(t_pool) < _TIMEOUT_POOL_CAP:
+                        if len(i_pool) < _INIT_POOL_CAP:
                             callbacks.clear()
                             event.callbacks = callbacks
-                            t_pool.append(event)
-                else:
-                    for cb in callbacks:
-                        cb(event)
-                    if event._ok is False and not event._defused:
-                        raise event._value
-                    if event._poolable:
-                        event._poolable = False
-                        cls = type(event)
-                        if cls is Event_:
-                            if len(e_pool) < _EVENT_POOL_CAP:
-                                callbacks.clear()
-                                event.callbacks = callbacks
-                                e_pool.append(event)
-                        elif cls is Initialize_:
-                            if len(i_pool) < _INIT_POOL_CAP:
-                                callbacks.clear()
-                                event.callbacks = callbacks
-                                i_pool.append(event)
+                            i_pool.append(event)
         finally:
             self._steps = steps
-        if stop._ok:
-            return stop._value
-        raise stop._value

@@ -118,19 +118,6 @@ class Resource:
         """Claim a slot; the returned event triggers once granted."""
         return Request(self, priority)
 
-    def peek_waiter(self) -> Request | None:
-        """The request that will be granted next, without dequeuing it.
-
-        Skips lazily-cancelled entries but never removes them, so waiter
-        state (FIFO order, cancellation bookkeeping) is untouched —
-        sharded-mode lookahead computations may call this freely between
-        windows. Returns ``None`` when nothing is waiting.
-        """
-        for req in self._waiting:
-            if not req._cancelled:
-                return req
-        return None
-
     def release(self, request: Request) -> Release:
         """Return a slot.
 
@@ -181,19 +168,6 @@ class PriorityResource(Resource):
     # the heap — cancelled entries keep their slot until dequeued, so no
     # remove + heapify (O(n)) per cancel, and FIFO-within-priority order
     # among survivors is untouched.
-
-    def peek_waiter(self) -> Request | None:
-        """Next request by ``(priority, order)``, without dequeuing it.
-
-        A heap is only partially ordered and may hold lazily-cancelled
-        entries anywhere, so this scans for the minimum live request —
-        O(n), but it leaves the heap and cancellation counters untouched.
-        """
-        best: Request | None = None
-        for req in self._waiting:
-            if not req._cancelled and (best is None or req < best):
-                best = req
-        return best
 
 
 class StorePut(Event):

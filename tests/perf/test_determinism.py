@@ -3,7 +3,7 @@
 For every organization, on both stacks (bare, full), under both
 submission modes (per-block, extent-batched), the outcome digest —
 final clock, event/step counters, device statistics, media bytes — must
-be identical between the legacy hooked engine loop (``fast=False``) and
+be identical between the hooked engine loop (``fast=False``) and
 the fast loop, **and** equal to the golden value committed in
 ``tests/baselines/engine_digests.json``.
 
@@ -13,11 +13,6 @@ mismatch here before it can silently shift benchmark results. Batched
 digests legitimately differ from per-block ones (batching changes
 request sizes, hence timing) — each (stack, submission) cell has its own
 golden value.
-
-The same golden values also pin the future-event-set flavours: a forced
-calendar queue (``Environment(queue="calendar")``) must produce the
-identical digest as the default heap in every cell — the queue swap is
-order-transparent by contract.
 
 This test also runs under ``--sanitize``: the suite-wide sanitizer hook
 forces every environment onto the hooked loop, and because the sanitizer
@@ -52,8 +47,8 @@ def _config() -> WorkloadConfig:
     return WorkloadConfig(n_records=480)
 
 
-def _build(stack: str, batched: bool, fast: bool, queue: str = "auto"):
-    env = Environment(fast=None if fast else False, queue=queue)
+def _build(stack: str, batched: bool, fast: bool):
+    env = Environment(fast=None if fast else False)
     recorder = NullTraceRecorder() if fast else TraceRecorder()
     kw = {}
     if stack == "full":
@@ -68,10 +63,8 @@ def _build(stack: str, batched: bool, fast: bool, queue: str = "auto"):
     return env, pfs
 
 
-def _digest(
-    stack: str, submission: str, org: str, fast: bool, queue: str = "auto"
-) -> str:
-    env, pfs = _build(stack, submission == "batched", fast, queue)
+def _digest(stack: str, submission: str, org: str, fast: bool) -> str:
+    env, pfs = _build(stack, submission == "batched", fast)
     f = run_org(env, pfs, org, _config())
     env.run()
     return digest(env, pfs, [f])
@@ -109,24 +102,6 @@ def test_digest_matches_golden_both_engines(golden, stack, submission, org):
     assert got_fast == want, (
         f"simulation outcome changed vs golden: {stack}/{submission} {org} "
         f"(regenerate the baseline only for an intentional timing change)"
-    )
-
-
-@pytest.mark.parametrize("stack", STACKS)
-@pytest.mark.parametrize("submission", SUBMISSIONS)
-@pytest.mark.parametrize("org", ORGS)
-def test_digest_matches_golden_calendar_queue(golden, stack, submission, org):
-    """The forced calendar queue must not move the simulation either.
-
-    ``queue="calendar"`` promotes the future-event set to the bucket
-    ring as soon as the entry distribution allows; the golden digests
-    pin that the swap is order-transparent — identical final clock,
-    event counters, device statistics, and media bytes as the heap.
-    """
-    want = golden[f"{stack}/{submission}"][org]
-    got = _digest(stack, submission, org, fast=True, queue="calendar")
-    assert got == want, (
-        f"calendar queue moved the simulation: {stack}/{submission} {org}"
     )
 
 

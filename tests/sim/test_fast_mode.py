@@ -2,11 +2,13 @@
 
 The fast loop (``Environment(fast=None)``, the default) inlines the
 event-processing step and recycles pooled ``env.sleep`` timeouts; the
-hooked loop (``fast=False``) is the pre-optimization baseline and the
-one sanitizers require. The contract tested here: both flavours produce
+hooked loop (``fast=False``) is the reference and the one sanitizers
+require. The contract tested here: both flavours produce
 byte-identical simulated behaviour — same event order, same clock, same
 step counts — and pooling never leaks a value between sleeps.
 """
+
+import math
 
 import pytest
 
@@ -196,3 +198,135 @@ def test_failed_event_still_propagates_in_fast_mode():
             yield ev
 
     env.run(env.process(prog()))
+
+
+# -- run() stop conditions: one expectation, both loop flavours ---------------
+#
+# Each case pins the order log, env.now, env.steps and env.peek() to the
+# same literal values under fast=None and fast=False, so the two loops
+# cannot drift apart on where run() stops.
+
+both_loops = pytest.mark.parametrize(
+    "fast", [None, False], ids=["fast", "hooked"]
+)
+
+
+def _state(env):
+    return env.now, env.steps, env.peek()
+
+
+@both_loops
+def test_event_scheduled_at_infinity_is_processed(fast):
+    env = Environment(fast=fast)
+    log = []
+
+    def prog():
+        yield env.timeout(1.0)
+        log.append(env.now)
+        yield env.timeout(math.inf)
+        log.append(env.now)
+
+    env.process(prog())
+    env.run()
+    assert log == [1.0, math.inf]
+    # Initialize, two timeouts, the Process completion; nothing left queued
+    assert _state(env) == (math.inf, 4, math.inf)
+
+
+@both_loops
+def test_run_until_event_leaves_same_instant_successors_queued(fast):
+    env = Environment(fast=fast)
+    log = []
+
+    def leader():
+        yield env.timeout(2.0)
+        log.append("leader")
+        return "payload"
+
+    def follower(target):
+        yield target
+        log.append("follower")
+        yield env.timeout(0)
+        log.append("follower-later")
+
+    target = env.process(leader())
+    env.process(follower(target))
+    assert env.run(until=target) == "payload"
+    # the target's callbacks ran (follower resumed) and run() stopped there:
+    # the zero-delay timeout the follower just scheduled is still queued
+    assert log == ["leader", "follower"]
+    assert _state(env) == (2.0, 4, 2.0)
+    env.run()
+    assert log == ["leader", "follower", "follower-later"]
+    assert _state(env) == (2.0, 6, math.inf)
+
+
+@both_loops
+def test_run_until_time_processes_events_at_the_horizon(fast):
+    env = Environment(fast=fast)
+    log = []
+
+    def prog():
+        for _ in range(3):
+            yield env.timeout(1.0)
+            log.append(env.now)
+
+    env.process(prog())
+    env.run(until=2.0)
+    assert log == [1.0, 2.0]
+    assert _state(env) == (2.0, 3, 3.0)
+    env.run(until=2.5)  # nothing in (2.0, 2.5]: only the clock moves
+    assert log == [1.0, 2.0]
+    assert _state(env) == (2.5, 3, 3.0)
+
+
+@both_loops
+def test_queue_draining_before_stop_event_is_an_error(fast):
+    env = Environment(fast=fast)
+    never = env.event()
+
+    def prog():
+        yield env.timeout(1.0)
+
+    env.process(prog())
+    with pytest.raises(SimulationError, match="drained"):
+        env.run(until=never)
+    assert _state(env) == (1.0, 3, math.inf)
+
+
+@both_loops
+def test_undefused_failure_reraises_out_of_run(fast):
+    env = Environment(fast=fast)
+
+    def bad():
+        yield env.timeout(1.0)
+        raise ValueError("boom")
+
+    env.process(bad())
+    env.timeout(5.0)
+    with pytest.raises(ValueError, match="boom"):
+        env.run()
+    # the failed Process event counted as a step; the later timeout stays
+    assert _state(env) == (1.0, 3, 5.0)
+
+
+@both_loops
+def test_stop_event_already_processed_returns_immediately(fast):
+    env = Environment(fast=fast)
+
+    def prog():
+        yield env.timeout(1.0)
+        return "payload"
+
+    done = env.process(prog())
+    failed = env.event()
+    failed.fail(KeyError("gone"))
+    failed.defuse()
+    env.run()
+    env.timeout(5.0)
+    before = _state(env)
+    assert before == (1.0, 4, 6.0)
+    assert env.run(until=done) == "payload"
+    with pytest.raises(KeyError, match="gone"):
+        env.run(until=failed)
+    assert _state(env) == before  # no event was popped

@@ -391,82 +391,3 @@ class TestDoubleRelease:
         env.run()
         assert res.count == 0
         assert res.queue_length == 0
-
-
-class TestPeekWaiter:
-    def test_fifo_peek_is_next_grant(self):
-        env = Environment()
-        res = Resource(env, capacity=1)
-        granted = []
-
-        def holder():
-            req = res.request()
-            yield req
-            yield env.timeout(5)
-            res.release(req)
-
-        def waiter(name):
-            req = res.request()
-            yield req
-            granted.append(name)
-            res.release(req)
-
-        def checker():
-            yield env.timeout(1)
-            peeked = res.peek_waiter()
-            assert peeked is not None
-            before = res.queue_length
-            assert res.peek_waiter() is peeked  # pure: no dequeue
-            assert res.queue_length == before
-
-        env.process(holder())
-        env.process(waiter("a"))
-        env.process(waiter("b"))
-        env.process(checker())
-        env.run()
-        assert granted == ["a", "b"]
-
-    def test_peek_skips_cancelled_waiters(self):
-        env = Environment()
-        res = Resource(env, capacity=1)
-
-        def proc():
-            hold = res.request()
-            yield hold
-            first = res.request()  # waits
-            second = res.request()  # waits behind it
-            assert res.peek_waiter() is first
-            res.release(first)  # cancel while waiting
-            assert res.peek_waiter() is second
-            assert res.queue_length == 1
-            res.release(second)
-            res.release(hold)
-            return
-            yield  # pragma: no cover
-
-        env.run(env.process(proc()))
-
-    def test_priority_peek_is_min_live_request(self):
-        env = Environment()
-        res = PriorityResource(env, capacity=1)
-
-        def proc():
-            hold = res.request(priority=0)
-            yield hold
-            low = res.request(priority=5)
-            high = res.request(priority=1)
-            assert res.peek_waiter() is high
-            res.release(high)  # cancel: low becomes next despite heap order
-            assert res.peek_waiter() is low
-            res.release(low)
-            res.release(hold)
-            assert res.peek_waiter() is None
-            return
-            yield  # pragma: no cover
-
-        env.run(env.process(proc()))
-
-    def test_empty_peek(self):
-        env = Environment()
-        assert Resource(env, capacity=1).peek_waiter() is None
-        assert PriorityResource(env, capacity=1).peek_waiter() is None
