@@ -293,12 +293,14 @@ class CollectiveIO:
                     f"owns {len(wanted_of[q])}"
                 )
             data_of[q] = data
-        all_idx = (
-            np.concatenate([wanted_of[q] for q in range(p)])
-            if p
-            else np.empty(0, dtype=np.int64)
-        )
-        if len(np.unique(all_idx)) != len(all_idx):
+        # disjointness, exactly and without sorting: every index lies in
+        # [start, start + count) (checked by _wanted), so mark each one in
+        # a flag per record of the span; a duplicate, across processes or
+        # inside one, marks fewer flags than there are indices
+        taken = np.zeros(count, dtype=bool)
+        for wanted in wanted_of.values():
+            taken[wanted - start] = True
+        if np.count_nonzero(taken) != sum(map(len, wanted_of.values())):
             raise ValueError(
                 "collective write indices overlap across processes"
             )

@@ -6,6 +6,7 @@ from .controller import (
     IORequest,
     ServiceInterval,
     TransientIOError,
+    as_payload,
 )
 from .disk import (
     FAST_1989,
@@ -25,6 +26,7 @@ __all__ = [
     "TransientIOError",
     "IORequest",
     "ServiceInterval",
+    "as_payload",
     "DiskGeometry",
     "DiskModel",
     "DiskTiming",

@@ -30,7 +30,21 @@ __all__ = [
     "TransientIOError",
     "IORequest",
     "ServiceInterval",
+    "as_payload",
 ]
+
+
+def as_payload(data: Any) -> np.ndarray:
+    """``data`` (bytes-like or array of any shape) as a flat uint8 array.
+
+    Every write entry point sizes and slices its payload through this, so
+    a payload is ``.size`` bytes long whatever its shape: ``len()`` of a
+    ``(4, 8)`` array is 4, not 32.
+    """
+    if isinstance(data, (bytes, bytearray, memoryview)):
+        return np.frombuffer(data, dtype=np.uint8)
+    arr = np.asarray(data, dtype=np.uint8)
+    return arr if arr.ndim == 1 else arr.reshape(-1)
 
 
 class DeviceFailedError(Exception):
@@ -107,6 +121,12 @@ class DeviceController:
         self.env = env
         self.disk = disk
         self.name = name
+        # the geometry is frozen: what every submit needs of it, read once
+        geometry = disk.geometry
+        self.capacity_bytes = geometry.capacity_bytes
+        self._block_size = geometry.block_size
+        self._last_block = geometry.capacity_blocks - 1
+        self._blocks_per_cylinder = geometry.blocks_per_cylinder
         self.policy = policy or FCFS()
         #: fixed controller/software overhead charged per request (the
         #: "buffering overheads" knob of §4 lives higher up; this is the
@@ -147,10 +167,6 @@ class DeviceController:
     # -- public API -----------------------------------------------------
 
     @property
-    def capacity_bytes(self) -> int:
-        return self.disk.geometry.capacity_bytes
-
-    @property
     def failed(self) -> bool:
         return self._failed
 
@@ -164,8 +180,8 @@ class DeviceController:
 
     def write(self, offset: int, data: bytes | np.ndarray) -> Event:
         """Write ``data`` at byte ``offset``; event value is bytes written."""
-        arr = np.frombuffer(data, dtype=np.uint8) if isinstance(data, (bytes, bytearray)) else np.asarray(data, dtype=np.uint8)
-        return self._submit("write", offset, len(arr), arr)
+        arr = as_payload(data)
+        return self._submit("write", offset, arr.size, arr)
 
     def fail(self) -> None:
         """Hard-fail the device; pending and future requests error out."""
@@ -207,10 +223,10 @@ class DeviceController:
 
     def poke(self, offset: int, data: bytes | np.ndarray) -> None:
         """Zero-time mutation of contents (fault-injection helper)."""
-        arr = np.frombuffer(data, dtype=np.uint8) if isinstance(data, (bytes, bytearray)) else np.asarray(data, dtype=np.uint8)
-        self._check_range(offset, len(arr))
+        arr = as_payload(data)
+        self._check_range(offset, arr.size)
         self._ensure_contents()
-        self._contents[offset : offset + len(arr)] = arr
+        self._contents[offset : offset + arr.size] = arr
 
     # -- internals --------------------------------------------------------
 
@@ -232,8 +248,8 @@ class DeviceController:
             ev.fail(DeviceFailedError(self.name))
             return ev
         self._check_range(offset, nbytes)
-        geometry = self.disk.geometry
-        start_block = min(offset // geometry.block_size, geometry.capacity_blocks - 1)
+        # a zero-length request at the very end still names a real block
+        start_block = min(offset // self._block_size, self._last_block)
         tenant = getattr(env._active, "qos_tenant", None)
         rel_deadline = getattr(tenant, "deadline", None)
         now = env._now
@@ -244,7 +260,7 @@ class DeviceController:
             data=data,
             event=ev,
             start_block=start_block,
-            cylinder=geometry.cylinder_of(start_block),
+            cylinder=start_block // self._blocks_per_cylinder,
             submit_time=now,
             tenant=tenant,
             deadline=(now + rel_deadline if rel_deadline is not None else None),

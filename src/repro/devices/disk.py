@@ -121,6 +121,9 @@ class DiskModel:
     def __post_init__(self) -> None:
         self._head_cylinder = 0
         self._seek_factor = self._calibrate_seek_factor()
+        # the geometry is frozen: what service() needs of it, read once
+        self._capacity_blocks = self.geometry.capacity_blocks
+        self._blocks_per_cylinder = self.geometry.blocks_per_cylinder
         #: cumulative counters, exposed for experiment reports
         self.total_seeks = 0
         self.total_seek_distance = 0
@@ -162,7 +165,11 @@ class DiskModel:
         Sequential requests on the same cylinder pay no seek, which is what
         makes access-pattern locality matter in every experiment.
         """
-        target = self.geometry.cylinder_of(block)
+        if not 0 <= block < self._capacity_blocks:
+            raise ValueError(
+                f"block {block} outside device (capacity {self._capacity_blocks})"
+            )
+        target = block // self._blocks_per_cylinder
         distance = abs(target - self._head_cylinder)
         t = self.transfer_time(nbytes)
         if distance > 0:

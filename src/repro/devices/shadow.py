@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from ..sim.engine import Environment, Event
-from .controller import DeviceController, DeviceFailedError
+from .controller import DeviceController, DeviceFailedError, as_payload
 
 __all__ = ["ShadowPair"]
 
@@ -114,11 +114,7 @@ class ShadowPair:
 
     def write(self, offset: int, data: bytes | np.ndarray) -> Event:
         """Write to every surviving member; completes when >= 1 applied."""
-        arr = (
-            np.frombuffer(data, dtype=np.uint8)
-            if isinstance(data, (bytes, bytearray))
-            else np.asarray(data, dtype=np.uint8)
-        )
+        arr = as_payload(data)
         if self.failed:
             ev = Event(self.env)
             ev.fail(DeviceFailedError(self.name))
@@ -179,8 +175,7 @@ class ShadowPair:
                 d.poke(offset, data)
                 wrote = True
         if wrote and self.degraded:
-            n = len(data) if isinstance(data, (bytes, bytearray)) else len(np.asarray(data))
-            self._dirty.append((offset, n))
+            self._dirty.append((offset, as_payload(data).size))
             self._check_degraded()
 
     # -- degraded-state bookkeeping ----------------------------------------

@@ -24,6 +24,8 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from ..devices.controller import as_payload
+
 __all__ = [
     "Run",
     "ReadPlan",
@@ -180,7 +182,8 @@ def plan_writes(items: Sequence[tuple[int, Any]]) -> list[WriteOp]:
     them); they are never merged — each is issued separately, in arrival
     order, so the outcome stays the outcome of *some* serial order.
     """
-    arrs = [(off, _as_u8(data)) for off, data in items if len(data) > 0]
+    arrs = [(off, as_payload(data)) for off, data in items]
+    arrs = [(off, arr) for off, arr in arrs if arr.size]
     in_order = sorted(arrs, key=lambda t: t[0])
     for (lo_a, a), (lo_b, _) in zip(in_order, in_order[1:]):
         if lo_b < lo_a + len(a):  # overlap: no merging at all
@@ -192,9 +195,3 @@ def plan_writes(items: Sequence[tuple[int, Any]]) -> list[WriteOp]:
         else:
             ops.append(WriteOp(off, arr))
     return ops
-
-
-def _as_u8(data: Any) -> np.ndarray:
-    if isinstance(data, (bytes, bytearray, memoryview)):
-        return np.frombuffer(data, dtype=np.uint8)
-    return np.asarray(data, dtype=np.uint8)

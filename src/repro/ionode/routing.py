@@ -21,15 +21,15 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from ..devices.controller import TransientIOError
+from ..devices.controller import TransientIOError, as_payload
 from ..sim.engine import Environment, Process
-from ..storage.layout import gather_payload, plan_batch, scatter_payload
+from ..storage.layout import plan_batch
 from .interconnect import Interconnect
 from .node import IONode
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..resilience.failover import FailoverManager
-    from ..storage.layout import DataLayout
+    from ..storage.layout import DataLayout, ExtentPlan
     from ..storage.volume import Extent, Volume
 
 __all__ = ["DeviceRouter", "IONodeCluster", "MediatedVolume"]
@@ -204,45 +204,23 @@ class MediatedVolume:
 
     def poke(self, extent: "Extent", layout: "DataLayout", offset: int, data: Any) -> None:
         """Zero-time write; invalidates node caches over the touched devices."""
-        arr = (
-            np.frombuffer(data, dtype=np.uint8)
-            if isinstance(data, (bytes, bytearray))
-            else np.asarray(data, dtype=np.uint8)
-        )
+        arr = as_payload(data)
         self.volume.poke(extent, layout, offset, arr)
-        for seg in layout.map_range(offset, len(arr)):
-            self.cluster.invalidate_device(seg.device)
+        for dev, _, _, _ in plan_batch(layout, [(offset, arr.size)], coalesce=True).requests:
+            self.cluster.invalidate_device(dev)
 
     # -- server-mediated data plane ------------------------------------------
 
     def read(self, extent: "Extent", layout: "DataLayout", offset: int, nbytes: int) -> Process:
         """Read file bytes ``[offset, offset+nbytes)`` via the I/O nodes."""
-        segments = layout.map_range(offset, nbytes)
-        if self.coalesce:
-            merged, scatter = plan_batch(segments)
-            return self.env.process(
-                self._do_read_plan(extent, merged, scatter, nbytes),
-                name="ionode.read",
-            )
-        return self.env.process(
-            self._do_read(extent, segments, nbytes), name="ionode.read"
-        )
+        plan = plan_batch(layout, [(offset, nbytes)], coalesce=self.coalesce, extent=extent)
+        return self.env.process(self._run_read(extent, plan), name="ionode.read")
 
     def write(self, extent: "Extent", layout: "DataLayout", offset: int, data: Any) -> Process:
         """Write ``data`` at file byte ``offset`` via the I/O nodes."""
-        arr = (
-            np.frombuffer(data, dtype=np.uint8)
-            if isinstance(data, (bytes, bytearray))
-            else np.asarray(data, dtype=np.uint8)
-        )
-        segments = layout.map_range(offset, len(arr))
-        if self.coalesce:
-            merged, scatter = plan_batch(segments)
-            return self.env.process(
-                self._do_write_plan(extent, merged, scatter, arr),
-                name="ionode.write",
-            )
-        return self.env.process(self._do_write(extent, segments, arr), name="ionode.write")
+        arr = as_payload(data)
+        plan = plan_batch(layout, [(offset, arr.size)], coalesce=self.coalesce, extent=extent)
+        return self.env.process(self._run_write(extent, plan, arr), name="ionode.write")
 
     def read_many(
         self,
@@ -253,20 +231,8 @@ class MediatedVolume:
         """List-I/O read over the nodes: one message per node for the
         whole batch of ``(offset, nbytes)`` ranges. Value is the single
         concatenated uint8 array, ranges in list order."""
-        segments = []
-        total = 0
-        for offset, nbytes in ranges:
-            segments.extend(layout.map_range(offset, nbytes))
-            total += nbytes
-        if self.coalesce:
-            merged, scatter = plan_batch(segments)
-            return self.env.process(
-                self._do_read_plan(extent, merged, scatter, total),
-                name="ionode.readmany",
-            )
-        return self.env.process(
-            self._do_read(extent, segments, total), name="ionode.readmany"
-        )
+        plan = plan_batch(layout, ranges, coalesce=self.coalesce, extent=extent)
+        return self.env.process(self._run_read(extent, plan), name="ionode.readmany")
 
     def write_many(
         self,
@@ -276,103 +242,38 @@ class MediatedVolume:
         data: Any,
     ) -> Process:
         """List-I/O write: ``data`` is the concatenation of all ranges."""
-        arr = (
-            np.frombuffer(data, dtype=np.uint8)
-            if isinstance(data, (bytes, bytearray))
-            else np.asarray(data, dtype=np.uint8)
-        )
-        segments = []
-        total = 0
-        for offset, nbytes in ranges:
-            segments.extend(layout.map_range(offset, nbytes))
-            total += nbytes
-        if total != arr.size:
-            raise ValueError(f"ranges cover {total} bytes, data has {arr.size}")
-        if self.coalesce:
-            merged, scatter = plan_batch(segments)
-            return self.env.process(
-                self._do_write_plan(extent, merged, scatter, arr),
-                name="ionode.writemany",
-            )
-        return self.env.process(
-            self._do_write(extent, segments, arr), name="ionode.writemany"
-        )
+        arr = as_payload(data)
+        plan = plan_batch(layout, ranges, coalesce=self.coalesce, extent=extent)
+        if plan.nbytes != arr.size:
+            raise ValueError(f"ranges cover {plan.nbytes} bytes, data has {arr.size}")
+        return self.env.process(self._run_write(extent, plan, arr), name="ionode.writemany")
 
-    def _do_read(self, extent: "Extent", segments: list, nbytes: int):
+    def _run_read(self, extent: "Extent", plan: "ExtentPlan"):
         env = self.env
+        node_of, bases = self.cluster.router.node_of, extent.bases
         per_node: dict[int, list[tuple[int, int, int, int]]] = {}
-        for idx, seg in enumerate(segments):
-            node_idx = self.cluster.router.node_of(seg.device)
-            per_node.setdefault(node_idx, []).append(
-                (idx, seg.device, extent.base(seg.device) + seg.offset, seg.length)
-            )
+        for idx, (dev, off, n, _) in enumerate(plan.requests):
+            per_node.setdefault(node_of(dev), []).append((idx, dev, bases[dev] + off, n))
         procs = [
             env.process(self._client_read(entries))
             for entries in per_node.values()
         ]
         if procs:
             yield env.all_of(procs)
-        out = np.empty(nbytes, dtype=np.uint8)
-        starts = np.zeros(len(segments) + 1, dtype=np.int64)
-        for i, seg in enumerate(segments):
-            starts[i + 1] = starts[i] + seg.length
+        values: list = [None] * len(plan.requests)
         for proc in procs:
             for idx, arr in proc.value:
-                out[starts[idx] : starts[idx + 1]] = arr
-        return out
+                values[idx] = arr
+        return plan.assemble(values)
 
-    def _do_write(self, extent: "Extent", segments: list, arr: np.ndarray):
+    def _run_write(self, extent: "Extent", plan: "ExtentPlan", arr: np.ndarray):
         env = self.env
+        node_of, bases = self.cluster.router.node_of, extent.bases
         per_node: dict[int, tuple[list, list]] = {}
-        pos = 0
-        for seg in segments:
-            node_idx = self.cluster.router.node_of(seg.device)
-            items, chunks = per_node.setdefault(node_idx, ([], []))
-            items.append((seg.device, extent.base(seg.device) + seg.offset, seg.length))
-            chunks.append(arr[pos : pos + seg.length])
-            pos += seg.length
-        procs = [
-            env.process(self._client_write(items, chunks))
-            for items, chunks in per_node.values()
-        ]
-        if procs:
-            yield env.all_of(procs)
-        return int(arr.size)
-
-    # -- list-I/O (plan_batch) variants: merged device runs, scatter plan -----
-
-    def _do_read_plan(
-        self, extent: "Extent", segments: list, scatter: list, nbytes: int
-    ):
-        env = self.env
-        per_node: dict[int, list[tuple[int, int, int, int]]] = {}
-        for idx, seg in enumerate(segments):
-            node_idx = self.cluster.router.node_of(seg.device)
-            per_node.setdefault(node_idx, []).append(
-                (idx, seg.device, extent.base(seg.device) + seg.offset, seg.length)
-            )
-        procs = [
-            env.process(self._client_read(entries))
-            for entries in per_node.values()
-        ]
-        if procs:
-            yield env.all_of(procs)
-        out = np.empty(nbytes, dtype=np.uint8)
-        for proc in procs:
-            for idx, arr in proc.value:
-                scatter_payload(out, arr, scatter[idx])
-        return out
-
-    def _do_write_plan(
-        self, extent: "Extent", segments: list, scatter: list, arr: np.ndarray
-    ):
-        env = self.env
-        per_node: dict[int, tuple[list, list]] = {}
-        for seg, pieces in zip(segments, scatter):
-            node_idx = self.cluster.router.node_of(seg.device)
-            items, chunks = per_node.setdefault(node_idx, ([], []))
-            items.append((seg.device, extent.base(seg.device) + seg.offset, seg.length))
-            chunks.append(gather_payload(arr, pieces))
+        for (dev, off, n, _), chunk in zip(plan.requests, plan.payloads(arr)):
+            items, chunks = per_node.setdefault(node_of(dev), ([], []))
+            items.append((dev, bases[dev] + off, n))
+            chunks.append(chunk)
         procs = [
             env.process(self._client_write(items, chunks))
             for items, chunks in per_node.values()

@@ -34,11 +34,11 @@ from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
-from ..devices.controller import DeviceFailedError, TransientIOError
+from ..devices.controller import DeviceFailedError, TransientIOError, as_payload
 from ..sim.engine import Environment, Event, Process
 from ..sim.resources import Resource
 from ..sim.rng import RngStreams
-from ..storage.layout import gather_payload, plan_batch
+from ..storage.layout import plan_batch
 from ..storage.parity import ParityGroup, StaleParityError
 from .config import ResilienceConfig
 from .journal import WriteJournal
@@ -47,7 +47,7 @@ from .stats import ResilienceStats
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..ionode.routing import IONodeCluster
-    from ..storage.layout import DataLayout, Segment
+    from ..storage.layout import DataLayout, ExtentPlan, Segment
     from ..storage.volume import Extent, Volume
     from .failover import FailoverManager
     from .rebuild import HotSpareRebuilder
@@ -186,13 +186,8 @@ class ResilientVolume:
         data: Any,
     ) -> Process:
         """List-I/O write of concatenated ``data`` (see :meth:`read_many`)."""
-        arr = (
-            np.frombuffer(data, dtype=np.uint8)
-            if isinstance(data, (bytes, bytearray))
-            else np.asarray(data, dtype=np.uint8)
-        )
         return self.env.process(
-            self._do_write_many(extent, layout, ranges, arr),
+            self._do_write_many(extent, layout, ranges, as_payload(data)),
             name="resilient.writemany",
         )
 
@@ -201,24 +196,30 @@ class ResilientVolume:
         if total != arr.size:
             raise ValueError(f"ranges cover {total} bytes, data has {arr.size}")
         if self.coalesce:
-            # list-I/O: one combined segment batch, one parity plan for
-            # the whole gather — merged device runs become single
-            # multi-unit rows/RMWs instead of per-range, per-unit ops
-            segments: list = []
-            for offset, nbytes in ranges:
-                segments.extend(layout.map_range(offset, nbytes))
-            yield from self._write_segments(extent, segments, arr)
-            return int(arr.size)
+            # list-I/O: one plan, one parity pass for the whole gather —
+            # merged device runs become single multi-unit rows/RMWs
+            # instead of per-range, per-unit ops
+            yield from self._write_plan(
+                extent, plan_batch(layout, ranges, coalesce=True, extent=extent), arr
+            )
+            return total
+        # every range planned (and bounds-checked) before any is submitted
+        plans = [
+            plan_batch(layout, [rng], coalesce=False, extent=extent) for rng in ranges
+        ]
         procs = []
         pos = 0
-        for offset, nbytes in ranges:
+        for plan in plans:
             procs.append(
-                self.write(extent, layout, offset, arr[pos : pos + nbytes])
+                self.env.process(
+                    self._write_plan(extent, plan, arr[pos : pos + plan.nbytes]),
+                    name="resilient.write",
+                )
             )
-            pos += nbytes
+            pos += plan.nbytes
         if procs:
             yield self.env.all_of(procs)
-        return int(arr.size)
+        return total
 
     def _do_read(self, extent: "Extent", layout: "DataLayout", offset: int, nbytes: int):
         try:
@@ -298,59 +299,40 @@ class ResilientVolume:
 
     def write(self, extent: "Extent", layout: "DataLayout", offset: int, data: Any) -> Process:
         """Write file bytes under the active protection discipline."""
-        arr = (
-            np.frombuffer(data, dtype=np.uint8)
-            if isinstance(data, (bytes, bytearray))
-            else np.asarray(data, dtype=np.uint8)
-        )
         return self.env.process(
-            self._do_write(extent, layout, offset, arr), name="resilient.write"
+            self._do_write(extent, layout, offset, as_payload(data)),
+            name="resilient.write",
         )
 
     def _do_write(self, extent: "Extent", layout: "DataLayout", offset: int, arr: np.ndarray):
-        segments = layout.map_range(offset, len(arr))
-        yield from self._write_segments(extent, segments, arr)
+        plan = plan_batch(
+            layout, [(offset, arr.size)], coalesce=self.coalesce, extent=extent
+        )
+        yield from self._write_plan(extent, plan, arr)
         return int(arr.size)
 
-    def _write_segments(
-        self, extent: "Extent", segments: "list[Segment]", arr: np.ndarray
-    ):
-        """Run the protection discipline over one batch of segments.
+    def _write_plan(self, extent: "Extent", plan: "ExtentPlan", arr: np.ndarray):
+        """Run the protection discipline over one planned submission.
 
-        With ``coalesce`` on, device-contiguous segment runs merge into
-        single multi-unit parity operations first (list I/O): one RMW —
-        or one full-stripe row — covers the whole run, instead of one
-        per stripe unit. The parity paths are range-generic, so a merged
-        run locks, reads, and XORs exactly the bytes the per-unit
-        operations would have, in one pass.
+        With ``coalesce`` on, the plan's requests are whole device runs
+        (list I/O): one RMW — or one full-stripe row — covers a run,
+        instead of one per stripe unit. The parity paths are
+        range-generic, so a merged run locks, reads, and XORs exactly the
+        bytes the per-unit operations would have, in one pass.
         """
-        if self.coalesce:
-            merged, scatter = plan_batch(segments)
-            triples = [
-                (
-                    seg.device,
-                    extent.base(seg.device) + seg.offset,
-                    gather_payload(arr, pieces),
-                )
-                for seg, pieces in zip(merged, scatter)
-            ]
-        else:
-            triples = []
-            pos = 0
-            for seg in segments:
-                triples.append(
-                    (seg.device, extent.base(seg.device) + seg.offset, arr[pos : pos + seg.length])
-                )
-                pos += seg.length
+        bases = extent.bases
+        triples = [
+            (dev, bases[dev] + off, chunk)
+            for (dev, off, _, _), chunk in zip(plan.requests, plan.payloads(arr))
+        ]
         if self.group is not None:
             procs = self._plan_parity_write(triples)
         else:
-            # shadow / unprotected: per-segment so a retried segment is its
-            # own op — a segment that applied is never re-issued
+            # shadow / unprotected: per-request so a retried request is its
+            # own op — one that applied is never re-issued
             procs = [
                 self.env.process(self._write_segment(dev, off, chunk))
                 for dev, off, chunk in triples
-                if len(chunk)
             ]
         if procs:
             yield self.env.all_of(procs)

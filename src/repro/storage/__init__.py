@@ -4,10 +4,12 @@ from .allocation import AllocationError, ExtentAllocator
 from .layout import (
     ClusteredLayout,
     DataLayout,
+    ExtentPlan,
     InterleavedLayout,
     Segment,
     StripedLayout,
     make_layout,
+    plan_batch,
 )
 from .parity import ParityGroup, StaleParityError
 from .volume import Extent, Volume
@@ -17,10 +19,12 @@ __all__ = [
     "ExtentAllocator",
     "ClusteredLayout",
     "DataLayout",
+    "ExtentPlan",
     "InterleavedLayout",
     "Segment",
     "StripedLayout",
     "make_layout",
+    "plan_batch",
     "ParityGroup",
     "StaleParityError",
     "Extent",

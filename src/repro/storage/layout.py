@@ -17,28 +17,29 @@
 
 A layout is pure arithmetic: it maps file byte ranges to
 ``(device, device_offset, length)`` segments, with device offsets relative
-to the file's allocated extent on that device. The :class:`Segment` lists
-returned are in ascending file order, which is what the volume layer
-relies on to reassemble reads.
+to the file's allocated extent on that device. :meth:`DataLayout.map_range`
+is the scalar form, one :class:`Segment` per stripe unit or partition in
+ascending file order; :func:`plan_batch` is what the data planes submit
+from, an :class:`ExtentPlan` of whole device requests computed without
+visiting the units one by one.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "Segment",
+    "ExtentPlan",
     "DataLayout",
     "StripedLayout",
     "InterleavedLayout",
     "ClusteredLayout",
-    "coalesce_segments",
     "plan_batch",
-    "gather_payload",
-    "scatter_payload",
     "make_layout",
 ]
 
@@ -52,92 +53,201 @@ class Segment:
     length: int
 
 
-def coalesce_segments(segments: list[Segment]) -> list[Segment]:
-    """Merge adjacent segments that are contiguous on the same device.
+def _strided(buf: np.ndarray, pos: int, length: int, count: int, stride: int) -> np.ndarray:
+    """``count`` pieces of ``length`` bytes, ``stride`` apart from ``pos``,
+    as a ``(count, length)`` view of the C-contiguous 1-D uint8 array ``buf``."""
+    return np.ndarray((count, length), np.uint8, buf, pos, (stride, 1))
 
-    This is list I/O at the submission layer: a run of per-unit (or
-    per-block) segments that happens to be device-contiguous becomes one
-    multi-block device request. Only *adjacent* entries merge — the input
-    is in ascending file order and the volume layer reassembles reads by
-    cumulative position, so reordering is not allowed. Merges may cross
-    the boundaries between the byte ranges of a gather: the concatenated
-    payload is still sliced correctly because lengths are preserved.
+
+def _gather(arr: np.ndarray, groups: list[tuple[int, int, int, int]]) -> np.ndarray:
+    """The bytes of the piece ``groups``, in order, as one new array."""
+    return np.concatenate(
+        [
+            arr[pos : pos + length]
+            if count == 1
+            else _strided(arr, pos, length, count, stride).reshape(-1)
+            for pos, length, count, stride in groups
+        ]
+    )
+
+
+class ExtentPlan:
+    """The device requests of one list-I/O submission, and where their
+    bytes sit in the payload (the concatenation of the planned ranges).
+
+    ``requests`` holds ``(device, offset, length, pieces)`` in submission
+    order, the offset relative to the file's extent on that device.
+    ``pieces`` says which payload bytes the request carries. For a
+    request that is one contiguous piece of the payload — nearly all of
+    them — it is just that piece's payload position, an int: a plan is
+    held for as long as its requests are in flight, and with thousands
+    in flight every container it is made of is work for the garbage
+    collector. Otherwise it is a list of ``(position, length, count,
+    stride)`` groups in device order: ``count`` pieces of ``length``
+    bytes whose payload positions start at ``position`` and advance by
+    ``stride`` (a device-contiguous run of stripe units is one group
+    however long it is). ``nbytes`` is the payload size.
     """
-    if len(segments) < 2:
-        return segments
-    out = [segments[0]]
-    for seg in segments[1:]:
-        prev = out[-1]
-        if seg.device == prev.device and seg.offset == prev.offset + prev.length:
-            out[-1] = Segment(prev.device, prev.offset, prev.length + seg.length)
-        else:
-            out.append(seg)
-    return out
 
+    __slots__ = ("requests", "nbytes")
 
-def plan_batch(
-    segments: list[Segment],
-) -> tuple[list[Segment], list[list[tuple[int, int]]]]:
-    """Full list-I/O planning: group segments by device, merge device runs.
+    def __init__(self, requests: list[tuple[int, int, int, "int | list"]], nbytes: int):
+        self.requests = requests
+        self.nbytes = nbytes
 
-    :func:`coalesce_segments` only merges *list-adjacent* segments, which
-    never fires on striped layouts (consecutive stripe units live on
-    different devices, so same-device segments are never neighbours in
-    file order). This planner merges each device's segments in the order
-    they appear, whenever they are contiguous on that device — a striped
-    scan of ``k`` rounds collapses to one request per device instead of
-    one per stripe unit.
+    def payloads(self, arr: np.ndarray) -> list[np.ndarray]:
+        """Gather: the write payload of each request, cut from ``arr``."""
+        if not arr.flags.c_contiguous:      # _strided addresses raw memory
+            arr = np.ascontiguousarray(arr)
+        return [
+            _gather(arr, pieces) if isinstance(pieces, list) else arr[pieces : pieces + n]
+            for _, _, n, pieces in self.requests
+        ]
 
-    Grouping reorders the submission list, so the caller can no longer
-    reassemble by cumulative position. The second return value is the
-    scatter plan: ``scatter[i]`` lists the ``(file_pos, length)`` pieces
-    carried by ``merged[i]``, in payload order. ``file_pos`` is the
-    cumulative position across the *input* segment list (for a gather of
-    several ranges: across their concatenation). Submitting the merged
-    segments concurrently is semantics-preserving — the unmerged batch was
-    already issued as one parallel joined batch with no intra-batch
-    ordering.
-    """
-    merged: list[Segment] = []
-    scatter: list[list[tuple[int, int]]] = []
-    last_on_device: dict[int, int] = {}
-    pos = 0
-    for seg in segments:
-        i = last_on_device.get(seg.device)
-        if i is not None:
-            prev = merged[i]
-            if seg.offset == prev.offset + prev.length:
-                merged[i] = Segment(
-                    prev.device, prev.offset, prev.length + seg.length
-                )
-                scatter[i].append((pos, seg.length))
-                pos += seg.length
+    def assemble(self, values) -> np.ndarray:
+        """Scatter: the payload, from each request's read ``values[i]``."""
+        out = np.empty(self.nbytes, dtype=np.uint8)
+        for (_, _, n, pieces), data in zip(self.requests, values):
+            if not isinstance(pieces, list):
+                out[pieces : pieces + n] = data
                 continue
-        merged.append(seg)
-        scatter.append([(pos, seg.length)])
-        last_on_device[seg.device] = len(merged) - 1
-        pos += seg.length
-    return merged, scatter
+            at = 0
+            for pos, length, count, stride in pieces:
+                if count == 1:
+                    out[pos : pos + length] = data[at : at + length]
+                else:
+                    _strided(out, pos, length, count, stride)[...] = data[
+                        at : at + count * length
+                    ].reshape(count, length)
+                at += count * length
+        return out
 
 
-def gather_payload(
-    arr: np.ndarray, pieces: list[tuple[int, int]]
-) -> np.ndarray:
-    """The write payload of one merged segment: its pieces of ``arr``."""
-    if len(pieces) == 1:
-        pos, length = pieces[0]
-        return arr[pos : pos + length]
-    return np.concatenate([arr[pos : pos + length] for pos, length in pieces])
+def plan_batch(layout: "DataLayout", ranges, *, coalesce: bool, extent=None) -> ExtentPlan:
+    """Plan the ``(offset, length)`` file byte ``ranges`` as one submission.
 
+    The only place a timed request is decomposed into stripe units or
+    partitions, and it does so per range in closed form. On a striped or
+    interleaved layout the units a contiguous range puts on one device
+    are consecutive rounds, hence one device-contiguous run: each of the
+    at most ``n_devices`` runs comes from plain-int arithmetic on the
+    first and last unit, whatever the range's size, and a range inside
+    one unit is a single request. On a clustered layout a range is one
+    run per partition it touches.
 
-def scatter_payload(
-    out: np.ndarray, data: np.ndarray, pieces: list[tuple[int, int]]
-) -> None:
-    """Scatter one merged segment's read payload back to file positions."""
-    off = 0
-    for pos, length in pieces:
-        out[pos : pos + length] = data[off : off + length]
-        off += length
+    With ``coalesce`` a run that continues the latest request on its
+    device extends that request (list I/O: a striped scan of ``k`` rounds
+    is one request per device, and rows of successive ranges merge across
+    range boundaries); every other run is a new request, in order of
+    appearance. Without it every stripe unit (or partition) touched is a
+    request of its own, in file order — the per-block submission whose
+    simulated timing the experiments are pinned to. ``coalesce`` changes
+    request sizes and therefore simulated time; nothing else here does.
+
+    Given the file's ``extent``, a request that ends past the file's
+    allocation on its device raises ``ValueError`` instead of landing in
+    whatever file is allocated next.
+    """
+    d = layout.n_devices
+    clustered = isinstance(layout, ClusteredLayout)
+    su = 0 if clustered else layout.stripe_unit
+    runs: list[tuple[int, int, int, int | list]] = []
+    pos = 0                         # payload position of the current range
+    for offset, length in ranges:
+        if offset < 0 or length < 0:
+            raise ValueError(f"invalid range ({offset}, {length})")
+        if clustered:
+            layout._check_file_end(offset + length)
+            starts, bases = layout._file_starts, layout._dev_base
+            cur, end = offset, offset + length
+            while cur < end:
+                # bisect skips the zero-length partitions starting at cur
+                p = bisect_right(starts, cur) - 1
+                take = min(starts[p + 1], end) - cur
+                runs.append((p % d, bases[p] + cur - starts[p], take, pos + cur - offset))
+                cur += take
+        elif length:
+            first = offset // su
+            within = offset - first * su
+            if within + length <= su:
+                runs.append((first % d, first // d * su + within, length, pos))
+            else:
+                last = (offset + length - 1) // su
+                used = offset + length - last * su  # bytes of the range in the last unit
+                n_units = last - first + 1
+                at = pos - within   # payload position of the first unit's byte 0
+                if coalesce and n_units > d:
+                    cycle = su * d
+                    for j in range(d):
+                        # unit first + j, and every d-th unit after it, are
+                        # consecutive rounds on one device: k units, one run
+                        k = (n_units - 1 - j) // d + 1
+                        off = (first + j) // d * su
+                        n = k * su
+                        p = at + j * su
+                        groups = []
+                        if j == 0 and within:       # partial head unit
+                            groups.append((pos, su - within, 1, 0))
+                            off += within
+                            n -= within
+                            p += cycle
+                            k -= 1
+                        if used < su and (n_units - 1 - j) % d == 0:
+                            k -= 1                  # partial tail unit
+                            n -= su - used
+                            if k:
+                                groups.append((p, su, k, cycle))
+                            groups.append((p + k * cycle, used, 1, 0))
+                        elif k:
+                            groups.append((p, su, k, cycle))
+                        if len(groups) == 1 and groups[0][2] == 1:
+                            groups = groups[0][0]   # the run is one piece
+                        runs.append(((first + j) % d, off, n, groups))
+                else:
+                    # at most one unit per device, or no merging asked for:
+                    # the runs are the units themselves
+                    units = [
+                        (u % d, u // d * su, su, at + (u - first) * su)
+                        for u in range(first, last + 1)
+                    ]
+                    if within:
+                        units[0] = (first % d, first // d * su + within, su - within, pos)
+                    if used < su:
+                        units[-1] = (last % d, last // d * su, used, at + (last - first) * su)
+                    runs += units
+        pos += length
+    if coalesce and len(runs) > 1:
+        # a run that continues the latest request on its device extends it;
+        # the list is compacted in place, runs[:kept] being the requests
+        latest = [-1] * d
+        kept = 0
+        for run in runs:
+            dev, off, n, pieces = run
+            i = latest[dev]
+            if i >= 0:
+                _, at, have, merged = runs[i]
+                if at + have == off:
+                    if not isinstance(merged, list):
+                        merged = [(merged, have, 1, 0)]
+                    if isinstance(pieces, list):
+                        merged += pieces
+                    else:
+                        merged.append((pieces, n, 1, 0))
+                    runs[i] = (dev, at, have + n, merged)
+                    continue
+            latest[dev] = kept
+            runs[kept] = run
+            kept += 1
+        del runs[kept:]
+    if extent is not None:
+        sizes = extent.sizes
+        for dev, off, n, _ in runs:
+            if off + n > sizes[dev]:
+                raise ValueError(
+                    f"range ends at byte {off + n} of device {dev}, past the "
+                    f"file's allocation of {sizes[dev]} bytes there"
+                )
+    return ExtentPlan(runs, pos)
 
 
 class DataLayout(ABC):
@@ -257,17 +367,16 @@ class ClusteredLayout(DataLayout):
         super().__init__(n_devices)
         if any(b < 0 for b in partition_bytes):
             raise ValueError("partition sizes must be >= 0")
-        self.partition_bytes = list(partition_bytes)
-        # file-space partition starts
-        self._file_starts = np.zeros(len(partition_bytes) + 1, dtype=np.int64)
-        np.cumsum(partition_bytes, out=self._file_starts[1:])
-        # device-space base of each partition (stacking per device)
-        self._dev_base = np.zeros(len(partition_bytes), dtype=np.int64)
+        self.partition_bytes = [int(b) for b in partition_bytes]
+        # file-space partition starts, and the device-space base of each
+        # partition (its device's earlier partitions stacked below it)
+        self._file_starts = [0]
+        self._dev_base = []
         fill = [0] * n_devices
-        for p, nbytes in enumerate(partition_bytes):
-            dev = p % n_devices
-            self._dev_base[p] = fill[dev]
-            fill[dev] += nbytes
+        for p, nbytes in enumerate(self.partition_bytes):
+            self._file_starts.append(self._file_starts[-1] + nbytes)
+            self._dev_base.append(fill[p % n_devices])
+            fill[p % n_devices] += nbytes
         self._dev_fill = fill
 
     @property
@@ -280,7 +389,7 @@ class ClusteredLayout(DataLayout):
 
     @property
     def total_bytes(self) -> int:
-        return int(self._file_starts[-1])
+        return self._file_starts[-1]
 
     def device_of_partition(self, p: int) -> int:
         """Device holding partition ``p`` (round-robin)."""
@@ -288,28 +397,26 @@ class ClusteredLayout(DataLayout):
             raise ValueError(f"partition {p} out of range")
         return p % self.n_devices
 
+    def _check_file_end(self, end: int) -> None:
+        if end > self.total_bytes:
+            raise ValueError(
+                f"range ends at byte {end}, past the file's {self.total_bytes} bytes"
+            )
+
     def map_range(self, offset: int, length: int) -> list[Segment]:
         self._check_range(offset, length)
-        if offset + length > self.total_bytes:
-            raise ValueError(
-                f"range [{offset}, {offset + length}) exceeds file of "
-                f"{self.total_bytes} bytes"
-            )
+        self._check_file_end(offset + length)
         segments: list[Segment] = []
         pos = offset
         end = offset + length
         while pos < end:
-            p = int(np.searchsorted(self._file_starts, pos, side="right") - 1)
-            # skip zero-length partitions the search may land past
-            p = min(p, self.n_partitions - 1)
-            part_start = int(self._file_starts[p])
-            part_end = int(self._file_starts[p + 1])
-            within = pos - part_start
-            take = min(part_end - pos, end - pos)
+            # bisect skips the zero-length partitions starting at pos
+            p = bisect_right(self._file_starts, pos) - 1
+            take = min(self._file_starts[p + 1], end) - pos
             segments.append(
                 Segment(
                     device=p % self.n_devices,
-                    offset=int(self._dev_base[p]) + within,
+                    offset=self._dev_base[p] + pos - self._file_starts[p],
                     length=take,
                 )
             )

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..devices.controller import DeviceController, DeviceFailedError
+from ..devices.controller import DeviceController, DeviceFailedError, as_payload
 from ..sim.engine import Environment, Process
 
 __all__ = ["ParityGroup", "StaleParityError"]
@@ -124,10 +124,7 @@ class ParityGroup:
         device at the same ``offset``, plus the parity write, all in parallel."""
         if len(chunks) != self.n_data:
             raise ValueError(f"need {self.n_data} chunks, got {len(chunks)}")
-        arrays = [
-            np.frombuffer(c, dtype=np.uint8) if isinstance(c, (bytes, bytearray)) else np.asarray(c, dtype=np.uint8)
-            for c in chunks
-        ]
+        arrays = [as_payload(c) for c in chunks]
         length = len(arrays[0])
         if any(len(a) != length for a in arrays):
             raise ValueError("stripe chunks must be equal length")
@@ -149,11 +146,7 @@ class ParityGroup:
 
     def write(self, device: int, offset: int, data: bytes | np.ndarray) -> Process:
         """Independent single-device write (PS/IS-style access)."""
-        arr = (
-            np.frombuffer(data, dtype=np.uint8)
-            if isinstance(data, (bytes, bytearray))
-            else np.asarray(data, dtype=np.uint8)
-        )
+        arr = as_payload(data)
         if self.mode == "synchronized":
             return self.env.process(
                 self._do_independent_stale(device, offset, arr), name="parity.write"

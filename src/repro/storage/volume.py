@@ -16,17 +16,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..devices.controller import DeviceController
+from ..devices.controller import DeviceController, as_payload
 from ..devices.shadow import ShadowPair
-from ..sim.engine import Environment, Event, Process
+from ..sim.engine import Environment, Process
 from .allocation import ExtentAllocator
-from .layout import (
-    DataLayout,
-    Segment,
-    gather_payload,
-    plan_batch,
-    scatter_payload,
-)
+from .layout import DataLayout, ExtentPlan, plan_batch
 
 __all__ = ["Extent", "Volume"]
 
@@ -116,36 +110,16 @@ class Volume:
         self, extent: Extent, layout: DataLayout, offset: int, nbytes: int
     ) -> Process:
         """Read file bytes ``[offset, offset+nbytes)``; value is a uint8 array."""
-        segments = layout.map_range(offset, nbytes)
-        if self.coalesce:
-            merged, scatter = plan_batch(segments)
-            return self.env.process(
-                self._do_read_plan(extent, merged, scatter, nbytes),
-                name="volume.read",
-            )
-        return self.env.process(
-            self._do_read(extent, segments, nbytes), name="volume.read"
-        )
+        plan = plan_batch(layout, [(offset, nbytes)], coalesce=self.coalesce, extent=extent)
+        return self.env.process(self._run_read(extent, plan), name="volume.read")
 
     def write(
         self, extent: Extent, layout: DataLayout, offset: int, data: bytes | np.ndarray
     ) -> Process:
         """Write ``data`` at file byte ``offset``; value is bytes written."""
-        arr = (
-            np.frombuffer(data, dtype=np.uint8)
-            if isinstance(data, (bytes, bytearray))
-            else np.asarray(data, dtype=np.uint8)
-        )
-        segments = layout.map_range(offset, len(arr))
-        if self.coalesce:
-            merged, scatter = plan_batch(segments)
-            return self.env.process(
-                self._do_write_plan(extent, merged, scatter, arr),
-                name="volume.write",
-            )
-        return self.env.process(
-            self._do_write(extent, segments, arr), name="volume.write"
-        )
+        arr = as_payload(data)
+        plan = plan_batch(layout, [(offset, arr.size)], coalesce=self.coalesce, extent=extent)
+        return self.env.process(self._run_write(extent, plan, arr), name="volume.write")
 
     def read_many(
         self,
@@ -155,25 +129,13 @@ class Volume:
     ) -> Process:
         """List-I/O read of several ``(offset, nbytes)`` file byte ranges.
 
-        All ranges are mapped up front and submitted as one batch (one
-        process, one join), with device-contiguous segments merged across
+        All ranges are planned up front and submitted as one batch (one
+        process, one join), with device-contiguous runs merged across
         range boundaries when ``coalesce`` is on. The value is the single
         concatenated uint8 array, ranges in list order.
         """
-        segments: list[Segment] = []
-        total = 0
-        for offset, nbytes in ranges:
-            segments.extend(layout.map_range(offset, nbytes))
-            total += nbytes
-        if self.coalesce:
-            merged, scatter = plan_batch(segments)
-            return self.env.process(
-                self._do_read_plan(extent, merged, scatter, total),
-                name="volume.readmany",
-            )
-        return self.env.process(
-            self._do_read(extent, segments, total), name="volume.readmany"
-        )
+        plan = plan_batch(layout, ranges, coalesce=self.coalesce, extent=extent)
+        return self.env.process(self._run_read(extent, plan), name="volume.readmany")
 
     def write_many(
         self,
@@ -183,90 +145,30 @@ class Volume:
         data: bytes | np.ndarray,
     ) -> Process:
         """List-I/O write: ``data`` is the concatenation of all ranges."""
-        arr = (
-            np.frombuffer(data, dtype=np.uint8)
-            if isinstance(data, (bytes, bytearray))
-            else np.asarray(data, dtype=np.uint8)
-        )
-        segments: list[Segment] = []
-        total = 0
-        for offset, nbytes in ranges:
-            segments.extend(layout.map_range(offset, nbytes))
-            total += nbytes
-        if total != arr.size:
-            raise ValueError(f"ranges cover {total} bytes, data has {arr.size}")
-        if self.coalesce:
-            merged, scatter = plan_batch(segments)
-            return self.env.process(
-                self._do_write_plan(extent, merged, scatter, arr),
-                name="volume.writemany",
-            )
-        return self.env.process(
-            self._do_write(extent, segments, arr), name="volume.writemany"
-        )
+        arr = as_payload(data)
+        plan = plan_batch(layout, ranges, coalesce=self.coalesce, extent=extent)
+        if plan.nbytes != arr.size:
+            raise ValueError(f"ranges cover {plan.nbytes} bytes, data has {arr.size}")
+        return self.env.process(self._run_write(extent, plan, arr), name="volume.writemany")
 
-    def _do_read(self, extent: Extent, segments: list[Segment], nbytes: int):
-        events: list[Event] = []
-        for seg in segments:
-            dev = self.devices[seg.device]
-            events.append(dev.read(extent.base(seg.device) + seg.offset, seg.length))
+    def _run_read(self, extent: Extent, plan: ExtentPlan):
+        devices, bases = self.devices, extent.bases
+        events = [
+            devices[dev].read(bases[dev] + off, n) for dev, off, n, _ in plan.requests
+        ]
         if events:
             yield self.env.all_of(events)
-        out = np.empty(nbytes, dtype=np.uint8)
-        pos = 0
-        for seg, ev in zip(segments, events):
-            out[pos : pos + seg.length] = ev.value
-            pos += seg.length
-        return out
+        return plan.assemble([ev.value for ev in events])
 
-    def _do_write(self, extent: Extent, segments: list[Segment], arr: np.ndarray):
-        events: list[Event] = []
-        pos = 0
-        for seg in segments:
-            dev = self.devices[seg.device]
-            chunk = arr[pos : pos + seg.length]
-            events.append(dev.write(extent.base(seg.device) + seg.offset, chunk))
-            pos += seg.length
-        if events:
-            yield self.env.all_of(events)
-        return int(arr.size)
-
-    # -- list-I/O (plan_batch) submission: one request per device run ----------
-
-    def _do_read_plan(
-        self,
-        extent: Extent,
-        segments: list[Segment],
-        scatter: list[list[tuple[int, int]]],
-        nbytes: int,
-    ):
-        events: list[Event] = []
-        for seg in segments:
-            dev = self.devices[seg.device]
-            events.append(dev.read(extent.base(seg.device) + seg.offset, seg.length))
-        if events:
-            yield self.env.all_of(events)
-        out = np.empty(nbytes, dtype=np.uint8)
-        for pieces, ev in zip(scatter, events):
-            scatter_payload(out, ev.value, pieces)
-        return out
-
-    def _do_write_plan(
-        self,
-        extent: Extent,
-        segments: list[Segment],
-        scatter: list[list[tuple[int, int]]],
-        arr: np.ndarray,
-    ):
-        events: list[Event] = []
-        for seg, pieces in zip(segments, scatter):
-            dev = self.devices[seg.device]
-            events.append(
-                dev.write(
-                    extent.base(seg.device) + seg.offset,
-                    gather_payload(arr, pieces),
-                )
-            )
+    def _run_write(self, extent: Extent, plan: ExtentPlan, arr: np.ndarray):
+        devices, bases = self.devices, extent.bases
+        events = [
+            devices[dev].write(bases[dev] + off, chunk)
+            for (dev, off, _, _), chunk in zip(plan.requests, plan.payloads(arr))
+        ]
+        # nothing below needs the plan: with thousands of writes queued,
+        # each pinning its plan is garbage for the collector to walk
+        del plan
         if events:
             yield self.env.all_of(events)
         return int(arr.size)
@@ -275,25 +177,17 @@ class Volume:
 
     def peek(self, extent: Extent, layout: DataLayout, offset: int, nbytes: int) -> np.ndarray:
         """Zero-time read of file bytes (tests, verification)."""
-        out = np.empty(nbytes, dtype=np.uint8)
-        pos = 0
-        for seg in layout.map_range(offset, nbytes):
-            dev = self.devices[seg.device]
-            out[pos : pos + seg.length] = dev.peek(
-                extent.base(seg.device) + seg.offset, seg.length
-            )
-            pos += seg.length
-        return out
+        plan = plan_batch(layout, [(offset, nbytes)], coalesce=True, extent=extent)
+        return plan.assemble(
+            [
+                self.devices[dev].peek(extent.bases[dev] + off, n)
+                for dev, off, n, _ in plan.requests
+            ]
+        )
 
     def poke(self, extent: Extent, layout: DataLayout, offset: int, data: bytes | np.ndarray) -> None:
         """Zero-time write of file bytes (fault injection)."""
-        arr = (
-            np.frombuffer(data, dtype=np.uint8)
-            if isinstance(data, (bytes, bytearray))
-            else np.asarray(data, dtype=np.uint8)
-        )
-        pos = 0
-        for seg in layout.map_range(offset, len(arr)):
-            dev = self.devices[seg.device]
-            dev.poke(extent.base(seg.device) + seg.offset, arr[pos : pos + seg.length])
-            pos += seg.length
+        arr = as_payload(data)
+        plan = plan_batch(layout, [(offset, arr.size)], coalesce=True, extent=extent)
+        for (dev, off, _, _), chunk in zip(plan.requests, plan.payloads(arr)):
+            self.devices[dev].poke(extent.bases[dev] + off, chunk)

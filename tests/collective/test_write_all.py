@@ -309,6 +309,75 @@ class TestRangedCollectives:
         with pytest.raises(ValueError):
             next(coll.write_all(per_process, dup))
 
+    def test_duplicate_inside_one_process_rejected(self):
+        env = Environment()
+        f = make_file(env, "PS")
+        coll = CollectiveIO(f)
+        empty = np.empty(0, dtype=np.int64)
+        dup = {0: np.array([7, 3, 7]), 1: np.array([4]), 2: empty, 3: empty}
+        per_process = {0: np.zeros((3, 2)), 1: np.zeros((1, 2)),
+                       2: np.zeros((0, 2)), 3: np.zeros((0, 2))}
+        with pytest.raises(ValueError, match="overlap"):
+            next(coll.write_all(per_process, dup))
+
+    def test_unsorted_disjoint_indices_match_the_sorted_call(self):
+        new = np.random.default_rng(21).random((96, 2))
+        rng = np.random.default_rng(22)
+        start, count = 8, 80     # both edges of the range are written
+        records = rng.permutation(np.arange(start, start + count))
+        # process 3 contributes nothing
+        shuffled = {0: records[:30], 1: records[30:31], 2: records[31:],
+                    3: np.empty(0, dtype=np.int64)}
+        assert {start, start + count - 1} <= set(records.tolist())
+        digests = []
+        for indices in (shuffled, {q: np.sort(v) for q, v in shuffled.items()}):
+            env = Environment()
+            f = make_file(env, "IS")
+            preload(env, f, np.zeros((96, 2)))
+            coll = CollectiveIO(f)
+            per_process = {q: new[indices[q]] for q in range(4)}
+
+            def proc():
+                n = yield from coll.write_at(start, count, per_process, indices)
+                return n
+
+            assert env.run(env.process(proc())) == count
+            out = read_back(env, f)
+            assert np.array_equal(out[start : start + count], new[start : start + count])
+            assert not out[:start].any() and not out[start + count :].any()
+            digests.append(media_digest(f))
+        assert digests[0] == digests[1]
+
+    def test_indices_one_past_either_edge_rejected(self):
+        env = Environment()
+        f = make_file(env, "PS")
+        coll = CollectiveIO(f)
+        empty = np.empty(0, dtype=np.int64)
+        per_process = {0: np.zeros((1, 2)), 1: np.zeros((0, 2)),
+                       2: np.zeros((0, 2)), 3: np.zeros((0, 2))}
+        for bad in (15, 48):
+            indices = {0: np.array([bad]), 1: empty, 2: empty, 3: empty}
+            with pytest.raises(ValueError, match="outside range"):
+                next(coll.write_at(16, 32, per_process, indices))
+
+    def test_no_process_contributes_anything(self):
+        env = Environment()
+        f = make_file(env, "IS")
+        data = np.random.default_rng(23).random((96, 2))
+        preload(env, f, data)
+        coll = CollectiveIO(f)
+        before = media_digest(f)
+        empty = np.empty(0, dtype=np.int64)
+
+        def proc():
+            n = yield from coll.write_at(
+                16, 32, {q: np.zeros((0, 2)) for q in range(4)},
+                {q: empty for q in range(4)})
+            return n
+
+        assert env.run(env.process(proc())) == 32
+        assert media_digest(f) == before
+
 
 class TestDynamicOrganizations:
     def test_allow_dynamic_with_explicit_indices(self):

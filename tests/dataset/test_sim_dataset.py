@@ -4,12 +4,13 @@ crc staleness/sync, and verify integration."""
 import numpy as np
 import pytest
 
+from repro import build_parallel_fs
 from repro.container.verify import scan_container
 from repro.core import OrganizationError
-from repro.dataset import Dataset
+from repro.dataset import Dataset, DatasetSchema, content_fingerprint
 from repro.sim import Environment
 
-from tests.container.conftest import build_pfs
+from tests.container.conftest import build_pfs, media_bytes
 from tests.dataset.conftest import run
 
 
@@ -151,3 +152,27 @@ class TestSync:
         assert ds.dirty == ["temp"]
         run(env, ds.sync())
         assert scan_container(ds.file).clean
+
+
+class TestCreateModes:
+    def test_collective_create_of_a_large_grid_matches_view_create(self):
+        # the ledger's sim_noncontig set-up: 512 x 512 float64, IS, four
+        # writers, batched submission. The collective create checks 2 Mi
+        # record indices for overlap, which a sort made too slow for tier 1.
+        schema = DatasetSchema.build(
+            {"row": 512, "col": 512},
+            {"grid": ("<f8", ("row", "col"), {"units": "arb"})},
+            {"bench": "ledger"},
+        )
+        grid = np.random.default_rng(7).normal(size=(512, 512)).astype("<f8")
+        prints = {}
+        for mode in ("collective", "view"):
+            env = Environment()
+            ds = run(env, Dataset.create(
+                build_parallel_fs(env, 4, batch_io=True), "grid", schema,
+                org="IS", writers=4,
+                data={"grid": grid}, user_string="ledger", mode=mode,
+            ))
+            assert scan_container(ds.file).clean
+            prints[mode] = content_fingerprint(media_bytes(ds.file))
+        assert prints["collective"] == prints["view"]

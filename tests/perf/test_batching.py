@@ -1,10 +1,12 @@
 """Unit tests for extent-batched submission planning (list I/O).
 
-``plan_batch`` is the core of batched submission: group per-unit
-segments by device and merge device-contiguous runs, returning a
-scatter map that reassembles payloads in original file order. These
-tests pin its merging rules and the gather/scatter round trip, plus the
-batched dirty-set write-back in :class:`~repro.buffering.cache.BufferCache`.
+``plan_batch`` is the core of batched submission: the stripe units a
+submission puts on one device merge into device-contiguous runs, and the
+plan says which payload bytes each run carries so reads reassemble in
+file order. These tests pin its merging rules and the gather/scatter
+round trip (``tests/storage/test_plan_oracle.py`` checks it against the
+unit-by-unit reference), plus the batched dirty-set write-back in
+:class:`~repro.buffering.cache.BufferCache`.
 """
 
 import numpy as np
@@ -12,64 +14,61 @@ import pytest
 
 from repro.buffering import BufferCache
 from repro.sim import Environment
-from repro.storage.layout import (
-    Segment,
-    StripedLayout,
-    gather_payload,
-    plan_batch,
-    scatter_payload,
-)
+from repro.storage.layout import StripedLayout, plan_batch
 
 
 def test_plan_batch_merges_striped_runs():
     # 4 devices, 8-byte stripe unit: bytes [0, 64) make two full cycles.
-    # Consecutive stripe units hit different devices (never list-adjacent),
-    # but each device's two units ARE device-contiguous — the case plain
-    # adjacent-merge coalescing can never catch.
+    # Consecutive stripe units hit different devices, but each device's
+    # two units ARE device-contiguous: one request per device.
     layout = StripedLayout(4, 8)
-    segments = layout.map_range(0, 64)
-    assert len(segments) == 8
-    merged, scatter = plan_batch(segments)
-    assert len(merged) == 4
-    assert [m.device for m in merged] == [0, 1, 2, 3]
-    assert all(m.length == 16 for m in merged)
-    # scatter holds (file_pos, length) pieces per merged run
-    assert scatter[0] == [(0, 8), (32, 8)]
-    assert scatter[1] == [(8, 8), (40, 8)]
+    assert len(layout.map_range(0, 64)) == 8
+    plan = plan_batch(layout, [(0, 64)], coalesce=True)
+    # pieces are (payload position, length, count, stride) groups: device 0
+    # carries payload bytes [0, 8) and [32, 40)
+    assert plan.requests == [
+        (0, 0, 16, [(0, 8, 2, 32)]),
+        (1, 0, 16, [(8, 8, 2, 32)]),
+        (2, 0, 16, [(16, 8, 2, 32)]),
+        (3, 0, 16, [(24, 8, 2, 32)]),
+    ]
+    # without coalescing every stripe unit is a request of its own
+    units = plan_batch(layout, [(0, 64)], coalesce=False)
+    assert [r[:3] for r in units.requests] == [
+        (s.device, s.offset, s.length) for s in layout.map_range(0, 64)
+    ]
 
 
 def test_plan_batch_keeps_discontiguous_runs_apart():
-    segs = [
-        Segment(0, 0, 8),
-        Segment(0, 16, 8),  # gap on device 0: no merge
-        Segment(1, 0, 8),
-    ]
-    merged, scatter = plan_batch(segs)
-    assert merged == segs
-    assert scatter == [[(0, 8)], [(8, 8)], [(16, 8)]]
+    layout = StripedLayout(2, 8)
+    # device 0 bytes [0, 8), then device 0 bytes [16, 24) (a gap on the
+    # device: no merge), then device 1 bytes [0, 8)
+    plan = plan_batch(layout, [(0, 8), (32, 8), (8, 8)], coalesce=True)
+    # a request that is one piece of the payload carries just its position
+    assert plan.requests == [(0, 0, 8, 0), (0, 16, 8, 8), (1, 0, 8, 16)]
 
 
 def test_plan_batch_scatter_round_trip():
     layout = StripedLayout(3, 4)
     total = 60
-    segments = layout.map_range(5, total)
-    merged, scatter = plan_batch(segments)
+    plan = plan_batch(layout, [(5, total)], coalesce=True)
     src = np.arange(total, dtype=np.uint8)
-    out = np.empty(total, dtype=np.uint8)
-    for m, pieces in zip(merged, scatter):
-        # what the device would return for this merged run
-        payload = gather_payload(src, pieces)
-        assert payload.size == m.length
-        scatter_payload(out, payload, pieces)
-    np.testing.assert_array_equal(out, src)
+    # what each device would be sent, and would return, for its run
+    payloads = plan.payloads(src)
+    assert [p.size for p in payloads] == [n for _, _, n, _ in plan.requests]
+    np.testing.assert_array_equal(plan.assemble(payloads), src)
 
 
 def test_plan_batch_preserves_total_length():
     layout = StripedLayout(4, 8)
-    segments = layout.map_range(3, 101)
-    merged, scatter = plan_batch(segments)
-    assert sum(m.length for m in merged) == 101
-    assert sum(ln for pieces in scatter for _, ln in pieces) == 101
+    plan = plan_batch(layout, [(3, 101)], coalesce=True)
+    assert plan.nbytes == 101
+    assert sum(n for _, _, n, _ in plan.requests) == 101
+    # every request's pieces add up to its length (a bare position is one
+    # piece of the whole length)
+    for _, _, n, pieces in plan.requests:
+        if isinstance(pieces, list):
+            assert sum(length * count for _, length, count, _ in pieces) == n
 
 
 def test_cache_flush_uses_batched_writeback_once():

@@ -79,3 +79,59 @@ def test_resource_cancel_scales_with_waiters():
         f"Resource cancel went superlinear: {small * 1e6:.2f}us/op with 256 "
         f"waiters vs {large * 1e6:.2f}us/op with 4096"
     )
+
+
+def _plan_cost(nbytes: int) -> float:
+    from repro.storage.layout import StripedLayout, plan_batch
+
+    layout = StripedLayout(4, 64)
+
+    def run():
+        for _ in range(2000):
+            plan_batch(layout, [(192, nbytes)], coalesce=True)
+
+    return _min_of(3, run) / 2000
+
+
+def test_planning_a_contiguous_range_is_independent_of_its_length():
+    small = _plan_cost(64 * 16)
+    large = _plan_cost(64 * 16 * 64)
+    # a walk over the stripe units would make this ratio ~64
+    assert large < small * 4, (
+        f"planning went O(units): {small * 1e6:.2f}us for 16 units vs "
+        f"{large * 1e6:.2f}us for 1024"
+    )
+
+
+def _overlap_check_cost(n_records: int) -> float:
+    """Host seconds per index of a collective write's argument checking —
+    the disjointness check included — up to the first simulated event."""
+    import numpy as np
+
+    from repro import build_parallel_fs
+    from repro.collective import CollectiveIO, balanced_indices
+
+    env = Environment()
+    f = build_parallel_fs(env, 4).create(
+        "guard", "IS", n_records=n_records, record_size=1, dtype="uint8",
+        records_per_block=64, n_processes=4,
+    )
+    coll = CollectiveIO(f)
+    indices = balanced_indices(0, n_records, 4)
+    per_process = {q: np.zeros((len(indices[q]), 1), dtype=np.uint8) for q in range(4)}
+
+    def run():
+        # the checks run eagerly, before the generator's first yield
+        next(coll.write_at(0, n_records, per_process, indices))
+
+    return _min_of(3, run) / n_records
+
+
+def test_collective_overlap_check_is_linear_in_the_indices():
+    small = _overlap_check_cost(1 << 14)
+    large = _overlap_check_cost(1 << 18)
+    # sorting (or hashing past the cache) makes the per-index cost grow
+    assert large < small * 4, (
+        f"overlap check went superlinear: {small * 1e9:.1f}ns/index at 2^14 "
+        f"vs {large * 1e9:.1f}ns/index at 2^18"
+    )
