@@ -26,10 +26,12 @@ The executable halves (actually moving bytes, measuring times) live in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .mapping import OrganizationMap
+if TYPE_CHECKING:  # pragma: no cover
+    from .mapping import OrganizationMap
 
 __all__ = ["Run", "contiguous_runs", "alternate_view_runs", "conversion_plan", "CopyStep"]
 

@@ -6,12 +6,18 @@ questions every backend needs:
 
 * which process owns which blocks (``owner_of_block``, ``blocks_of``);
 * in what order a given process visits global records (``records_of``);
+* which contiguous global runs a stretch of a process's local sequence
+  covers (``runs``, ``n_local_records``) — what one handle request
+  transfers;
 * the bijection between a process's local record sequence and global
   record indices (``local_to_global`` / ``global_to_local``).
 
 Both the simulated file system (`repro.fs`) and the live threaded backend
 (`repro.live`) interpret these maps, so the semantics are defined once and
-property-tested once (bijectivity, coverage, prefix ordering).
+property-tested once (bijectivity, coverage, prefix ordering). S, PS and IS
+answer ``runs`` and ``n_local_records`` in closed form, without building a
+record array; the array-based versions on the base class are the generic
+fallback and the reference those closed forms are tested against.
 
 Dynamic organizations (SS) and unowned ones (GDA) expose the same surface
 with the static parts disabled — see :attr:`OrganizationMap.is_static`.
@@ -24,6 +30,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from .blocks import BlockSpec
+from .convert import contiguous_runs
 from .errors import OrganizationError, OwnershipError, RecordRangeError
 from .organizations import FileOrganization
 
@@ -95,8 +102,8 @@ class OrganizationMap(ABC):
     def records_of(self, process: int) -> np.ndarray:
         """Global record indices ``process`` accesses, in access order.
 
-        Memoized: backends call this on every open handle, and the result
-        is immutable for a given map.
+        Memoized (the result is immutable for a given map). Handles do not
+        call this: they take each request's runs from :meth:`runs`.
         """
         cached = self._records_cache.get(process)
         if cached is not None:
@@ -121,17 +128,35 @@ class OrganizationMap(ABC):
             for b in self.blocks_of(process)
         ))
 
+    def runs(self, process: int, local: int, count: int) -> list[tuple[int, int]]:
+        """Global ``(start, count)`` runs of ``process``'s local records
+        ``[local, local + count)``, clipped at its last record.
+
+        Each run is one sequential transfer, in access order; a handle's
+        cursor advance transfers exactly these. This generic form
+        compresses a slice of :meth:`records_of`; S, PS and IS override it
+        with arithmetic, and this version is their reference.
+        """
+        self._check_local(local, count)
+        recs = self.records_of(process)
+        return [(r.start, r.count) for r in contiguous_runs(recs[local:local + count])]
+
+    @staticmethod
+    def _check_local(local: int, count: int) -> None:
+        if local < 0 or count < 0:
+            raise RecordRangeError(f"invalid local span ({local}, {count})")
+
     # -- bijection -----------------------------------------------------------
 
     def local_to_global(self, process: int, local: int) -> int:
         """Global record index of the ``local``-th record ``process`` visits."""
-        recs = self.records_of(process)
-        if not 0 <= local < len(recs):
+        n = self.n_local_records(process)
+        if not 0 <= local < n:
             raise RecordRangeError(
                 f"local record {local} outside process {process}'s "
-                f"{len(recs)} records"
+                f"{n} records"
             )
-        return int(recs[local])
+        return self.runs(process, local, 1)[0][0]
 
     def global_to_local(self, record: int) -> tuple[int, int]:
         """``(process, local index)`` for a global ``record``."""
@@ -184,6 +209,15 @@ class SequentialMap(OrganizationMap):
             return np.empty(0, dtype=np.int64)
         return np.arange(self.n_blocks, dtype=np.int64)
 
+    def n_local_records(self, process: int) -> int:
+        self._check_process(process)
+        return self.n_records if process == self.reader else 0
+
+    def runs(self, process: int, local: int, count: int) -> list[tuple[int, int]]:
+        self._check_local(local, count)
+        stop = min(local + count, self.n_local_records(process))
+        return [(local, stop - local)] if stop > local else []
+
 
 class PartitionedMap(OrganizationMap):
     """Type PS (Fig. 1b): contiguous block ranges, one partition per process.
@@ -197,26 +231,44 @@ class PartitionedMap(OrganizationMap):
 
     def __init__(self, blocks: BlockSpec, n_records: int, n_processes: int):
         super().__init__(blocks, n_records, n_processes)
-        nb, p = self.n_blocks, self.n_processes
-        q, r = divmod(nb, p)
-        counts = np.full(p, q, dtype=np.int64)
-        counts[:r] += 1
-        self._starts = np.zeros(p + 1, dtype=np.int64)
-        np.cumsum(counts, out=self._starts[1:])
+        self._q, self._r = divmod(self.n_blocks, self.n_processes)
 
     def partition_range(self, process: int) -> tuple[int, int]:
         """Half-open block range ``[first, last)`` of ``process``."""
         self._check_process(process)
-        return int(self._starts[process]), int(self._starts[process + 1])
+        q, r = self._q, self._r
+        first = process * q + min(process, r)
+        return first, first + q + (process < r)
 
     def owner_of_block(self, block: int) -> int:
         if not 0 <= block < self.n_blocks:
             raise RecordRangeError(f"block {block} outside file")
-        return int(np.searchsorted(self._starts, block, side="right") - 1)
+        q, r = self._q, self._r
+        big = r * (q + 1)  # blocks held by the first r processes, q + 1 each
+        if block < big:
+            return block // (q + 1)
+        return r + (block - big) // q
 
     def blocks_of(self, process: int) -> np.ndarray:
         lo, hi = self.partition_range(process)
         return np.arange(lo, hi, dtype=np.int64)
+
+    def _record_span(self, process: int) -> tuple[int, int]:
+        """``(first record, record count)`` of ``process``'s partition."""
+        lo, hi = self.partition_range(process)
+        if lo == hi:  # more processes than blocks: an empty partition
+            return 0, 0
+        rpb = self.blocks.records_per_block
+        return lo * rpb, min(hi * rpb, self.n_records) - lo * rpb
+
+    def n_local_records(self, process: int) -> int:
+        return self._record_span(process)[1]
+
+    def runs(self, process: int, local: int, count: int) -> list[tuple[int, int]]:
+        self._check_local(local, count)
+        first, n = self._record_span(process)
+        stop = min(local + count, n)
+        return [(first + local, stop - local)] if stop > local else []
 
 
 class InterleavedMap(OrganizationMap):
@@ -257,6 +309,33 @@ class InterleavedMap(OrganizationMap):
     def blocks_of(self, process: int) -> np.ndarray:
         self._check_process(process)
         return np.arange(process, self.n_blocks, self.stride, dtype=np.int64)
+
+    def n_local_records(self, process: int) -> int:
+        self._check_process(process)
+        nb, stride = self.n_blocks, self.stride
+        owned = len(range(process, nb, stride))
+        n = owned * self.blocks.records_per_block
+        if owned and (nb - 1) % stride == process:
+            n -= nb * self.blocks.records_per_block - self.n_records  # short last block
+        return n
+
+    def runs(self, process: int, local: int, count: int) -> list[tuple[int, int]]:
+        self._check_local(local, count)
+        stop = min(local + count, self.n_local_records(process))
+        if stop <= local:
+            return []
+        if self.stride == 1:  # one process: its blocks abut
+            return [(local, stop - local)]
+        rpb, stride = self.blocks.records_per_block, self.stride
+        k, slot = divmod(local, rpb)  # k-th owned block, position within it
+        out = []
+        while local < stop:
+            take = min(rpb - slot, stop - local)
+            out.append(((process + k * stride) * rpb + slot, take))
+            local += take
+            k += 1
+            slot = 0
+        return out
 
 
 class SelfScheduledMap(OrganizationMap):
@@ -367,6 +446,12 @@ class PartitionedDirectMap(OrganizationMap):
 
     def blocks_of(self, process: int) -> np.ndarray:
         return self._base.blocks_of(process)
+
+    def n_local_records(self, process: int) -> int:
+        return self._base.n_local_records(process)
+
+    def runs(self, process: int, local: int, count: int) -> list[tuple[int, int]]:
+        return self._base.runs(process, local, count)
 
     def may_access(self, process: int, record: int) -> bool:
         """True iff ``record`` lies in a block owned by ``process``."""

@@ -14,7 +14,7 @@ file stores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,32 +34,33 @@ class RecordSpec:
 
     record_size: int
     dtype: str = "uint8"
+    #: number of dtype items in one record (derived once, at construction)
+    items_per_record: int = field(init=False, repr=False, compare=False)
+    _np_dtype: np.dtype = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.record_size <= 0:
             raise ValueError("record_size must be positive")
-        itemsize = np.dtype(self.dtype).itemsize
-        if self.record_size % itemsize != 0:
+        np_dtype = np.dtype(self.dtype)
+        if self.record_size % np_dtype.itemsize != 0:
             raise ValueError(
                 f"record_size {self.record_size} is not a multiple of "
-                f"dtype {self.dtype!r} item size {itemsize}"
+                f"dtype {self.dtype!r} item size {np_dtype.itemsize}"
             )
-
-    @property
-    def items_per_record(self) -> int:
-        """Number of dtype items in one record."""
-        return self.record_size // np.dtype(self.dtype).itemsize
+        object.__setattr__(self, "_np_dtype", np_dtype)
+        object.__setattr__(self, "items_per_record", self.record_size // np_dtype.itemsize)
 
     # -- codec -------------------------------------------------------------
 
     def encode(self, values: np.ndarray) -> np.ndarray:
         """Pack an ``(n, items_per_record)`` array into flat uint8 bytes."""
-        arr = np.ascontiguousarray(values, dtype=self.dtype)
+        arr = np.ascontiguousarray(values, dtype=self._np_dtype)
+        received = arr.shape
         if arr.ndim == 1:
             arr = arr.reshape(1, -1)
         if arr.ndim != 2 or arr.shape[1] != self.items_per_record:
             raise ValueError(
-                f"expected shape (n, {self.items_per_record}), got {values.shape}"
+                f"expected shape (n, {self.items_per_record}), got {received}"
             )
         return arr.view(np.uint8).reshape(-1)
 
@@ -72,7 +73,7 @@ class RecordSpec:
                 f"{self.record_size}-byte records"
             )
         n = buf.size // self.record_size
-        return buf.reshape(n, self.record_size).view(np.dtype(self.dtype)).reshape(
+        return buf.reshape(n, self.record_size).view(self._np_dtype).reshape(
             n, self.items_per_record
         ).copy()
 

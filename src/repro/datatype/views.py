@@ -221,4 +221,4 @@ def view_of_map(org_map: OrganizationMap, process: int) -> IndexedView:
     layer: a PS partition becomes one contiguous run, an IS partition a
     strided run list — and either feeds the same optimized access paths.
     """
-    return IndexedView(contiguous_runs(org_map.records_of(process)))
+    return IndexedView(org_map.runs(process, 0, org_map.n_local_records(process)))

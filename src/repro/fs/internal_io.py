@@ -27,12 +27,12 @@ simulated processes.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..buffering.cache import BufferCache
-from ..core.convert import contiguous_runs
 from ..core.errors import ExhaustedError, OrganizationError, OwnershipError
 from ..core.mapping import (
     GlobalDirectMap,
@@ -159,22 +159,21 @@ class PartitionHandle(_HandleBase):
         if sanitizer is not None:
             sanitizer.note_view(file, process, m.org)
         self.view_map = m
-        self._records = m.records_of(process)
+        self._n_local = m.n_local_records(process)
         self._cursor = 0
         self._block_cursor = 0
-        self._blocks = m.blocks_of(process)
 
     @property
     def n_local_records(self) -> int:
-        return len(self._records)
+        return self._n_local
 
     @property
     def remaining(self) -> int:
-        return len(self._records) - self._cursor
+        return self._n_local - self._cursor
 
     @property
     def eof(self) -> bool:
-        return self._cursor >= len(self._records)
+        return self._cursor >= self._n_local
 
     # -- record-level cursor --------------------------------------------------
 
@@ -188,51 +187,48 @@ class PartitionHandle(_HandleBase):
         count = min(count, self.remaining)
         if count <= 0:
             return self.file.attrs.record_spec.decode(b"")
-        wanted = self._records[self._cursor : self._cursor + count]
-        runs = list(contiguous_runs(wanted))
+        runs = self.view_map.runs(self.process, self._cursor, count)
         if len(runs) > 1 and self.file.pfs.batch_io:
             # list I/O: all runs down the data plane as one submission
-            data = yield self.file.read_gather(
-                [(run.start, run.count) for run in runs]
-            )
-            for run in runs:
-                self._trace_span("read", run.start, run.count)
+            data = yield self.file.read_gather(runs)
+            for start, n in runs:
+                self._trace_span("read", start, n)
             self._cursor += count
             return data
         pieces = []
-        for run in runs:
-            data = yield self.file.read_records(run.start, run.count)
-            self._trace_span("read", run.start, run.count)
+        for start, n in runs:
+            data = yield self.file.read_records(start, n)
+            self._trace_span("read", start, n)
             pieces.append(data)
         self._cursor += count
         return np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
 
     def write_next(self, values: np.ndarray):
         """Generator: write the next records of this process's sequence."""
-        raw = self.file.attrs.record_spec.encode(values)
-        count = raw.size // self.file.attrs.record_size
+        spec = self.file.attrs.record_spec
+        raw = spec.encode(values)
+        count = raw.size // spec.record_size
         if count > self.remaining:
             raise ExhaustedError(
                 f"process {self.process} has {self.remaining} records left, "
                 f"got {count}"
             )
-        decoded = self.file.attrs.record_spec.decode(raw)
-        wanted = self._records[self._cursor : self._cursor + count]
-        runs = list(contiguous_runs(wanted))
-        if len(runs) > 1 and self.file.pfs.batch_io:
-            yield self.file.write_gather(
-                [(run.start, run.count) for run in runs], decoded
-            )
-            for run in runs:
-                self._trace_span("write", run.start, run.count)
-            self._cursor += count
-            return count
-        pos = 0
-        for run in runs:
-            chunk = decoded[pos : pos + run.count]
-            yield self.file.write_records(run.start, chunk)
-            self._trace_span("write", run.start, run.count)
-            pos += run.count
+        runs = self.view_map.runs(self.process, self._cursor, count)
+        if len(runs) == 1:
+            # one run: the caller's values go down as they are
+            yield self.file.write_records(runs[0][0], values)
+            self._trace_span("write", *runs[0])
+        elif runs and self.file.pfs.batch_io:
+            yield self.file.write_gather(runs, values)
+            for start, n in runs:
+                self._trace_span("write", start, n)
+        else:
+            decoded = spec.decode(raw)
+            pos = 0
+            for start, n in runs:
+                yield self.file.write_records(start, decoded[pos : pos + n])
+                self._trace_span("write", start, n)
+                pos += n
         self._cursor += count
         return count
 
@@ -258,6 +254,11 @@ class PartitionHandle(_HandleBase):
         )
 
     # -- block-level cursor ------------------------------------------------------
+
+    @cached_property
+    def _blocks(self) -> np.ndarray:
+        """Owned blocks in access order, built on first block-level use."""
+        return self.view_map.blocks_of(self.process)
 
     @property
     def blocks_remaining(self) -> int:

@@ -12,6 +12,7 @@ entry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 from ..core.blocks import BlockSpec
@@ -65,11 +66,14 @@ class FileAttributes:
         if self.n_processes < 1:
             raise ValueError("n_processes must be >= 1")
 
-    @property
+    # Built on first use and kept: nothing reassigns ``record_size``,
+    # ``dtype`` or ``records_per_block`` after creation, and neither spec
+    # depends on ``n_records`` (which the metastore does update).
+    @cached_property
     def record_spec(self) -> RecordSpec:
         return RecordSpec(self.record_size, self.dtype)
 
-    @property
+    @cached_property
     def block_spec(self) -> BlockSpec:
         return BlockSpec(self.record_spec, self.records_per_block)
 

@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..core.convert import contiguous_runs
 from ..core.errors import ExhaustedError, OrganizationError, OwnershipError
 from ..core.mapping import PartitionedDirectMap, SequentialMap
 
@@ -146,16 +145,16 @@ class LivePartitionHandle(_LiveBase):
         super().__init__(file, process)
         if not file.map.is_static:
             raise OrganizationError("partitioned handle needs a static map")
-        self._records = file.map.records_of(process)
+        self._n_local = file.map.n_local_records(process)
         self._cursor = 0
 
     @property
     def n_local_records(self) -> int:
-        return len(self._records)
+        return self._n_local
 
     @property
     def remaining(self) -> int:
-        return len(self._records) - self._cursor
+        return self._n_local - self._cursor
 
     @property
     def eof(self) -> bool:
@@ -166,10 +165,9 @@ class LivePartitionHandle(_LiveBase):
         count = min(count, self.remaining)
         if count <= 0:
             return self.file.attrs.record_spec.decode(b"")
-        wanted = self._records[self._cursor : self._cursor + count]
         pieces = [
-            self._pread_records(run.start, run.count)
-            for run in contiguous_runs(wanted)
+            self._pread_records(start, n)
+            for start, n in self.file.map.runs(self.process, self._cursor, count)
         ]
         self._cursor += count
         return np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
@@ -183,12 +181,15 @@ class LivePartitionHandle(_LiveBase):
             raise ExhaustedError(
                 f"process {self.process} has {self.remaining} records left"
             )
-        decoded = spec.decode(raw)
-        wanted = self._records[self._cursor : self._cursor + count]
-        pos = 0
-        for run in contiguous_runs(wanted):
-            self._pwrite_records(run.start, decoded[pos : pos + run.count])
-            pos += run.count
+        runs = self.file.map.runs(self.process, self._cursor, count)
+        if len(runs) == 1:
+            self._pwrite_records(runs[0][0], values)
+        else:
+            decoded = spec.decode(raw)
+            pos = 0
+            for start, n in runs:
+                self._pwrite_records(start, decoded[pos : pos + n])
+                pos += n
         self._cursor += count
         return count
 

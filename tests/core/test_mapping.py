@@ -17,6 +17,7 @@ from repro.core import (
     GlobalDirectMap,
     InterleavedMap,
     OrganizationError,
+    OrganizationMap,
     OwnershipError,
     PartitionedDirectMap,
     PartitionedMap,
@@ -81,6 +82,51 @@ def test_local_global_bijection(shape):
         for r in range(n_records):
             q, local = m.global_to_local(r)
             assert m.local_to_global(q, local) == r, m
+
+
+oracle_shapes = st.tuples(
+    st.integers(0, 200),   # n_records
+    st.integers(1, 7),     # records_per_block
+    st.integers(1, 8),     # n_processes
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(oracle_shapes)
+def test_closed_form_runs_match_the_reference(shape):
+    """S, PS, IS (and PDA through them) answer ``runs`` and
+    ``n_local_records`` by arithmetic; the base class's ``records_of`` +
+    ``contiguous_runs`` versions are the reference. Every ``(local, count)``
+    pair is checked, past-the-end clipping included; short final blocks
+    and processes owning no blocks fall out of the shape ranges."""
+    n_records, rpb, p = shape
+    for m in make_static_maps(n_records, rpb, p):
+        for q in range(p):
+            n = OrganizationMap.n_local_records(m, q)
+            assert m.n_local_records(q) == n, (m, q)
+            for local in range(n + 2):
+                for count in range(n - local + 3):
+                    want = OrganizationMap.runs(m, q, local, count)
+                    assert m.runs(q, local, count) == want, (m, q, local, count)
+
+
+def test_closed_form_runs_edge_cases():
+    # one record, two processes: process 1 owns no block (not a negative count)
+    m = PartitionedMap(bspec(4), 1, 2)
+    assert m.n_local_records(1) == 0 and m.runs(1, 0, 5) == []
+    assert m.runs(0, 0, 5) == [(0, 1)]
+    # IS with a short final block, one run per touched block
+    m = InterleavedMap(bspec(3), 10, 2)        # blocks 0..3, last holds 1 record
+    assert m.n_local_records(1) == 4           # blocks 1 and 3
+    assert m.runs(1, 2, 10) == [(5, 1), (9, 1)]
+    # stride 1: adjacent blocks merge into one run
+    assert InterleavedMap(bspec(3), 10, 1).runs(0, 1, 7) == [(1, 7)]
+    with pytest.raises(RecordRangeError):
+        m.runs(0, -1, 1)
+    with pytest.raises(OrganizationError):
+        m.runs(2, 0, 1)
+    with pytest.raises(OrganizationError):
+        SelfScheduledMap(bspec(), 40, 4).runs(0, 0, 1)
 
 
 @settings(max_examples=40)

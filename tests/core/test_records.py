@@ -47,6 +47,16 @@ class TestCodec:
         with pytest.raises(ValueError):
             spec.encode(np.zeros((2, 5), dtype=np.int32))
 
+    def test_wrong_width_list_input_names_its_shape(self):
+        # regression: a list input raised AttributeError ('list' has no .shape)
+        with pytest.raises(ValueError, match=r"got \(1, 3\)"):
+            RecordSpec(8).encode([[1, 2, 3]])
+
+    def test_derived_fields_stay_out_of_equality_and_repr(self):
+        assert RecordSpec(16, "int32") == RecordSpec(16, "int32")
+        assert hash(RecordSpec(16, "int32")) == hash(RecordSpec(16, "int32"))
+        assert repr(RecordSpec(16, "int32")) == "RecordSpec(record_size=16, dtype='int32')"
+
     def test_partial_record_rejected_on_decode(self):
         spec = RecordSpec(4)
         with pytest.raises(ValueError):

@@ -59,6 +59,38 @@ class TestAlternateView:
         is_map = InterleavedMap(BlockSpec(RecordSpec(16, "float64"), 4), 48, 6)
         assert np.array_equal(out, data[is_map.records_of(5)])
 
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_chunked_is_view_of_ps_file_reads_and_writes_its_records(self, env, pfs, batch):
+        """Chunks of 3 records straddle the 4-record IS blocks, so every
+        request after the first covers two runs: per-run transfers with
+        batching off, one gather/scatter with it on."""
+        from repro.core import BlockSpec, InterleavedMap, RecordSpec
+
+        pfs.set_batching(batch)
+        f, data = make_ps_file(pfs, env)
+        is_map = InterleavedMap(BlockSpec(RecordSpec(16, "float64"), 4), 48, 4)
+        new = records(48, seed=9)
+
+        def proc():
+            out = {}
+            for p in range(4):
+                h = alternate_view(f, "IS", p)
+                parts = []
+                while not h.eof:
+                    parts.append((yield from h.read_next(3)))
+                out[p] = np.concatenate(parts)
+                w = alternate_view(f, "IS", p)
+                mine = new[is_map.records_of(p)]
+                for pos in range(0, len(mine), 3):
+                    yield from w.write_next(mine[pos : pos + 3])
+            after = yield from f.global_view().read()
+            return out, after
+
+        out, after = env.run(env.process(proc()))
+        for p in range(4):
+            assert np.array_equal(out[p], data[is_map.records_of(p)])
+        assert np.array_equal(after, new)
+
     def test_alternate_view_is_slower_than_native(self, env, pfs):
         """The §5 'degraded performance' claim, at the handle level."""
         from .conftest import build_pfs

@@ -103,6 +103,36 @@ def test_planning_a_contiguous_range_is_independent_of_its_length():
     )
 
 
+def _first_read_cost(org: str, n_records: int) -> float:
+    """Host seconds to open a partition handle on a freshly created file
+    and read one record, up to the read's first simulated event."""
+    from repro import build_parallel_fs
+    from repro.fs import PartitionHandle
+
+    def run():
+        env = Environment()
+        f = build_parallel_fs(env, 4).create(
+            "guard", org, n_records=n_records, record_size=1, dtype="uint8",
+            records_per_block=64, n_processes=4,
+        )
+        t0 = time.perf_counter()
+        next(PartitionHandle(f, 1).read_next(1))
+        return time.perf_counter() - t0
+
+    return min(run() for _ in range(3))
+
+
+def test_opening_a_partition_handle_builds_no_per_file_index():
+    for org in ("PS", "IS"):
+        small = _first_read_cost(org, 1 << 12)
+        large = _first_read_cost(org, 1 << 20)
+        # materialising the process's record index would make this ~256
+        assert large < small * 4, (
+            f"{org} handle open + first read grew with the file: "
+            f"{small * 1e6:.1f}us at 2^12 records vs {large * 1e6:.1f}us at 2^20"
+        )
+
+
 def _overlap_check_cost(n_records: int) -> float:
     """Host seconds per index of a collective write's argument checking —
     the disjointness check included — up to the first simulated event."""
