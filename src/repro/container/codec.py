@@ -92,6 +92,10 @@ __all__ = [
     "encode_section_header",
     "decode_section_header",
     "plan_layout",
+    "walk_toc",
+    "write_section",
+    "verify_payload",
+    "read_section",
     "encode_attrs_payload",
     "decode_attrs_payload",
 ]
@@ -421,6 +425,80 @@ def plan_layout(decls: Iterable[SectionDecl]) -> ContainerLayout:
         sections.append(ext)
         off = ext.end
     return ContainerLayout(sections=tuple(sections))
+
+
+# -- sans-I/O plans --------------------------------------------------------------
+#
+# Generators of I/O *intents*, so one definition serves every backend: each
+# yields ``("read", offset, nbytes)`` (sent back the bytes read) or
+# ``("write", offset, data)``; ``repro.container.writer.run_plan`` does the
+# I/O in simulated time, plain calls do it for the live dataset.
+
+
+def walk_toc(total_bytes: int):
+    """Generator plan: rebuild the table of contents of a container of
+    ``total_bytes`` bytes by walking its section headers.
+
+    Returns ``(header, toc, crcs)``: the file header, section id →
+    :class:`SectionExtent` in file order, and section id → stored crc.
+    Raises :class:`ContainerFormatError` on a header or payload running
+    past the end of the file, or a section id that appears twice.
+    """
+    header = decode_file_header((yield "read", 0, FILE_HEADER_BYTES))
+    toc: dict[str, SectionExtent] = {}
+    crcs: dict[str, int] = {}
+    off = FILE_HEADER_BYTES
+    for i in range(header.section_count):
+        if off + SECTION_HEADER_BYTES > total_bytes:
+            raise ContainerFormatError(
+                f"section {i}: header at {off} runs past end of file "
+                f"({total_bytes} bytes)"
+            )
+        shdr = decode_section_header((yield "read", off, SECTION_HEADER_BYTES))
+        sid = shdr.decl.section_id
+        ext = SectionExtent(shdr.decl, off)
+        if ext.end > total_bytes:
+            raise ContainerFormatError(
+                f"section {sid!r}: payload runs past end of file"
+            )
+        if sid in toc:
+            raise ContainerFormatError(f"duplicate section id {sid!r}")
+        toc[sid] = ext
+        crcs[sid] = shdr.crc
+        off = ext.end
+    return header, toc, crcs
+
+
+def verify_payload(ext: SectionExtent, crc: int, payload: bytes) -> bytes:
+    """``payload`` if its checksum matches the stored ``crc``; raises
+    :class:`ChecksumError` otherwise."""
+    got = section_crc(payload, ext.decl.count, ext.decl.elem_size)
+    if got != crc:
+        raise ChecksumError(
+            f"section {ext.decl.section_id!r}: payload crc {got:08x} != "
+            f"header crc {crc:08x}"
+        )
+    return payload
+
+
+def write_section(ext: SectionExtent, payload: bytes | None):
+    """Generator plan: one section written serially — header, payload, pad
+    — returning its crc. ``None`` stands for a payload of zero bytes already
+    on media (a preallocated file): checksummed, not written."""
+    raw = bytes(ext.payload_len) if payload is None else payload
+    crc = section_crc(raw, ext.decl.count, ext.decl.elem_size)
+    yield "write", ext.header_off, encode_section_header(ext.decl, crc)
+    if payload:
+        yield "write", ext.payload_off, payload
+    yield "write", ext.pad_off, pad_bytes(ext.payload_len)
+    return crc
+
+
+def read_section(ext: SectionExtent, crc: int):
+    """Generator plan: the checksum-verified payload bytes of one section
+    (one read intent; none for an empty payload)."""
+    payload = (yield "read", ext.payload_off, ext.payload_len) if ext.payload_len else b""
+    return verify_payload(ext, crc, payload)
 
 
 # -- the reserved self-description payload -------------------------------------

@@ -20,20 +20,18 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..collective import CollectiveIO, balanced_indices
+from ..collective import CollectiveIO
 from .codec import (
     ATTRS_SECTION_ID,
     FILE_HEADER_BYTES,
-    SECTION_HEADER_BYTES,
-    ChecksumError,
-    ContainerFormatError,
     FileHeader,
     SectionExtent,
     decode_attrs_payload,
-    decode_file_header,
-    decode_section_header,
-    section_crc,
+    read_section,
+    verify_payload,
+    walk_toc,
 )
+from .writer import fan_out, payload_indices, run_plan
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..fs.pfs import ParallelFile, ParallelFileSystem
@@ -76,37 +74,11 @@ class ContainerReader:
         if readers < 1:
             raise ValueError("readers must be >= 1")
         file = pfs.open(name, n_processes=readers)
-        header_rows = yield file.read_records(0, FILE_HEADER_BYTES)
-        header = decode_file_header(header_rows.tobytes())
-        toc: dict[str, SectionExtent] = {}
-        crcs: dict[str, int] = {}
-        off = FILE_HEADER_BYTES
-        for i in range(header.section_count):
-            if off + SECTION_HEADER_BYTES > file.n_records:
-                raise ContainerFormatError(
-                    f"section {i}: header at {off} runs past end of file "
-                    f"({file.n_records} bytes)"
-                )
-            rows = yield file.read_records(off, SECTION_HEADER_BYTES)
-            shdr = decode_section_header(rows.tobytes())
-            ext = SectionExtent(shdr.decl, off)
-            if ext.end > file.n_records:
-                raise ContainerFormatError(
-                    f"section {shdr.decl.section_id!r}: payload runs past "
-                    "end of file"
-                )
-            if shdr.decl.section_id in toc:
-                raise ContainerFormatError(
-                    f"duplicate section id {shdr.decl.section_id!r}"
-                )
-            toc[shdr.decl.section_id] = ext
-            crcs[shdr.decl.section_id] = shdr.crc
-            off = ext.end
-        attrs_payload = yield from cls._read_payload_of(
-            file, toc, crcs, ATTRS_SECTION_ID
+        header, toc, crcs = yield from run_plan(file, walk_toc(file.n_records))
+        attrs = yield from run_plan(
+            file, read_section(toc[ATTRS_SECTION_ID], crcs[ATTRS_SECTION_ID])
         )
-        described = decode_attrs_payload(attrs_payload.tobytes())
-        return cls(file, header, toc, crcs, described)
+        return cls(file, header, toc, crcs, decode_attrs_payload(attrs))
 
     # -- introspection -----------------------------------------------------
 
@@ -154,40 +126,22 @@ class ContainerReader:
 
     # -- reads -------------------------------------------------------------
 
-    @staticmethod
-    def _read_payload_of(file, toc, crcs, section_id):
-        """Generator: serial checksum-verified payload read (open path)."""
-        ext = toc[section_id]
-        if ext.payload_len == 0:
-            payload = np.empty(0, dtype=np.uint8)
-        else:
-            rows = yield file.read_records(ext.payload_off, ext.payload_len)
-            payload = np.ascontiguousarray(rows, dtype=np.uint8).reshape(-1)
-        got = section_crc(
-            payload.tobytes(), ext.decl.count, ext.decl.elem_size
+    def _read_checked(self, section_id: str):
+        """Generator: one section's checksum-verified payload bytes, read
+        serially."""
+        return run_plan(
+            self.file, read_section(self.toc[section_id], self.crcs[section_id])
         )
-        if got != crcs[section_id]:
-            raise ChecksumError(
-                f"section {section_id!r}: payload crc {got:08x} != "
-                f"header crc {crcs[section_id]:08x}"
-            )
-        return payload
 
     def read_inline(self, section_id: str):
         """Generator: the 32-byte inline payload, trailing spaces kept."""
-        ext = self._extent(section_id, "I")
-        payload = yield from self._read_payload_of(
-            self.file, self.toc, self.crcs, ext.decl.section_id
-        )
-        return payload.tobytes()
+        self._extent(section_id, "I")
+        return self._read_checked(section_id)
 
     def read_block(self, section_id: str):
         """Generator: a block section's bytes."""
         self._extent(section_id, "B")
-        payload = yield from self._read_payload_of(
-            self.file, self.toc, self.crcs, section_id
-        )
-        return payload.tobytes()
+        return self._read_checked(section_id)
 
     def read_json(self, section_id: str):
         """Generator: a block section holding JSON text (space padding
@@ -214,13 +168,10 @@ class ContainerReader:
         """
         ext = self._extent(section_id, "A")
         off, nbytes = ext.payload_off, ext.payload_len
-        if nbytes == 0:
-            return b""
         p = self.n_readers
-        if p == 1 or mode == "serial":
-            rows = yield self.file.read_records(off, nbytes)
-            payload = np.ascontiguousarray(rows, dtype=np.uint8).reshape(-1)
-        elif mode == "view":
+        if p == 1 or mode == "serial" or nbytes == 0:
+            return (yield from self._read_checked(section_id))
+        if mode == "view":
             payload = yield from self._read_view(off, nbytes, p)
         elif mode == "collective":
             payload = yield from self._read_collective(
@@ -228,34 +179,18 @@ class ContainerReader:
             )
         else:
             raise ValueError(f"unknown array read mode {mode!r}")
-        got = section_crc(
-            payload.tobytes(), ext.decl.count, ext.decl.elem_size
-        )
-        if got != self.crcs[section_id]:
-            raise ChecksumError(
-                f"section {section_id!r}: payload crc {got:08x} != "
-                f"header crc {self.crcs[section_id]:08x}"
-            )
-        return payload.tobytes()
+        return verify_payload(ext, self.crcs[section_id], payload.tobytes())
 
     def _read_view(self, off: int, nbytes: int, p: int):
         from ..datatype import ContiguousView
 
-        env = self.file.env
         out = np.empty(nbytes, dtype=np.uint8)
-        domains = balanced_indices(0, nbytes, p)
 
         def worker(lo: int, hi: int):
             rows = yield self.file.read_view(ContiguousView(off + lo, hi - lo))
             out[lo:hi] = np.ascontiguousarray(rows, dtype=np.uint8).reshape(-1)
 
-        procs = [
-            env.process(worker(int(idx[0]), int(idx[-1]) + 1))
-            for idx in domains.values()
-            if len(idx)
-        ]
-        if procs:
-            yield env.all_of(procs)
+        yield from fan_out(self.file.env, nbytes, p, worker)
         return out
 
     def _read_collective(
@@ -272,27 +207,17 @@ class ContainerReader:
             exchange_latency,
             allow_dynamic=not self.file.map.is_static,
         )
-        m = self.file.map
-        if m.is_static:
-            end = off + nbytes
-            wanted = {}
-            for q in range(p):
-                recs = m.records_of(q)
-                wanted[q] = recs[(recs >= off) & (recs < end)]
+        wanted = payload_indices(self.file, off, nbytes)
+        if self.file.map.is_static:
             # map gaps inside the payload fall to process 0 so coverage
             # is exact (e.g. a SequentialMap's non-reader processes)
-            covered = (
-                np.concatenate([w for w in wanted.values() if len(w)])
-                if any(len(w) for w in wanted.values())
-                else np.empty(0, dtype=np.int64)
-            )
+            covered = [w for w in wanted.values() if len(w)]
             missing = np.setdiff1d(
-                np.arange(off, end, dtype=np.int64), covered
+                np.arange(off, off + nbytes, dtype=np.int64),
+                np.concatenate(covered) if covered else [],
             )
             if len(missing):
                 wanted[0] = np.sort(np.concatenate([wanted[0], missing]))
-        else:
-            wanted = balanced_indices(off, nbytes, p)
         result = yield from coll.read_at(off, nbytes, wanted)
         out = np.empty(nbytes, dtype=np.uint8)
         for q, rows in result.items():

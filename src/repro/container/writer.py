@@ -47,12 +47,21 @@ from .codec import (
     pad_bytes,
     plan_layout,
     section_crc,
+    write_section,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..fs.pfs import ParallelFile, ParallelFileSystem
 
-__all__ = ["ContainerWriter", "attrs_decl", "container_decls"]
+__all__ = [
+    "ContainerWriter",
+    "attrs_decl",
+    "container_decls",
+    "byte_rows",
+    "fan_out",
+    "payload_indices",
+    "run_plan",
+]
 
 
 def attrs_decl() -> SectionDecl:
@@ -74,7 +83,7 @@ def container_decls(user_sections: Sequence[SectionDecl]) -> list[SectionDecl]:
     return [attrs_decl(), *user_sections]
 
 
-def _rows(raw: bytes | np.ndarray) -> np.ndarray:
+def byte_rows(raw: bytes | np.ndarray) -> np.ndarray:
     """Bytes as (n, 1) uint8 record rows for a 1-byte-record file."""
     arr = (
         np.frombuffer(raw, dtype=np.uint8)
@@ -82,6 +91,31 @@ def _rows(raw: bytes | np.ndarray) -> np.ndarray:
         else np.ascontiguousarray(raw, dtype=np.uint8).reshape(-1)
     )
     return arr.reshape(-1, 1)
+
+
+def run_plan(file: "ParallelFile", plan):
+    """Generator: execute a sans-I/O container plan on a simulated file.
+
+    ``plan`` yields ``("read", offset, nbytes)`` intents, each answered
+    with the bytes read, and ``("write", offset, data)`` intents over the
+    container's 1-byte records (:func:`~repro.container.codec.walk_toc`,
+    :func:`~repro.container.codec.read_section`, a dataset's sync plan).
+    Returns the plan's value. When an I/O fails, the plan is closed before
+    the error propagates, so its cleanup runs first.
+    """
+    reply = None
+    try:
+        while True:
+            op, offset, arg = plan.send(reply)
+            if op == "read":
+                rows = yield file.read_records(offset, arg)
+                reply = rows.tobytes()
+            else:
+                reply = yield file.write_records(offset, byte_rows(arg))
+    except StopIteration as done:
+        return done.value
+    finally:
+        plan.close()
 
 
 class ContainerWriter:
@@ -170,7 +204,7 @@ class ContainerWriter:
         header = encode_file_header(
             self.user_string, len(self.layout.sections)
         )
-        yield self.file.write_records(0, _rows(header))
+        yield self.file.write_records(0, byte_rows(header))
         self._began = True
         payload = encode_attrs_payload(self.file.attrs.to_dict())
         yield from self._write_serial(self.layout.sections[0], payload)
@@ -193,15 +227,7 @@ class ContainerWriter:
 
     def _write_serial(self, ext: SectionExtent, payload: bytes):
         """Generator: header + payload + pad, one writer."""
-        crc = section_crc(payload, ext.decl.count, ext.decl.elem_size)
-        yield self.file.write_records(
-            ext.header_off, _rows(encode_section_header(ext.decl, crc))
-        )
-        if payload:
-            yield self.file.write_records(ext.payload_off, _rows(payload))
-        yield self.file.write_records(
-            ext.pad_off, _rows(pad_bytes(ext.payload_len))
-        )
+        return run_plan(self.file, write_section(ext, payload))
 
     def write_inline(self, section_id: str, payload: bytes):
         """Generator: write an inline section (<= 32 bytes, space-padded)."""
@@ -216,11 +242,7 @@ class ContainerWriter:
     def write_block(self, section_id: str, payload: bytes | np.ndarray):
         """Generator: write a block section (declared length required)."""
         ext = self._expect("B", section_id)
-        raw = (
-            bytes(payload)
-            if isinstance(payload, (bytes, bytearray))
-            else np.ascontiguousarray(payload, dtype=np.uint8).tobytes()
-        )
+        raw = byte_rows(payload).tobytes()
         if len(raw) != ext.payload_len:
             raise ValueError(
                 f"block {section_id!r} declared {ext.payload_len} bytes, "
@@ -260,11 +282,7 @@ class ContainerWriter:
         simulated timing.
         """
         ext = self._expect("A", section_id)
-        raw = (
-            np.frombuffer(values, dtype=np.uint8)
-            if isinstance(values, (bytes, bytearray))
-            else np.ascontiguousarray(values, dtype=np.uint8).reshape(-1)
-        )
+        raw = byte_rows(values).reshape(-1)
         if raw.size != ext.payload_len:
             raise ValueError(
                 f"array {section_id!r} declared "
@@ -273,14 +291,14 @@ class ContainerWriter:
             )
         crc = section_crc(raw.tobytes(), ext.decl.count, ext.decl.elem_size)
         yield self.file.write_records(
-            ext.header_off, _rows(encode_section_header(ext.decl, crc))
+            ext.header_off, byte_rows(encode_section_header(ext.decl, crc))
         )
         if raw.size:
             yield from self._write_payload(
                 ext, raw, mode, exchange_rate, exchange_latency
             )
         yield self.file.write_records(
-            ext.pad_off, _rows(pad_bytes(ext.payload_len))
+            ext.pad_off, byte_rows(pad_bytes(ext.payload_len))
         )
         self._next += 1
 
@@ -298,22 +316,13 @@ class ContainerWriter:
             yield self.file.write_records(off, raw.reshape(-1, 1))
             return
         if mode == "view":
-            env = self.file.env
-            domains = balanced_indices(0, nbytes, p)
+            from ..datatype import ContiguousView
 
             def worker(lo: int, hi: int):
-                from ..datatype import ContiguousView
-
                 view = ContiguousView(off + lo, hi - lo)
                 yield self.file.write_view(raw[lo:hi].reshape(-1, 1), view)
 
-            procs = [
-                env.process(worker(int(idx[0]), int(idx[-1]) + 1))
-                for idx in domains.values()
-                if len(idx)
-            ]
-            if procs:
-                yield env.all_of(procs)
+            yield from fan_out(self.file.env, nbytes, p, worker)
             return
         if mode != "collective":
             raise ValueError(f"unknown array write mode {mode!r}")
@@ -323,7 +332,7 @@ class ContainerWriter:
             exchange_latency,
             allow_dynamic=not self.file.map.is_static,
         )
-        indices = _payload_indices(self.file, off, nbytes)
+        indices = payload_indices(self.file, off, nbytes)
         per_process = {
             q: raw[indices[q] - off].reshape(-1, 1) for q in range(p)
         }
@@ -333,7 +342,20 @@ class ContainerWriter:
         )
 
 
-def _payload_indices(
+def fan_out(env, nbytes: int, p: int, worker):
+    """Generator: ``worker(lo, hi)`` as one simulated process per non-empty
+    balanced share of ``[0, nbytes)`` among ``p`` processes; waits for all
+    (the ``mode="view"`` payload paths)."""
+    procs = [
+        env.process(worker(int(idx[0]), int(idx[-1]) + 1))
+        for idx in balanced_indices(0, nbytes, p).values()
+        if len(idx)
+    ]
+    if procs:
+        yield env.all_of(procs)
+
+
+def payload_indices(
     file: "ParallelFile", off: int, nbytes: int
 ) -> dict[int, np.ndarray]:
     """Per-process byte ownership of ``[off, off + nbytes)``.

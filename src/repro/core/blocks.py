@@ -81,6 +81,15 @@ class BlockSpec:
             raise RecordRangeError(f"invalid coordinates ({block}, {slot})")
         return block * self.records_per_block + slot
 
+    def pieces(self, start: int, count: int):
+        """``(block, lo, hi)`` for each block the records ``[start, start +
+        count)`` touch, ``[lo, hi)`` being the slots inside it."""
+        rpb = self.records_per_block
+        end = start + count
+        for block in range(start // rpb, -(-end // rpb)):
+            first = block * rpb
+            yield block, max(start - first, 0), min(end - first, rpb)
+
     def first_record(self, block: int) -> int:
         """Global index of the first record in ``block``."""
         if block < 0:

@@ -402,12 +402,6 @@ class GlobalDirectMap(OrganizationMap):
     def blocks_of(self, process: int) -> np.ndarray:
         raise OrganizationError("GDA files have no per-process block list")
 
-    def may_access(self, process: int, record: int) -> bool:
-        """Every process may access every record."""
-        self._check_process(process)
-        self._check_record(record)
-        return True
-
 
 class PartitionedDirectMap(OrganizationMap):
     """Type PDA: blocks assigned to processes; random access within blocks.
@@ -452,20 +446,6 @@ class PartitionedDirectMap(OrganizationMap):
 
     def runs(self, process: int, local: int, count: int) -> list[tuple[int, int]]:
         return self._base.runs(process, local, count)
-
-    def may_access(self, process: int, record: int) -> bool:
-        """True iff ``record`` lies in a block owned by ``process``."""
-        self._check_process(process)
-        self._check_record(record)
-        return self.owner_of_record(record) == process
-
-    def check_access(self, process: int, record: int) -> None:
-        """Raise :class:`OwnershipError` on an out-of-partition access."""
-        if not self.may_access(process, record):
-            raise OwnershipError(
-                f"process {process} may not access record {record} "
-                f"(owned by process {self.owner_of_record(record)})"
-            )
 
 
 _MAKERS = {

@@ -18,6 +18,10 @@ view compilation (through :func:`~repro.datatype.slab.slab_to_view` with
 the typed encode/decode between user arrays and the container's 1-byte
 records.
 
+It also holds the dataset bodies that move no bytes themselves: the
+open-time section checks, dirty bookkeeping and the sans-I/O ``sync``
+plan both backends run.
+
 ``content_fingerprint`` is the cross-backend identity check: sha256 of
 the container bytes with the self-description section masked. The attrs
 payload legitimately differs between backends (``layout: "host"`` vs a
@@ -27,6 +31,7 @@ striped layout) while every data byte must not.
 from __future__ import annotations
 
 import hashlib
+import threading
 
 import numpy as np
 
@@ -37,6 +42,9 @@ from ..container.codec import (
     SectionDecl,
     array_section,
     block_section,
+    encode_section_header,
+    read_section,
+    section_crc,
 )
 from ..core.errors import OrganizationError
 from ..datatype.slab import slab_size, slab_to_view, validate_slab
@@ -48,6 +56,8 @@ __all__ = [
     "var_section_id",
     "dataset_decls",
     "DatasetBase",
+    "initial_payloads",
+    "schema_plan",
     "content_fingerprint",
 ]
 
@@ -75,6 +85,37 @@ def dataset_decls(schema: DatasetSchema) -> list[SectionDecl]:
     return decls
 
 
+def initial_payloads(schema: DatasetSchema, data) -> dict[str, bytes]:
+    """Media bytes of the variables ``data`` gives initial contents for
+    (the rest start zero-filled); rejects names the schema lacks."""
+    data = dict(data or {})
+    unknown = set(data) - set(schema.variables)
+    if unknown:
+        raise OrganizationError(
+            f"initial data for unknown variables {sorted(unknown)}"
+        )
+    return {
+        name: np.ascontiguousarray(
+            np.asarray(values).reshape(schema.shape(name)),
+            dtype=schema.variables[name].np_dtype,
+        ).tobytes()
+        for name, values in data.items()
+    }
+
+
+def schema_plan(toc: dict, crcs: dict, name: str):
+    """Generator plan: the checksum-verified schema of an opened
+    container (see :func:`~repro.container.codec.read_section`); raises
+    :class:`OrganizationError` if the container is not a dataset."""
+    if DATASET_SECTION_ID not in toc:
+        raise OrganizationError(
+            f"container {name!r} has no {DATASET_SECTION_ID!r} section "
+            "— not a dataset"
+        )
+    raw = yield from read_section(toc[DATASET_SECTION_ID], crcs[DATASET_SECTION_ID])
+    return DatasetSchema.from_json(raw)
+
+
 def content_fingerprint(buf: bytes | bytearray | np.ndarray) -> str:
     """sha256 of container bytes with the self-description masked.
 
@@ -94,12 +135,24 @@ def content_fingerprint(buf: bytes | bytearray | np.ndarray) -> str:
 
 
 class DatasetBase:
-    """Shared slab arithmetic. Subclasses provide ``schema``, a ``toc``
-    mapping section ids to :class:`~repro.container.codec.SectionExtent`,
-    and the actual byte movement."""
+    """One dataset body for both backends; subclasses add the byte
+    movement (``read_slab``/``write_slab`` and the collective calls).
 
-    schema: DatasetSchema
-    toc: dict
+    ``toc`` maps section ids to
+    :class:`~repro.container.codec.SectionExtent`, ``crcs`` to their
+    stored checksums. Every variable's section is checked against the
+    schema on construction.
+    """
+
+    def __init__(self, file, schema: DatasetSchema, toc: dict, crcs: dict):
+        self.file = file
+        self.schema = schema
+        self.toc = toc
+        self.crcs = crcs
+        self._dirty: set[str] = set()
+        self._dirty_lock = threading.Lock()
+        for name in schema.variables:
+            self._check_var_section(name)
 
     # -- introspection -----------------------------------------------------
 
@@ -137,6 +190,18 @@ class DatasetBase:
             raise OrganizationError(
                 f"container is missing section {sid!r} for variable {name!r}"
             ) from None
+
+    def _check_var_section(self, name: str) -> None:
+        ext = self._var_extent(name)  # raises if the section is missing
+        var = self.schema.variable(name)
+        if ext.decl.count != self.schema.size(name) or (
+            ext.decl.elem_size != var.itemsize
+        ):
+            raise OrganizationError(
+                f"variable {name!r}: schema declares "
+                f"{self.schema.size(name)} x {var.itemsize} bytes, section "
+                f"holds {ext.decl.count} x {ext.decl.elem_size}"
+            )
 
     def _slab(self, name: str, start, count):
         """``(byte_view, slab_shape, np_dtype)`` of a hyperslab.
@@ -191,3 +256,56 @@ class DatasetBase:
     def _empty_slab(self, name: str, count) -> np.ndarray:
         var = self.schema.variable(name)
         return np.empty(tuple(count), dtype=var.np_dtype)
+
+    # -- whole variables ---------------------------------------------------
+
+    def read_variable(self, name: str, *, sieve: bool = False):
+        """The whole variable, a full-extent :meth:`read_slab` (a generator
+        on the simulated backend)."""
+        shape = self.schema.shape(name)
+        return self.read_slab(name, (0,) * len(shape), shape, sieve=sieve)
+
+    def write_variable(self, name: str, values, *, sieve: bool = False):
+        """Overwrite the whole variable, a full-extent :meth:`write_slab`
+        (a generator on the simulated backend)."""
+        shape = self.schema.shape(name)
+        return self.write_slab(name, (0,) * len(shape), shape, values, sieve=sieve)
+
+    # -- checksum maintenance ----------------------------------------------
+
+    @property
+    def dirty(self) -> list[str]:
+        """Variables written since the last :meth:`sync` (their section
+        checksums on media are stale until then)."""
+        with self._dirty_lock:
+            return sorted(self._dirty)
+
+    def _mark_dirty(self, *names: str) -> None:
+        with self._dirty_lock:
+            self._dirty.update(names)
+
+    def _sync_plan(self):
+        """Generator plan behind ``sync``: re-read each dirty variable's
+        payload and rewrite its section header with a fresh crc; returns
+        the names synced. The dirty set is taken before any I/O, so a write
+        landing meanwhile marks its variable again, and so does a failure
+        before a variable's header was rewritten."""
+        with self._dirty_lock:
+            names = sorted(self._dirty)
+            self._dirty.clear()
+        done = 0
+        try:
+            for name in names:
+                ext = self._var_extent(name)
+                payload = (
+                    (yield "read", ext.payload_off, ext.payload_len)
+                    if ext.payload_len
+                    else b""
+                )
+                crc = section_crc(payload, ext.decl.count, ext.decl.elem_size)
+                yield "write", ext.header_off, encode_section_header(ext.decl, crc)
+                self.crcs[ext.decl.section_id] = crc
+                done += 1
+        finally:
+            self._mark_dirty(*names[done:])
+        return names

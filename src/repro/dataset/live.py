@@ -11,34 +11,27 @@ payload differs (``layout: "host"``).
 
 from __future__ import annotations
 
-import threading
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
 from ..container.codec import (
-    FILE_HEADER_BYTES,
-    SECTION_HEADER_BYTES,
     ATTRS_SECTION_ID,
-    ContainerFormatError,
-    SectionExtent,
-    decode_file_header,
-    decode_section_header,
     encode_attrs_payload,
     encode_file_header,
-    encode_section_header,
-    pad_bytes,
     plan_layout,
-    section_crc,
+    walk_toc,
+    write_section,
 )
-from ..container.writer import container_decls
-from ..core.errors import OrganizationError
+from ..container.writer import byte_rows, container_decls
 from ..datatype.slab import slab_size
 from .core import (
     DATASET_SECTION_ID,
     VAR_PREFIX,
     DatasetBase,
     dataset_decls,
+    initial_payloads,
+    schema_plan,
 )
 from .model import DatasetSchema
 
@@ -48,26 +41,25 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["LiveDataset"]
 
 
-def _rows(raw: bytes) -> np.ndarray:
-    return np.frombuffer(raw, dtype=np.uint8).reshape(-1, 1)
+def _run_plan(file: "LiveParallelFile", plan):
+    """Execute a sans-I/O container plan with plain calls: the live twin
+    of :func:`repro.container.reader.run_plan`."""
+    reply = None
+    try:
+        while True:
+            op, offset, arg = plan.send(reply)
+            if op == "read":
+                reply = file.read_records(offset, arg).tobytes()
+            else:
+                reply = file.write_records(offset, byte_rows(arg))
+    except StopIteration as done:
+        return done.value
+    finally:
+        plan.close()
 
 
 class LiveDataset(DatasetBase):
     """An open dataset on the host file system."""
-
-    def __init__(
-        self,
-        file: "LiveParallelFile",
-        schema: DatasetSchema,
-        toc: dict[str, SectionExtent],
-        crcs: dict[str, int],
-    ):
-        self.file = file
-        self.schema = schema
-        self.toc = toc
-        self.crcs = crcs
-        self._dirty: set[str] = set()
-        self._dirty_lock = threading.Lock()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -91,12 +83,7 @@ class LiveDataset(DatasetBase):
         pure function of the schema); zero payloads lean on the
         preallocated file already being zero-filled.
         """
-        data = dict(data or {})
-        unknown = set(data) - set(schema.variables)
-        if unknown:
-            raise OrganizationError(
-                f"initial data for unknown variables {sorted(unknown)}"
-            )
+        initial = initial_payloads(schema, data)
         layout = plan_layout(container_decls(dataset_decls(schema)))
         file = lfs.create(
             name, org,
@@ -106,10 +93,9 @@ class LiveDataset(DatasetBase):
         )
         try:
             file.write_records(
-                0, _rows(encode_file_header(user_string, len(layout.sections)))
+                0, byte_rows(encode_file_header(user_string, len(layout.sections)))
             )
-            toc: dict[str, SectionExtent] = {}
-            crcs: dict[str, int] = {}
+            crcs = {}
             for ext in layout.sections:
                 sid = ext.decl.section_id
                 if sid == ATTRS_SECTION_ID:
@@ -117,31 +103,11 @@ class LiveDataset(DatasetBase):
                 elif sid == DATASET_SECTION_ID:
                     payload = schema.to_json().encode("utf-8")
                 else:
-                    vname = sid[len(VAR_PREFIX):]
-                    if vname in data:
-                        var = schema.variables[vname]
-                        arr = np.ascontiguousarray(
-                            np.asarray(data[vname]).reshape(
-                                schema.shape(vname)
-                            ),
-                            dtype=var.np_dtype,
-                        )
-                        payload = arr.tobytes()
-                    else:
-                        payload = None  # stays zero: the file is preallocated
-                raw = payload if payload is not None else bytes(ext.payload_len)
-                crc = section_crc(raw, ext.decl.count, ext.decl.elem_size)
-                file.write_records(
-                    ext.header_off, _rows(encode_section_header(ext.decl, crc))
-                )
-                if payload:
-                    file.write_records(ext.payload_off, _rows(payload))
-                if ext.pad_len:
-                    file.write_records(
-                        ext.pad_off, _rows(pad_bytes(ext.payload_len))
-                    )
-                toc[sid] = ext
-                crcs[sid] = crc
+                    # a variable without initial data stays zero: the file
+                    # is preallocated
+                    payload = initial.get(sid[len(VAR_PREFIX):])
+                crcs[sid] = _run_plan(file, write_section(ext, payload))
+            toc = {ext.decl.section_id: ext for ext in layout.sections}
             return cls(file, schema, toc, crcs)
         except BaseException:
             file.close()
@@ -158,62 +124,11 @@ class LiveDataset(DatasetBase):
         """Open an existing dataset (schema section crc-verified)."""
         file = lfs.open(name, n_processes)
         try:
-            header = decode_file_header(
-                file.read_records(0, FILE_HEADER_BYTES).tobytes()
-            )
-            toc: dict[str, SectionExtent] = {}
-            crcs: dict[str, int] = {}
-            off = FILE_HEADER_BYTES
-            for i in range(header.section_count):
-                if off + SECTION_HEADER_BYTES > file.n_records:
-                    raise ContainerFormatError(
-                        f"section {i}: header at {off} runs past end of file"
-                    )
-                shdr = decode_section_header(
-                    file.read_records(off, SECTION_HEADER_BYTES).tobytes()
-                )
-                ext = SectionExtent(shdr.decl, off)
-                if ext.end > file.n_records:
-                    raise ContainerFormatError(
-                        f"section {shdr.decl.section_id!r}: payload runs "
-                        "past end of file"
-                    )
-                toc[shdr.decl.section_id] = ext
-                crcs[shdr.decl.section_id] = shdr.crc
-                off = ext.end
-            if DATASET_SECTION_ID not in toc:
-                raise OrganizationError(
-                    f"container {name!r} has no {DATASET_SECTION_ID!r} "
-                    "section — not a dataset"
-                )
-            ext = toc[DATASET_SECTION_ID]
-            raw = file.read_records(ext.payload_off, ext.payload_len).tobytes()
-            got = section_crc(raw, ext.decl.count, ext.decl.elem_size)
-            if got != crcs[DATASET_SECTION_ID]:
-                raise ContainerFormatError(
-                    f"dataset schema crc {got:08x} != header crc "
-                    f"{crcs[DATASET_SECTION_ID]:08x}"
-                )
-            schema = DatasetSchema.from_json(raw)
-            ds = cls(file, schema, toc, crcs)
-            for vname in schema.variables:
-                ds._check_var_section(vname)
-            return ds
+            _, toc, crcs = _run_plan(file, walk_toc(file.n_records))
+            return cls(file, _run_plan(file, schema_plan(toc, crcs, name)), toc, crcs)
         except BaseException:
             file.close()
             raise
-
-    def _check_var_section(self, name: str) -> None:
-        ext = self._var_extent(name)
-        var = self.schema.variable(name)
-        if ext.decl.count != self.schema.size(name) or (
-            ext.decl.elem_size != var.itemsize
-        ):
-            raise OrganizationError(
-                f"variable {name!r}: schema declares "
-                f"{self.schema.size(name)} x {var.itemsize} bytes, section "
-                f"holds {ext.decl.count} x {ext.decl.elem_size}"
-            )
 
     def close(self) -> None:
         """Release the underlying descriptor (idempotent)."""
@@ -242,47 +157,13 @@ class LiveDataset(DatasetBase):
         if rows.size == 0:
             return 0
         self.file.write_view(rows, view, sieve=sieve)
-        with self._dirty_lock:
-            self._dirty.add(name)
+        self._mark_dirty(name)
         return slab_size(cnt)
-
-    def read_variable(self, name: str, *, sieve: bool = False):
-        """Read a variable's full extent."""
-        shape = self.schema.shape(name)
-        return self.read_slab(name, (0,) * len(shape), shape, sieve=sieve)
-
-    def write_variable(self, name: str, values, *, sieve: bool = False):
-        """Overwrite a variable's full extent."""
-        shape = self.schema.shape(name)
-        return self.write_slab(
-            name, (0,) * len(shape), shape, values, sieve=sieve
-        )
 
     # -- checksum maintenance ----------------------------------------------
 
-    @property
-    def dirty(self) -> list[str]:
-        with self._dirty_lock:
-            return sorted(self._dirty)
-
     def sync(self) -> list[str]:
-        """Recompute and rewrite stale variable checksums (see the sim
-        twin for the why). Returns the variable names synced."""
-        with self._dirty_lock:
-            synced = sorted(self._dirty)
-            self._dirty.clear()
-        for name in synced:
-            ext = self._var_extent(name)
-            payload = (
-                self.file.read_records(
-                    ext.payload_off, ext.payload_len
-                ).tobytes()
-                if ext.payload_len
-                else b""
-            )
-            crc = section_crc(payload, ext.decl.count, ext.decl.elem_size)
-            self.file.write_records(
-                ext.header_off, _rows(encode_section_header(ext.decl, crc))
-            )
-            self.crcs[ext.decl.section_id] = crc
-        return synced
+        """Recompute and rewrite stale variable checksums (see
+        :meth:`~repro.dataset.core.DatasetBase._sync_plan`). Returns the
+        variable names synced."""
+        return _run_plan(self.file, self._sync_plan())

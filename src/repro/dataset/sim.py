@@ -18,12 +18,18 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from ..collective.twophase import CollectiveIO
-from ..container.codec import encode_section_header, section_crc
 from ..container.reader import ContainerReader
-from ..container.writer import ContainerWriter
+from ..container.writer import ContainerWriter, run_plan
 from ..core.errors import OrganizationError
 from ..datatype.slab import slab_size, validate_slab
-from .core import DATASET_SECTION_ID, DatasetBase, dataset_decls, var_section_id
+from .core import (
+    DATASET_SECTION_ID,
+    DatasetBase,
+    dataset_decls,
+    initial_payloads,
+    schema_plan,
+    var_section_id,
+)
 from .model import DatasetSchema
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -32,21 +38,13 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["Dataset"]
 
 
-def _rows(raw: bytes) -> np.ndarray:
-    return np.frombuffer(raw, dtype=np.uint8).reshape(-1, 1)
-
-
 class Dataset(DatasetBase):
     """An open simulated dataset. Build with the :meth:`create` /
     :meth:`open` generators."""
 
     def __init__(self, reader: ContainerReader, schema: DatasetSchema):
+        super().__init__(reader.file, schema, reader.toc, reader.crcs)
         self.reader = reader
-        self.file = reader.file
-        self.toc = reader.toc
-        self.crcs = reader.crcs
-        self.schema = schema
-        self._dirty: set[str] = set()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -72,12 +70,7 @@ class Dataset(DatasetBase):
         PR 7 parallel payload path exactly as
         :meth:`~repro.container.writer.ContainerWriter.write_array`.
         """
-        data = dict(data or {})
-        unknown = set(data) - set(schema.variables)
-        if unknown:
-            raise OrganizationError(
-                f"initial data for unknown variables {sorted(unknown)}"
-            )
+        initial = initial_payloads(schema, data)
         writer = ContainerWriter.create(
             pfs, name, dataset_decls(schema),
             org=org, writers=writers, layout_processes=layout_processes,
@@ -87,15 +80,12 @@ class Dataset(DatasetBase):
         yield from writer.write_block(
             DATASET_SECTION_ID, schema.to_json().encode("utf-8")
         )
-        for vname, var in schema.variables.items():
-            if vname in data:
-                arr = np.ascontiguousarray(
-                    np.asarray(data[vname]).reshape(schema.shape(vname)),
-                    dtype=var.np_dtype,
-                )
-                payload = np.frombuffer(arr.tobytes(), dtype=np.uint8)
-            else:
-                payload = np.zeros(schema.nbytes(vname), dtype=np.uint8)
+        for vname in schema.variables:
+            payload = (
+                np.frombuffer(initial[vname], dtype=np.uint8)
+                if vname in initial
+                else np.zeros(schema.nbytes(vname), dtype=np.uint8)
+            )
             yield from writer.write_array(
                 var_section_id(vname), payload, mode=mode
             )
@@ -105,29 +95,10 @@ class Dataset(DatasetBase):
     def open(cls, pfs: "ParallelFileSystem", name: str, *, processes: int = 1):
         """Generator: open an existing dataset (schema crc-verified)."""
         reader = yield from ContainerReader.open(pfs, name, readers=processes)
-        if DATASET_SECTION_ID not in reader.toc:
-            raise OrganizationError(
-                f"container {name!r} has no {DATASET_SECTION_ID!r} section "
-                "— not a dataset"
-            )
-        raw = yield from reader.read_block(DATASET_SECTION_ID)
-        schema = DatasetSchema.from_json(raw)
-        ds = cls(reader, schema)
-        for vname in schema.variables:
-            ds._check_var_section(vname)
-        return ds
-
-    def _check_var_section(self, name: str) -> None:
-        ext = self._var_extent(name)  # raises if the section is missing
-        var = self.schema.variable(name)
-        if ext.decl.count != self.schema.size(name) or (
-            ext.decl.elem_size != var.itemsize
-        ):
-            raise OrganizationError(
-                f"variable {name!r}: schema declares "
-                f"{self.schema.size(name)} x {var.itemsize} bytes, section "
-                f"holds {ext.decl.count} x {ext.decl.elem_size}"
-            )
+        schema = yield from run_plan(
+            reader.file, schema_plan(reader.toc, reader.crcs, name)
+        )
+        return cls(reader, schema)
 
     def close(self):
         """Generator placeholder for symmetry with the live backend."""
@@ -151,30 +122,14 @@ class Dataset(DatasetBase):
         if rows.size == 0:
             return 0
         yield self.file.write_view(rows, view, sieve=sieve)
-        self._dirty.add(name)
+        self._mark_dirty(name)
         return slab_size(cnt)
-
-    def read_variable(self, name: str, *, sieve: bool = False):
-        """Generator: the whole variable (a full-extent slab)."""
-        shape = self.schema.shape(name)
-        return (
-            yield from self.read_slab(
-                name, (0,) * len(shape), shape, sieve=sieve
-            )
-        )
-
-    def write_variable(self, name: str, values, *, sieve: bool = False):
-        """Generator: overwrite the whole variable."""
-        shape = self.schema.shape(name)
-        return (
-            yield from self.write_slab(
-                name, (0,) * len(shape), shape, values, sieve=sieve
-            )
-        )
 
     # -- collective hyperslab I/O ------------------------------------------
 
     def _collective_slabs(self, name: str, slabs: Sequence):
+        """``(slabs, byte indices per process, (start, count))`` — the span
+        covering every index, ``None`` when all slabs are empty."""
         p = self.file.map.n_processes
         if len(slabs) != p:
             raise OrganizationError(
@@ -187,7 +142,11 @@ class Dataset(DatasetBase):
             q: self._slab_byte_indices(name, s, c)
             for q, (s, c) in enumerate(norm)
         }
-        return norm, indices
+        nonempty = [a for a in indices.values() if a.size]
+        if not nonempty:
+            return norm, indices, None
+        lo = min(int(a[0]) for a in nonempty)
+        return norm, indices, (lo, max(int(a[-1]) for a in nonempty) + 1 - lo)
 
     def _collective(self, exchange_rate: float, exchange_latency: float):
         return CollectiveIO(
@@ -208,16 +167,11 @@ class Dataset(DatasetBase):
         ``slabs[q]`` is process ``q``'s ``(start, count)``; overlapping
         read slabs are fine. Returns ``{process: typed array}``.
         """
-        norm, indices = self._collective_slabs(name, slabs)
-        nonempty = [a for a in indices.values() if a.size]
-        if not nonempty:
-            return {
-                q: self._empty_slab(name, c) for q, (_, c) in enumerate(norm)
-            }
-        lo = min(int(a[0]) for a in nonempty)
-        hi = max(int(a[-1]) for a in nonempty) + 1
-        cio = self._collective(exchange_rate, exchange_latency)
-        rows = yield from cio.read_at(lo, hi - lo, indices=indices)
+        norm, indices, span = self._collective_slabs(name, slabs)
+        rows = {}
+        if span is not None:
+            cio = self._collective(exchange_rate, exchange_latency)
+            rows = yield from cio.read_at(*span, indices=indices)
         return {
             q: (
                 self._decode_slab(name, c, rows[q])
@@ -241,7 +195,7 @@ class Dataset(DatasetBase):
         Write slabs must be pairwise disjoint (the collective layer
         enforces it). Returns the total element count written.
         """
-        norm, indices = self._collective_slabs(name, slabs)
+        norm, indices, span = self._collective_slabs(name, slabs)
         if len(values) != len(norm):
             raise OrganizationError(
                 f"{len(norm)} slabs but {len(values)} value arrays"
@@ -250,46 +204,17 @@ class Dataset(DatasetBase):
             q: self._encode_slab(name, c, values[q])
             for q, (_, c) in enumerate(norm)
         }
-        nonempty = [a for a in indices.values() if a.size]
-        if not nonempty:
+        if span is None:
             return 0
-        lo = min(int(a[0]) for a in nonempty)
-        hi = max(int(a[-1]) for a in nonempty) + 1
         cio = self._collective(exchange_rate, exchange_latency)
-        yield from cio.write_at(lo, hi - lo, per_process, indices=indices)
-        self._dirty.add(name)
+        yield from cio.write_at(*span, per_process, indices=indices)
+        self._mark_dirty(name)
         return sum(slab_size(c) for _, c in norm)
 
     # -- checksum maintenance ----------------------------------------------
 
-    @property
-    def dirty(self) -> list[str]:
-        """Variables written since the last :meth:`sync` (their section
-        checksums on media are stale until then)."""
-        return sorted(self._dirty)
-
     def sync(self):
-        """Generator: recompute and rewrite stale variable checksums.
-
-        Slab writes change payload bytes underneath the section crc;
-        ``sync`` re-reads each dirty variable's payload, folds a fresh
-        :func:`~repro.container.codec.section_crc`, and rewrites the
-        64-byte section header. Returns the variable names synced.
-        """
-        synced = sorted(self._dirty)
-        for name in synced:
-            ext = self._var_extent(name)
-            if ext.payload_len:
-                rows = yield self.file.read_records(
-                    ext.payload_off, ext.payload_len
-                )
-                payload = np.ascontiguousarray(rows, dtype=np.uint8).tobytes()
-            else:
-                payload = b""
-            crc = section_crc(payload, ext.decl.count, ext.decl.elem_size)
-            yield self.file.write_records(
-                ext.header_off, _rows(encode_section_header(ext.decl, crc))
-            )
-            self.crcs[ext.decl.section_id] = crc
-        self._dirty.clear()
-        return synced
+        """Generator: recompute and rewrite stale variable checksums (see
+        :meth:`~repro.dataset.core.DatasetBase._sync_plan`). Returns the
+        variable names synced."""
+        return run_plan(self.file, self._sync_plan())

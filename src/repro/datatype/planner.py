@@ -14,7 +14,10 @@ as pure functions over record runs:
   list I/O / sieved) and, for sieving, the covering extents plus the
   scatter map back to view order;
 * :func:`plan_view_write` — the write-side dual: mode plus RMW windows,
-  each with its overlay recipe and the view-order row offsets.
+  each with its overlay recipe and the view-order row offsets;
+* :func:`prepare_view_read` / :func:`prepare_view_write` — the check and
+  plan (for writes, the value count check too) that both backends'
+  ``read_view``/``write_view`` run before their I/O.
 
 Executors differ only in *how* they move bytes: the simulator yields
 device processes, the live backend calls ``os.pread``/``os.pwrite``.
@@ -45,6 +48,8 @@ __all__ = [
     "ViewWritePlan",
     "plan_view_read",
     "plan_view_write",
+    "prepare_view_read",
+    "prepare_view_write",
 ]
 
 #: access modes shared by the read and write plans
@@ -215,3 +220,27 @@ def plan_view_write(
         MODE_SIEVED, runs,
         windows=tuple((w, tuple(ps)) for w, ps in windows),
     )
+
+
+def prepare_view_read(view: FileView, n_records: int, record_size: int, **sieve) -> ViewReadPlan:
+    """The read plan of ``view`` on a file of ``n_records`` records: the
+    one view-preparation step both backends run before their I/O
+    (``sieve`` takes :func:`plan_view_read`'s keywords)."""
+    return plan_view_read(check_view_runs(view, n_records), record_size, **sieve)
+
+
+def prepare_view_write(
+    view: FileView, n_records: int, spec, values, **sieve
+) -> tuple[ViewWritePlan, np.ndarray]:
+    """``(plan, rows)`` of a view write: the plan of ``view`` on a file of
+    ``n_records`` records, and ``values`` decoded through the record
+    ``spec``; raises ``ValueError`` unless the values fill the view."""
+    runs = check_view_runs(view, n_records)
+    raw = spec.encode(values)
+    plan = plan_view_write(runs, spec.record_size, **sieve)
+    count = raw.size // spec.record_size
+    if count != plan.n_view_records:
+        raise ValueError(
+            f"view selects {plan.n_view_records} records, values encode to {count}"
+        )
+    return plan, spec.decode(raw)

@@ -12,7 +12,6 @@ from .internal_io import (
     SequentialHandle,
     SSHandle,
     SSSession,
-    make_internal_handle,
 )
 from .metadata import FileAttributes
 from .pfs import ParallelFile, ParallelFileSystem
@@ -41,7 +40,6 @@ __all__ = [
     "SequentialHandle",
     "SSHandle",
     "SSSession",
-    "make_internal_handle",
     "FileAttributes",
     "ParallelFile",
     "ParallelFileSystem",

@@ -7,7 +7,8 @@ utilities and other sequential programs."
 For every sequential organization the global view is the records in
 global index order; for the direct-access organizations it is a
 traditional direct-access file. Both are served here by one handle with a
-sequential cursor plus positioned reads/writes.
+sequential cursor plus positioned reads/writes; the cursor itself is
+:class:`repro.core.handles.GlobalViewCore`, shared with the live backend.
 
 §4's caveat is preserved by construction: a global read of a *clustered*
 (PS) file touches the devices one partition at a time — "all of the data
@@ -25,60 +26,46 @@ import numpy as np
 
 from ..buffering.pool import BufferPool
 from ..buffering.readahead import ReadStream
+from ..core.handles import GlobalViewCore
 
 if TYPE_CHECKING:  # pragma: no cover
     from .pfs import ParallelFile
 
-__all__ = ["GlobalViewHandle"]
-
-#: the process id recorded in traces for global-view (sequential utility) access
-GLOBAL_PROCESS = -1
+__all__ = ["GlobalViewHandle", "trace_span"]
 
 
-class GlobalViewHandle:
+def trace_span(file: "ParallelFile", process: int, op: str, start: int, count: int) -> None:
+    """Trace a record-granular access, one entry per block it touches."""
+    if not file.pfs._tracing or count <= 0:
+        return
+    bs = file.attrs.block_spec
+    for b, lo, hi in bs.pieces(start, count):
+        file.trace(process, op, b, hi - lo, start=bs.first_record(b) + lo)
+
+
+class GlobalViewHandle(GlobalViewCore):
     """Sequential + direct access to the file's global record sequence."""
-
-    def __init__(self, file: "ParallelFile"):
-        self.file = file
-        self._cursor = 0
-
-    @property
-    def position(self) -> int:
-        return self._cursor
-
-    @property
-    def eof(self) -> bool:
-        return self._cursor >= self.file.n_records
-
-    def seek(self, record: int) -> None:
-        """Move the sequential cursor to ``record`` (EOF position legal)."""
-        if not 0 <= record <= self.file.n_records:
-            raise ValueError(f"seek to {record} outside file")
-        self._cursor = record
 
     # -- sequential -------------------------------------------------------
 
     def read(self, count: int | None = None):
         """Generator: read ``count`` records (default: to EOF) at the cursor."""
-        if count is None:
-            count = self.file.n_records - self._cursor
-        count = min(count, self.file.n_records - self._cursor)
+        start, count = self._read_span(count)
         if count <= 0:
             return self.file.attrs.record_spec.decode(b"")
-        start = self._cursor
         data = yield self.file.read_records(start, count)
-        self._cursor += count
-        self._trace("read", start, count)
+        self._advance(count)
+        trace_span(self.file, self.process, "read", start, count)
         return data
 
     def write(self, values: np.ndarray):
         """Generator: write records at the cursor, advancing it."""
-        raw = self.file.attrs.record_spec.encode(values)
-        count = raw.size // self.file.attrs.record_size
+        spec = self.file.attrs.record_spec
+        count = spec.encode(values).size // spec.record_size
         start = self._cursor
         yield self.file.write_records(start, values)
-        self._cursor += count
-        self._trace("write", start, count)
+        self._advance(count)
+        trace_span(self.file, self.process, "write", start, count)
         return count
 
     # -- direct (GDA-style global access) -----------------------------------
@@ -86,15 +73,15 @@ class GlobalViewHandle:
     def read_at(self, record: int, count: int = 1):
         """Generator: positioned read without moving the cursor."""
         data = yield self.file.read_records(record, count)
-        self._trace("read", record, count)
+        trace_span(self.file, self.process, "read", record, count)
         return data
 
     def write_at(self, record: int, values: np.ndarray):
         """Generator: positioned write without moving the cursor."""
-        raw = self.file.attrs.record_spec.encode(values)
-        count = raw.size // self.file.attrs.record_size
+        spec = self.file.attrs.record_spec
+        count = spec.encode(values).size // spec.record_size
         yield self.file.write_records(record, values)
-        self._trace("write", record, count)
+        trace_span(self.file, self.process, "write", record, count)
         return count
 
     # -- buffered scanning ----------------------------------------------------
@@ -106,25 +93,6 @@ class GlobalViewHandle:
         global order is predictable.
         """
         file = self.file
-
-        def fetch(block: int):
-            return file.read_block(block)
-
         return ReadStream(
-            file.env, fetch, list(range(file.n_blocks)), pool, depth=depth
+            file.env, file.read_block, list(range(file.n_blocks)), pool, depth=depth
         )
-
-    # -- internals ----------------------------------------------------------------
-
-    def _trace(self, op: str, start_record: int, count: int) -> None:
-        if not self.file.pfs._tracing:
-            return
-        bs = self.file.attrs.block_spec
-        if count <= 0:
-            return
-        first = bs.block_of(start_record)
-        last = bs.block_of(start_record + count - 1)
-        for b in range(first, last + 1):
-            lo = max(start_record, bs.first_record(b))
-            hi = min(start_record + count, bs.first_record(b) + bs.records_per_block)
-            self.file.trace(GLOBAL_PROCESS, op, b, hi - lo, start=lo)

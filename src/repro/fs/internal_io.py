@@ -21,8 +21,11 @@ describes:
   where the block cache is §4's "buffer caching ... when there is some
   locality of reference, as in the PDA organization".
 
-All I/O methods are generators, driven with ``yield from`` inside
-simulated processes.
+Each kind's semantics is defined once in :mod:`repro.core.handles`; the
+classes here are its generator shells, adding only what exists in
+simulated time (the SS lock and pointer cost, the block cache, the block
+cursor and read-ahead stream, sanitizer and trace hooks). Drive them with
+``yield from`` inside simulated processes.
 """
 
 from __future__ import annotations
@@ -33,15 +36,19 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..buffering.cache import BufferCache
-from ..core.errors import ExhaustedError, OrganizationError, OwnershipError
-from ..core.mapping import (
-    GlobalDirectMap,
-    PartitionedDirectMap,
-    SelfScheduledMap,
-    SequentialMap,
+from ..buffering.readahead import ReadStream
+from ..core.errors import ExhaustedError
+from ..core.handles import (
+    DirectCore,
+    OwnedDirectCore,
+    PartitionCore,
+    SequentialCore,
+    SSCore,
+    SSSessionCore,
 )
 from ..core.organizations import FileOrganization
 from ..sim.sync import SimLock
+from .global_io import GlobalViewHandle, trace_span
 
 if TYPE_CHECKING:  # pragma: no cover
     from .pfs import ParallelFile
@@ -53,127 +60,34 @@ __all__ = [
     "SSHandle",
     "DirectHandle",
     "OwnedDirectHandle",
-    "make_internal_handle",
 ]
 
 
-class _HandleBase:
-    def __init__(
-        self, file: "ParallelFile", process: int, n_processes: int | None = None
-    ):
-        bound = n_processes if n_processes is not None else file.map.n_processes
-        if not 0 <= process < bound:
-            raise OrganizationError(
-                f"process {process} outside 0..{bound - 1}"
-            )
-        self.file = file
-        self.process = process
-
-    @property
-    def env(self):
-        return self.file.env
-
-    def _trace_span(self, op: str, start_record: int, count: int) -> None:
-        if not self.file.pfs._tracing:
-            return
-        bs = self.file.attrs.block_spec
-        if count <= 0:
-            return
-        first = bs.block_of(start_record)
-        last = bs.block_of(start_record + count - 1)
-        for b in range(first, last + 1):
-            lo = max(start_record, bs.first_record(b))
-            hi = min(
-                start_record + count,
-                bs.first_record(b) + bs.records_per_block,
-            )
-            self.file.trace(self.process, op, b, hi - lo, start=lo)
-
-
-class SequentialHandle(_HandleBase):
-    """Type S: the designated reader scans the file in global order."""
-
-    def __init__(self, file: "ParallelFile", process: int):
-        super().__init__(file, process)
-        m = file.map
-        if not isinstance(m, SequentialMap):
-            raise OrganizationError("SequentialHandle requires an S file")
-        if process != m.reader:
-            raise OrganizationError(
-                f"S file {file.name!r} is accessed by process {m.reader}, "
-                f"not {process}"
-            )
-        self._cursor = 0
-
-    @property
-    def eof(self) -> bool:
-        return self._cursor >= self.file.n_records
-
-    @property
-    def position(self) -> int:
-        return self._cursor
+class SequentialHandle(SequentialCore, GlobalViewHandle):
+    """Type S: the global view, held by the designated reader."""
 
     def read_next(self, count: int = 1):
         """Generator: the next ``count`` records (clipped at EOF)."""
-        count = min(count, self.file.n_records - self._cursor)
-        if count <= 0:
-            return self.file.attrs.record_spec.decode(b"")
-        start = self._cursor
-        data = yield self.file.read_records(start, count)
-        self._cursor += count
-        self._trace_span("read", start, count)
-        return data
+        return self.read(count)
 
     def write_next(self, values: np.ndarray):
         """Generator: write records at the cursor."""
-        raw = self.file.attrs.record_spec.encode(values)
-        count = raw.size // self.file.attrs.record_size
-        start = self._cursor
-        yield self.file.write_records(start, values)
-        self._cursor += count
-        self._trace_span("write", start, count)
-        return count
+        return self.write(values)
 
 
-class PartitionHandle(_HandleBase):
+class PartitionHandle(PartitionCore):
     """Types PS and IS: a cursor over the process's own record sequence.
 
     ``org_map`` defaults to the file's own map; passing a different map
-    yields an *alternate-view* handle (the §5 degraded software interface)
-    — the desired sequence is honoured but executed against the file's
-    actual physical layout, fragmenting into extra transfers.
+    yields an *alternate-view* handle (the §5 degraded software interface).
     """
 
     def __init__(self, file: "ParallelFile", process: int, org_map=None):
-        m = org_map if org_map is not None else file.map
-        super().__init__(file, process, n_processes=m.n_processes)
-        if not m.is_static:
-            raise OrganizationError(
-                "PartitionHandle requires a statically partitioned file"
-            )
-        if m.n_records != file.n_records:
-            raise OrganizationError(
-                "alternate-view map does not match the file's record count"
-            )
+        super().__init__(file, process, org_map)
         sanitizer = file.pfs.sanitizer
         if sanitizer is not None:
-            sanitizer.note_view(file, process, m.org)
-        self.view_map = m
-        self._n_local = m.n_local_records(process)
-        self._cursor = 0
+            sanitizer.note_view(file, process, self.view_map.org)
         self._block_cursor = 0
-
-    @property
-    def n_local_records(self) -> int:
-        return self._n_local
-
-    @property
-    def remaining(self) -> int:
-        return self._n_local - self._cursor
-
-    @property
-    def eof(self) -> bool:
-        return self._cursor >= self._n_local
 
     # -- record-level cursor --------------------------------------------------
 
@@ -184,52 +98,47 @@ class PartitionHandle(_HandleBase):
         partition therefore pays one transfer per touched block while a
         PS partition pays one per call.
         """
-        count = min(count, self.remaining)
+        count, runs = self._read_runs(count)
         if count <= 0:
             return self.file.attrs.record_spec.decode(b"")
-        runs = self.view_map.runs(self.process, self._cursor, count)
-        if len(runs) > 1 and self.file.pfs.batch_io:
+        file = self.file
+        if len(runs) > 1 and file.pfs.batch_io:
             # list I/O: all runs down the data plane as one submission
-            data = yield self.file.read_gather(runs)
+            data = yield file.read_gather(runs)
             for start, n in runs:
-                self._trace_span("read", start, n)
-            self._cursor += count
-            return data
-        pieces = []
-        for start, n in runs:
-            data = yield self.file.read_records(start, n)
-            self._trace_span("read", start, n)
-            pieces.append(data)
-        self._cursor += count
-        return np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
+                trace_span(file, self.process, "read", start, n)
+        else:
+            pieces = []
+            for start, n in runs:
+                pieces.append((yield file.read_records(start, n)))
+                trace_span(file, self.process, "read", start, n)
+            data = np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
+        self._advance(count)
+        return data
 
     def write_next(self, values: np.ndarray):
         """Generator: write the next records of this process's sequence."""
-        spec = self.file.attrs.record_spec
+        file = self.file
+        spec = file.attrs.record_spec
         raw = spec.encode(values)
         count = raw.size // spec.record_size
-        if count > self.remaining:
-            raise ExhaustedError(
-                f"process {self.process} has {self.remaining} records left, "
-                f"got {count}"
-            )
-        runs = self.view_map.runs(self.process, self._cursor, count)
+        runs = self._write_runs(count)
         if len(runs) == 1:
             # one run: the caller's values go down as they are
-            yield self.file.write_records(runs[0][0], values)
-            self._trace_span("write", *runs[0])
-        elif runs and self.file.pfs.batch_io:
-            yield self.file.write_gather(runs, values)
+            yield file.write_records(runs[0][0], values)
+            trace_span(file, self.process, "write", *runs[0])
+        elif runs and file.pfs.batch_io:
+            yield file.write_gather(runs, values)
             for start, n in runs:
-                self._trace_span("write", start, n)
+                trace_span(file, self.process, "write", start, n)
         else:
             decoded = spec.decode(raw)
             pos = 0
             for start, n in runs:
-                yield self.file.write_records(start, decoded[pos : pos + n])
-                self._trace_span("write", start, n)
+                yield file.write_records(start, decoded[pos : pos + n])
+                trace_span(file, self.process, "write", start, n)
                 pos += n
-        self._cursor += count
+        self._advance(count)
         return count
 
     # -- buffered scanning --------------------------------------------------
@@ -242,16 +151,9 @@ class PartitionHandle(_HandleBase):
         views too: a PS or IS process knows its whole block sequence up
         front, so read-ahead overlaps its I/O with its computation.
         """
-        from ..buffering.readahead import ReadStream
-
         file = self.file
-        return ReadStream(
-            file.env,
-            lambda b: file.read_block(b),
-            [int(b) for b in self._blocks],
-            pool,
-            depth=depth,
-        )
+        blocks = [int(b) for b in self._blocks]
+        return ReadStream(file.env, file.read_block, blocks, pool, depth=depth)
 
     # -- block-level cursor ------------------------------------------------------
 
@@ -285,7 +187,7 @@ class PartitionHandle(_HandleBase):
         return block
 
 
-class SSSession:
+class SSSession(SSSessionCore):
     """Shared state of one self-scheduled pass over an SS file.
 
     All participating processes obtain handles from the *same* session so
@@ -301,77 +203,38 @@ class SSSession:
         early_advance: bool = True,
         pointer_cost: float = 1e-5,
     ):
-        if not isinstance(file.map, SelfScheduledMap):
-            raise OrganizationError("SSSession requires an SS file")
-        self.file = file
+        super().__init__(file)
         self.early_advance = early_advance
         self.pointer_cost = pointer_cost
         self._lock = SimLock(file.env)
-        self._next_block = 0
-        #: blocks handed to each process, in hand-out order
-        self.schedule: dict[int, list[int]] = {}
-
-    @property
-    def blocks_issued(self) -> int:
-        return self._next_block
-
-    @property
-    def exhausted(self) -> bool:
-        return self._next_block >= self.file.n_blocks
-
-    def handle(self, process: int) -> "SSHandle":
-        """A handle for ``process`` sharing this session's file pointer."""
-        return SSHandle(self.file, process, self)
-
-    def validate(self) -> None:
-        """Assert the completed run covered every block exactly once."""
-        self.file.map.validate_schedule(self.schedule)
-
-    def _draw(self, process: int) -> int | None:
-        if self._next_block >= self.file.n_blocks:
-            return None
-        block = self._next_block
-        self._next_block += 1
-        self.schedule.setdefault(process, []).append(block)
-        return block
 
 
-class SSHandle(_HandleBase):
+class SSHandle(SSCore):
     """Type SS: each request gets the next block, whoever asks."""
-
-    def __init__(self, file: "ParallelFile", process: int, session: SSSession):
-        super().__init__(file, process)
-        if session.file is not file:
-            raise OrganizationError("session belongs to a different file")
-        self.session = session
 
     def read_next(self):
         """Generator: ``(block, records)`` or ``None`` when exhausted."""
-        return (yield from self._next("read", None))
+        return self._next("read", None)
 
     def write_next(self, values: np.ndarray):
         """Generator: write the next block; returns its index or ``None``."""
-        result = yield from self._next("write", values)
-        if result is None:
-            return None
-        return result[0]
+        return self._next("write", values)
 
     def _next(self, op: str, values):
         sess = self.session
         yield sess._lock.acquire()
-        block = None
         try:
             if sess.pointer_cost > 0:
-                yield self.env.sleep(sess.pointer_cost)
-            block = sess._draw(self.process)
-            if block is not None and not sess.early_advance:
+                yield self.file.env.sleep(sess.pointer_cost)
+            block = sess.draw(self.process)
+            if block is None:
+                return None
+            if not sess.early_advance:
                 # naive implementation: the transfer completes inside the
                 # critical section, serializing all SS access (§4's warning)
                 return (yield from self._transfer(op, block, values))
         finally:
             sess._lock.release()
-        if block is None:
-            return None
         # §4 optimization: the pointer was advanced (and the buffer
         # reserved) early, so this transfer overlaps the next process's call
         return (yield from self._transfer(op, block, values))
@@ -381,20 +244,13 @@ class SSHandle(_HandleBase):
             data = yield self.file.read_block(block)
             self.file.trace(self.process, "read", block, len(data))
             return block, data
-        expect = self.file.attrs.block_spec.block_records(
-            block, self.file.n_records
-        )
-        arr = np.atleast_2d(np.asarray(values))
-        if len(arr) != expect:
-            raise ValueError(
-                f"block {block} holds {expect} records, got {len(arr)}"
-            )
+        _, count = self._block_span(block, values)
         yield self.file.write_block(block, values)
-        self.file.trace(self.process, "write", block, expect)
-        return block, None
+        self.file.trace(self.process, "write", block, count)
+        return block
 
 
-class DirectHandle(_HandleBase):
+class DirectHandle(DirectCore):
     """Type GDA: positioned access to any record, optionally block-cached."""
 
     def __init__(
@@ -404,42 +260,34 @@ class DirectHandle(_HandleBase):
         cache_blocks: int = 0,
     ):
         super().__init__(file, process)
-        self._cache: BufferCache | None = None
+        #: the block cache (``cache_blocks > 0``), else None
+        self.cache: BufferCache | None = None
         if cache_blocks > 0:
-            self._cache = BufferCache(
+            self.cache = BufferCache(
                 file.env,
                 fetch=file.read_block,
                 writeback=file.write_block,
                 capacity_blocks=cache_blocks,
             )
 
-    @property
-    def cache(self) -> BufferCache | None:
-        return self._cache
-
-    def _check(self, record: int, count: int) -> None:
-        if record < 0 or count < 1 or record + count > self.file.n_records:
-            raise ValueError(
-                f"records [{record}, {record + count}) outside file"
-            )
-
     def read_record(self, record: int, count: int = 1):
         """Generator: ``count`` records starting at ``record``."""
         self._check(record, count)
-        if self._cache is None:
+        if self.cache is None:
             data = yield self.file.read_records(record, count)
-            self._trace_span("read", record, count)
+            trace_span(self.file, self.process, "read", record, count)
             return data
         return (yield from self._cached_read(record, count))
 
     def write_record(self, record: int, values: np.ndarray):
         """Generator: write records starting at ``record``."""
-        raw = self.file.attrs.record_spec.encode(values)
-        count = raw.size // self.file.attrs.record_size
+        spec = self.file.attrs.record_spec
+        raw = spec.encode(values)
+        count = raw.size // spec.record_size
         self._check(record, count)
-        if self._cache is None:
+        if self.cache is None:
             yield self.file.write_records(record, values)
-            self._trace_span("write", record, count)
+            trace_span(self.file, self.process, "write", record, count)
             return count
         return (yield from self._cached_write(record, raw, count))
 
@@ -450,11 +298,11 @@ class DirectHandle(_HandleBase):
         goes down as one :meth:`~repro.fs.pfs.ParallelFile.write_gather`
         submission instead of one write per block.
         """
-        if self._cache is not None:
-            self._cache.writeback_many = (
+        if self.cache is not None:
+            self.cache.writeback_many = (
                 self._writeback_gather if self.file.pfs.batch_io else None
             )
-            yield from self._cache.flush()
+            yield from self.cache.flush()
 
     def _writeback_gather(self, blocks: list, datas: list):
         """Batched dirty write-back: one gather for all dirty blocks."""
@@ -468,47 +316,30 @@ class DirectHandle(_HandleBase):
     # -- cached paths --------------------------------------------------------
 
     def _cached_read(self, record: int, count: int):
-        bs = self.file.attrs.block_spec
         pieces = []
-        r = record
-        end = record + count
-        while r < end:
-            b = bs.block_of(r)
-            data = yield from self._cache.read(b)
-            lo = r - bs.first_record(b)
-            hi = min(end - bs.first_record(b), len(data))
+        for b, lo, hi in self.file.attrs.block_spec.pieces(record, count):
+            data = yield from self.cache.read(b)
             pieces.append(data[lo:hi])
             self.file.trace(self.process, "read", b, hi - lo)
-            r = bs.first_record(b) + hi
         return np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
 
     def _cached_write(self, record: int, raw: np.ndarray, count: int):
-        bs = self.file.attrs.block_spec
         decoded = self.file.attrs.record_spec.decode(raw)
-        r = record
-        end = record + count
         pos = 0
-        while r < end:
-            b = bs.block_of(r)
-            data = yield from self._cache.read(b)
-            data = data.copy()
-            lo = r - bs.first_record(b)
-            hi = min(end - bs.first_record(b), len(data))
-            data[lo:hi] = decoded[pos : pos + (hi - lo)]
-            yield from self._cache.write(b, data)
+        for b, lo, hi in self.file.attrs.block_spec.pieces(record, count):
+            data = (yield from self.cache.read(b)).copy()
+            data[lo:hi] = decoded[pos : pos + hi - lo]
+            yield from self.cache.write(b, data)
             self.file.trace(self.process, "write", b, hi - lo)
             pos += hi - lo
-            r = bs.first_record(b) + hi
         return count
 
 
-class OwnedDirectHandle(DirectHandle):
+class OwnedDirectHandle(OwnedDirectCore, DirectHandle):
     """Type PDA: direct access restricted to the process's own blocks.
 
     ``sequential_within_block=True`` selects §3.2's restricted variant
-    ("an equivalent organization which always accesses records
-    sequentially within blocks"): blocks in any order, records within a
-    block strictly ascending. Violations raise eagerly.
+    (see :class:`~repro.core.handles.OwnedDirectCore`).
     """
 
     def __init__(
@@ -519,63 +350,15 @@ class OwnedDirectHandle(DirectHandle):
         sequential_within_block: bool = False,
     ):
         super().__init__(file, process, cache_blocks)
-        if not isinstance(file.map, PartitionedDirectMap):
-            raise OrganizationError("OwnedDirectHandle requires a PDA file")
-        self._cursor = None
-        if sequential_within_block:
-            from ..core.access import SequentialWithinBlockCursor
-
-            self._cursor = SequentialWithinBlockCursor(file.map, process)
-
-    def _check(self, record: int, count: int) -> None:
-        super()._check(record, count)
-        m: PartitionedDirectMap = self.file.map  # type: ignore[assignment]
-        for r in (record, record + count - 1):
-            if not m.may_access(self.process, r):
-                raise OwnershipError(
-                    f"process {self.process} may not access record {r} "
-                    f"(owner: {m.owner_of_record(r)})"
-                )
-        if self._cursor is not None:
-            for r in range(record, record + count):
-                self._cursor.admit(r)
-
-    def reset_block(self, block: int) -> None:
-        """Begin a fresh sequential pass over ``block`` (multi-pass PDA)."""
-        if self._cursor is not None:
-            self._cursor.reset_block(block)
-
-    @property
-    def owned_blocks(self) -> np.ndarray:
-        return self.file.map.blocks_of(self.process)
+        self._own(sequential_within_block)
 
 
-def make_internal_handle(
-    file: "ParallelFile",
-    process: int,
-    *,
-    session: SSSession | None = None,
-    cache_blocks: int = 0,
-    sequential_within_block: bool = False,
-):
-    """Dispatch to the organization's handle type."""
-    org = file.map.org
-    if org is FileOrganization.S:
-        return SequentialHandle(file, process)
-    if org in (FileOrganization.PS, FileOrganization.IS):
-        return PartitionHandle(file, process)
-    if org is FileOrganization.SS:
-        if session is None:
-            raise OrganizationError(
-                "SS files need a shared SSSession: create one with "
-                "SSSession(file) and pass session=..."
-            )
-        return SSHandle(file, process, session)
-    if org is FileOrganization.GDA:
-        return DirectHandle(file, process, cache_blocks)
-    if org is FileOrganization.PDA:
-        return OwnedDirectHandle(
-            file, process, cache_blocks,
-            sequential_within_block=sequential_within_block,
-        )
-    raise OrganizationError(f"no handle for organization {org}")  # pragma: no cover
+#: the simulator's handle class for each organization
+HANDLE_KINDS = {
+    FileOrganization.S: SequentialHandle,
+    FileOrganization.PS: PartitionHandle,
+    FileOrganization.IS: PartitionHandle,
+    FileOrganization.SS: SSHandle,
+    FileOrganization.GDA: DirectHandle,
+    FileOrganization.PDA: OwnedDirectHandle,
+}

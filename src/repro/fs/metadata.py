@@ -16,6 +16,7 @@ from functools import cached_property
 from typing import Any
 
 from ..core.blocks import BlockSpec
+from ..core.mapping import OrganizationMap, make_map
 from ..core.organizations import FileCategory, FileOrganization
 from ..core.records import RecordSpec
 
@@ -65,6 +66,44 @@ class FileAttributes:
             raise ValueError("n_records must be >= 0")
         if self.n_processes < 1:
             raise ValueError("n_processes must be >= 1")
+
+    @classmethod
+    def new(
+        cls,
+        name: str,
+        organization: FileOrganization | str,
+        *,
+        category: FileCategory | None = None,
+        layout: str | None = None,
+        org_params: dict[str, Any] | None = None,
+        **shape: Any,
+    ) -> "FileAttributes":
+        """Attributes of a file being created; ``organization`` may be a
+        code such as ``"PS"``. ``layout`` defaults to the organization's §4
+        strategy and ``category`` to §2's rule: files meant for outside
+        consumption (the sequential organizations) are standard, the
+        direct-access scratch organizations specialized."""
+        if isinstance(organization, str):
+            organization = FileOrganization[organization.upper()]
+        if category is None:
+            category = (
+                FileCategory.STANDARD
+                if organization.is_sequential
+                else FileCategory.SPECIALIZED
+            )
+        return cls(
+            name=name, organization=organization, category=category,
+            layout=layout or organization.default_layout,
+            org_params=dict(org_params or {}), **shape,
+        )
+
+    def org_map(self, n_processes: int | None = None) -> OrganizationMap:
+        """The organization map over ``n_processes`` processes (default:
+        the recorded count)."""
+        p = self.n_processes if n_processes is None else n_processes
+        return make_map(
+            self.organization, self.block_spec, self.n_records, p, **self.org_params
+        )
 
     # Built on first use and kept: nothing reassigns ``record_size``,
     # ``dtype`` or ``records_per_block`` after creation, and neither spec

@@ -23,7 +23,8 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from ..core.errors import OrganizationError
-from ..core.mapping import OrganizationMap, make_map
+from ..core.handles import RecordFile
+from ..core.mapping import OrganizationMap
 from ..core.organizations import FileCategory, FileOrganization
 from ..sim.engine import Environment, Process
 from ..storage.layout import (
@@ -36,7 +37,7 @@ from ..storage.volume import Volume
 from ..trace.events import TraceRecorder
 from .catalog import Catalog, CatalogEntry
 from .global_io import GlobalViewHandle
-from .internal_io import make_internal_handle
+from .internal_io import HANDLE_KINDS
 from .metadata import FileAttributes
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -50,8 +51,10 @@ __all__ = ["ParallelFileSystem", "ParallelFile"]
 DEFAULT_STRIPE_UNIT = 4096
 
 
-class ParallelFile:
+class ParallelFile(RecordFile):
     """An open parallel file."""
+
+    handle_kinds = HANDLE_KINDS
 
     def __init__(
         self,
@@ -113,27 +116,11 @@ class ParallelFile:
     def layout(self) -> DataLayout:
         return self.entry.layout
 
-    @property
-    def name(self) -> str:
-        return self.attrs.name
-
-    @property
-    def n_records(self) -> int:
-        return self.attrs.n_records
-
-    @property
-    def n_blocks(self) -> int:
-        return self.attrs.n_blocks
-
     # -- views ---------------------------------------------------------------
 
     def global_view(self) -> GlobalViewHandle:
         """The file as a conventional (sequential/direct) file (§2)."""
         return GlobalViewHandle(self)
-
-    def internal_view(self, process: int, **kwargs):
-        """The organization-specific handle for one process (§3)."""
-        return make_internal_handle(self, process, **kwargs)
 
     # -- record-level byte I/O (the layer every handle sits on) ---------------
 
@@ -305,12 +292,9 @@ class ParallelFile:
         that was previously installed.
         """
         if view is not None:
-            lo, hi = view.extent
-            if hi > self.n_records:
-                raise ValueError(
-                    f"view extent [{lo}, {hi}) outside file of {self.n_records} "
-                    "records"
-                )
+            from ..datatype.planner import check_view_runs
+
+            check_view_runs(view, self.n_records)
         prev, self._view = self._view, view
         return prev
 
@@ -319,15 +303,13 @@ class ParallelFile:
         """The default view installed by :meth:`set_view`, if any."""
         return self._view
 
-    def _view_runs(self, view: "FileView | None"):
-        from ..datatype.planner import check_view_runs
-
+    def _view_or_default(self, view: "FileView | None") -> "FileView":
         v = view if view is not None else self._view
         if v is None:
             raise ValueError(
                 "no view given: pass view=... or install one with set_view()"
             )
-        return check_view_runs(v, self.n_records)
+        return v
 
     def read_view(
         self,
@@ -348,13 +330,14 @@ class ParallelFile:
         multiple of the wanted payload) and ``sieve_window`` (span at most
         that many bytes).
         """
-        from ..datatype.planner import plan_view_read
+        from ..datatype.planner import prepare_view_read
 
-        runs = self._view_runs(view)
-        plan = plan_view_read(
-            runs, self.attrs.record_spec.record_size,
+        plan = prepare_view_read(
+            self._view_or_default(view), self.n_records,
+            self.attrs.record_spec.record_size,
             sieve=sieve, sieve_factor=sieve_factor, sieve_window=sieve_window,
         )
+        runs = plan.runs
         if plan.mode == "empty":
             return self.env.process(self._empty_result(), name=f"{self.name}.view")
         if plan.mode == "sieved":
@@ -385,26 +368,17 @@ class ParallelFile:
         window is an application conflict exactly like any overlapping
         write (the access sanitizer's territory).
         """
-        from ..datatype.planner import plan_view_write
+        from ..datatype.planner import prepare_view_write
 
-        runs = self._view_runs(view)
-        spec = self.attrs.record_spec
-        raw = spec.encode(values)
-        count = raw.size // spec.record_size
-        plan = plan_view_write(
-            runs, spec.record_size,
-            sieve=sieve, sieve_factor=sieve_factor, sieve_window=sieve_window,
+        plan, decoded = prepare_view_write(
+            self._view_or_default(view), self.n_records, self.attrs.record_spec,
+            values, sieve=sieve, sieve_factor=sieve_factor, sieve_window=sieve_window,
         )
-        total = plan.n_view_records
-        if count != total:
-            raise ValueError(
-                f"view selects {total} records, values encode to {count}"
-            )
+        runs, total = plan.runs, plan.n_view_records
         if plan.mode == "empty":
             return self.env.process(
                 self._empty_result(0), name=f"{self.name}.view"
             )
-        decoded = spec.decode(raw)
         if plan.mode == "sieved":
             return self.env.process(
                 self._write_sieved(plan, decoded), name=f"{self.name}.sievewrite"
@@ -467,13 +441,6 @@ class ParallelFile:
             finally:
                 lock.release()
         return plan.n_view_records
-
-    def _check_span(self, start: int, count: int) -> None:
-        if start < 0 or count < 0 or start + count > self.n_records:
-            raise ValueError(
-                f"records [{start}, {start + count}) outside file of "
-                f"{self.n_records}"
-            )
 
     # -- tracing ----------------------------------------------------------------
 
@@ -832,40 +799,19 @@ class ParallelFileSystem:
         strategy (striped for S/SS/GDA, clustered for PS, interleaved for
         IS/PDA). ``n_devices`` defaults to the whole volume.
         """
-        if isinstance(organization, str):
-            organization = FileOrganization[organization.upper()]
-        if category is None:
-            # §2: files meant for outside consumption are standard; the
-            # direct-access scratch organizations default to specialized.
-            category = (
-                FileCategory.STANDARD
-                if organization.is_sequential
-                else FileCategory.SPECIALIZED
-            )
-        layout_name = layout or organization.default_layout
+        attrs = FileAttributes.new(
+            name, organization, category=category, layout=layout,
+            org_params=org_params, record_size=record_size,
+            records_per_block=records_per_block, n_records=n_records,
+            n_processes=n_processes, dtype=dtype,
+        )
         n_dev = n_devices or self.volume.n_devices
         if n_dev > self.volume.n_devices:
             raise ValueError(
                 f"n_devices={n_dev} exceeds volume width {self.volume.n_devices}"
             )
-
-        attrs = FileAttributes(
-            name=name,
-            organization=organization,
-            category=category,
-            record_size=record_size,
-            records_per_block=records_per_block,
-            n_records=n_records,
-            n_processes=n_processes,
-            layout=layout_name,
-            layout_params={},
-            org_params=dict(org_params),
-            dtype=dtype,
-        )
-        org_map = make_map(
-            organization, attrs.block_spec, n_records, n_processes, **org_params
-        )
-        data_layout = self._build_layout(layout_name, n_dev, attrs, org_map, stripe_unit)
+        org_map = attrs.org_map()
+        data_layout = self._build_layout(attrs.layout, n_dev, attrs, org_map, stripe_unit)
         attrs.layout_params = self._layout_params(data_layout)
         extent = self.volume.allocate(data_layout, attrs.file_bytes)
         entry = CatalogEntry(attrs=attrs, extent=extent, layout=data_layout)
@@ -881,13 +827,7 @@ class ParallelFileSystem:
         different *organization* — see ``repro.fs.convert``.
         """
         entry = self.catalog.get(name)
-        attrs = entry.attrs
-        p = n_processes if n_processes is not None else attrs.n_processes
-        org_map = make_map(
-            attrs.organization, attrs.block_spec, attrs.n_records, p,
-            **attrs.org_params,
-        )
-        return ParallelFile(self, entry, org_map)
+        return ParallelFile(self, entry, entry.attrs.org_map(n_processes))
 
     def delete(self, name: str) -> None:
         """Remove a file and free its device extents."""

@@ -25,25 +25,21 @@ from pathlib import Path
 import numpy as np
 
 from ..core.errors import OrganizationError
-from ..core.mapping import OrganizationMap, make_map
+from ..core.handles import RecordFile
+from ..core.mapping import OrganizationMap
 from ..core.organizations import FileCategory, FileOrganization
 from ..fs.metadata import FileAttributes
-from .handles import (
-    LiveDirectHandle,
-    LiveGlobalView,
-    LiveOwnedDirectHandle,
-    LivePartitionHandle,
-    LiveSequentialHandle,
-    LiveSSSession,
-)
+from .handles import HANDLE_KINDS, LiveGlobalView, LiveSSSession
 
 __all__ = ["LiveParallelFileSystem", "LiveParallelFile"]
 
 _META_SUFFIX = ".pmeta.json"
 
 
-class LiveParallelFile:
+class LiveParallelFile(RecordFile):
     """An open parallel file backed by a host file."""
+
+    handle_kinds = HANDLE_KINDS
 
     def __init__(self, attrs: FileAttributes, org_map: OrganizationMap, path: Path):
         # The fd is acquired *last*, after every validation that can
@@ -91,18 +87,6 @@ class LiveParallelFile:
             raise ValueError(f"file {self.attrs.name!r} is closed")
         return self._fd
 
-    @property
-    def name(self) -> str:
-        return self.attrs.name
-
-    @property
-    def n_records(self) -> int:
-        return self.attrs.n_records
-
-    @property
-    def n_blocks(self) -> int:
-        return self.attrs.n_blocks
-
     # -- views ----------------------------------------------------------------
 
     def global_view(self) -> LiveGlobalView:
@@ -111,46 +95,9 @@ class LiveParallelFile:
 
     def ss_session(self) -> LiveSSSession:
         """A shared self-scheduling session for this SS file."""
-        if self.map.org is not FileOrganization.SS:
-            raise ValueError("ss_session() requires an SS file")
         return LiveSSSession(self)
 
-    def internal_view(
-        self,
-        process: int,
-        *,
-        session: LiveSSSession | None = None,
-        sequential_within_block: bool = False,
-    ):
-        """The organization-specific handle for one process/thread."""
-        org = self.map.org
-        if org is FileOrganization.S:
-            return LiveSequentialHandle(self, process)
-        if org in (FileOrganization.PS, FileOrganization.IS):
-            return LivePartitionHandle(self, process)
-        if org is FileOrganization.SS:
-            if session is None:
-                raise ValueError(
-                    "SS files need a shared session: file.ss_session()"
-                )
-            return session.handle(process)
-        if org is FileOrganization.GDA:
-            return LiveDirectHandle(self, process)
-        if org is FileOrganization.PDA:
-            return LiveOwnedDirectHandle(
-                self, process,
-                sequential_within_block=sequential_within_block,
-            )
-        raise ValueError(f"no live handle for {org}")  # pragma: no cover
-
     # -- positioned record I/O -------------------------------------------------
-
-    def _check_span(self, start: int, count: int) -> None:
-        if start < 0 or count < 0 or start + count > self.n_records:
-            raise ValueError(
-                f"records [{start}, {start + count}) outside file of "
-                f"{self.n_records}"
-            )
 
     def read_records(self, start: int, count: int) -> np.ndarray:
         """``count`` decoded records at ``start`` (thread-safe pread)."""
@@ -192,22 +139,20 @@ class LiveParallelFile:
         :meth:`~repro.fs.pfs.ParallelFile.read_view` consumes; only the
         byte movement differs (``os.pread`` here, device processes there).
         """
-        from ..datatype.planner import check_view_runs, plan_view_read
+        from ..datatype.planner import prepare_view_read
 
-        runs = check_view_runs(view, self.n_records)
-        plan = plan_view_read(
-            runs, self.attrs.record_spec.record_size,
+        plan = prepare_view_read(
+            view, self.n_records, self.attrs.record_spec.record_size,
             sieve=sieve, sieve_factor=sieve_factor, sieve_window=sieve_window,
         )
         if plan.mode == "empty":
             return self.attrs.record_spec.decode(b"")
-        if plan.mode == "contiguous":
-            return self.read_records(runs[0].start, runs[0].count)
-        if plan.mode == "list":
-            pieces = [self.read_records(r.start, r.count) for r in runs]
-            return np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
-        datas = [self.read_records(c.offset, c.nbytes) for c in plan.covering]
-        return plan.scatter(datas)
+        if plan.mode == "sieved":
+            return plan.scatter(
+                [self.read_records(c.offset, c.nbytes) for c in plan.covering]
+            )
+        pieces = [self.read_records(r.start, r.count) for r in plan.runs]
+        return np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
 
     def write_view(
         self,
@@ -226,29 +171,15 @@ class LiveParallelFile:
         host file are independent lock domains — like separate client
         processes in the paper's model).
         """
-        from ..datatype.planner import check_view_runs, plan_view_write
+        from ..datatype.planner import prepare_view_write
 
-        runs = check_view_runs(view, self.n_records)
-        spec = self.attrs.record_spec
-        raw = spec.encode(values)
-        count = raw.size // spec.record_size
-        plan = plan_view_write(
-            runs, spec.record_size,
+        plan, decoded = prepare_view_write(
+            view, self.n_records, self.attrs.record_spec, values,
             sieve=sieve, sieve_factor=sieve_factor, sieve_window=sieve_window,
         )
-        if count != plan.n_view_records:
-            raise ValueError(
-                f"view selects {plan.n_view_records} records, values encode "
-                f"to {count}"
-            )
-        if plan.mode == "empty":
-            return 0
-        decoded = spec.decode(raw)
-        if plan.mode == "contiguous":
-            return self.write_records(runs[0].start, decoded)
-        if plan.mode == "list":
+        if plan.mode != "sieved":
             pos = 0
-            for r in runs:
+            for r in plan.runs:
                 self.write_records(r.start, decoded[pos : pos + r.count])
                 pos += r.count
             return plan.n_view_records
@@ -298,34 +229,17 @@ class LiveParallelFileSystem:
         **org_params,
     ) -> LiveParallelFile:
         """Create a parallel file: preallocated data file + metadata sidecar."""
-        if isinstance(organization, str):
-            organization = FileOrganization[organization.upper()]
-        if category is None:
-            category = (
-                FileCategory.STANDARD
-                if organization.is_sequential
-                else FileCategory.SPECIALIZED
-            )
         data_path = self._data_path(name)
         meta_path = self._meta_path(name)
         if data_path.exists() or meta_path.exists():
             raise FileExistsError(name)
-        attrs = FileAttributes(
-            name=name,
-            organization=organization,
-            category=category,
-            record_size=record_size,
-            records_per_block=records_per_block,
-            n_records=n_records,
-            n_processes=n_processes,
-            layout="host",
-            layout_params={},
-            org_params=dict(org_params),
-            dtype=dtype,
+        attrs = FileAttributes.new(
+            name, organization, category=category, layout="host",
+            org_params=org_params, record_size=record_size,
+            records_per_block=records_per_block, n_records=n_records,
+            n_processes=n_processes, dtype=dtype,
         )
-        org_map = make_map(
-            organization, attrs.block_spec, n_records, n_processes, **org_params
-        )
+        org_map = attrs.org_map()
         # Create-or-undo: a failure after the data file exists must not
         # strand a half-created pair, or the name becomes unusable.
         try:
@@ -346,12 +260,7 @@ class LiveParallelFileSystem:
         if not meta_path.exists():
             raise FileNotFoundError(name)
         attrs = FileAttributes.from_dict(json.loads(meta_path.read_text()))
-        p = n_processes if n_processes is not None else attrs.n_processes
-        org_map = make_map(
-            attrs.organization, attrs.block_spec, attrs.n_records, p,
-            **attrs.org_params,
-        )
-        return LiveParallelFile(attrs, org_map, self._data_path(name))
+        return LiveParallelFile(attrs, attrs.org_map(n_processes), self._data_path(name))
 
     def delete(self, name: str) -> None:
         """Remove a file's data and metadata."""

@@ -36,15 +36,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from ..core.handles import GLOBAL_PROCESS
 from ..core.organizations import FileOrganization
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..fs.pfs import ParallelFile
 
 __all__ = ["AccessRecord", "Finding", "AccessConflictDetector"]
-
-#: process id used by the global view (see ``repro.fs.global_io``)
-GLOBAL_PROCESS = -1
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,14 @@ from repro.core import (
     SequentialMap,
     make_map,
 )
+from repro.core.handles import DirectCore, OwnedDirectCore
+
+
+def handle_file(m):
+    """The least a handle kind needs of a file: its map and record count."""
+    from types import SimpleNamespace
+
+    return SimpleNamespace(map=m, n_records=m.n_records)
 
 
 def bspec(rpb=4):
@@ -243,17 +251,20 @@ class TestSelfScheduledMap:
 
 
 class TestGlobalDirectMap:
+    """GDA's access rule is enforced by its handle kind (repro.core.handles)."""
+
     def test_everyone_may_access_everything(self):
         m = GlobalDirectMap(bspec(), 40, 4)
         assert not m.is_static
-        assert all(m.may_access(p, r) for p in range(4) for r in (0, 39))
+        for p in range(4):
+            DirectCore(handle_file(m), p)._check(0, 40)
 
     def test_bounds_checked(self):
         m = GlobalDirectMap(bspec(), 40, 4)
-        with pytest.raises(RecordRangeError):
-            m.may_access(0, 40)
+        with pytest.raises(ValueError):
+            DirectCore(handle_file(m), 0)._check(40, 1)
         with pytest.raises(OrganizationError):
-            m.may_access(4, 0)
+            DirectCore(handle_file(m), 4)
 
 
 class TestPartitionedDirectMap:
@@ -270,12 +281,17 @@ class TestPartitionedDirectMap:
             assert pda.owner_of_block(b) == is_.owner_of_block(b)
 
     def test_access_control(self):
+        """Enforced by the PDA handle kind on every block a request touches."""
         pda = PartitionedDirectMap(bspec(4), 40, 2)
         owner = pda.owner_of_record(0)
-        other = 1 - owner
-        pda.check_access(owner, 0)
+        handles = [OwnedDirectCore(handle_file(pda), p) for p in (0, 1)]
+        for h in handles:
+            h._own(False)
+        handles[owner]._check(0, 4)
         with pytest.raises(OwnershipError):
-            pda.check_access(other, 0)
+            handles[1 - owner]._check(0, 1)
+        with pytest.raises(OwnershipError):
+            handles[owner]._check(0, 24)  # runs into the other partition
 
     def test_unknown_assignment(self):
         with pytest.raises(OrganizationError):

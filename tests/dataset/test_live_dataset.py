@@ -57,6 +57,22 @@ class TestRoundTrip:
             assert lds.sync() == ["mask"]
             assert lds.dirty == []
 
+    def test_failed_sync_keeps_variable_dirty(self, lfs, schema, data,
+                                              monkeypatch):
+        """A sync whose header rewrite fails loses no dirty mark."""
+        with LiveDataset.create(lfs, "ds", schema, data=data) as lds:
+            lds.write_slab("mask", (0, 0), (1, 8), np.ones((1, 8), dtype="u1"))
+
+            def broken(start, values):
+                raise OSError("disk full")
+
+            monkeypatch.setattr(lds.file, "write_records", broken)
+            with pytest.raises(OSError):
+                lds.sync()
+            assert lds.dirty == ["mask"]
+            monkeypatch.undo()
+            assert lds.sync() == ["mask"] and lds.dirty == []
+
     def test_open_rejects_plain_file(self, lfs):
         lfs.create("plain", "S", n_records=1024, record_size=1,
                    dtype="uint8").close()
@@ -190,6 +206,45 @@ class TestConcurrency:
                 want = np.repeat(np.arange(1, 7, dtype="u1"),
                                  8).reshape(6, 8)
                 assert np.array_equal(got, want), org
+
+
+def duplicated_section(raw: bytes, schema, section_id: str) -> bytes:
+    """A dataset's container bytes with one more copy of ``section_id``
+    appended (and the file header's section count bumped to match)."""
+    from repro.container.codec import (
+        decode_file_header, encode_file_header, plan_layout,
+    )
+    from repro.container.writer import container_decls
+    from repro.dataset.core import dataset_decls
+
+    ext = plan_layout(container_decls(dataset_decls(schema))).find(section_id)
+    header = decode_file_header(raw[:128])
+    head = encode_file_header(header.user_string, header.section_count + 1)
+    return head + raw[len(head):] + raw[ext.header_off:ext.end]
+
+
+class TestDuplicateSections:
+    """A container carrying two sections with one id is malformed on both
+    backends (the live open used to let the last copy win)."""
+
+    def test_both_backends_reject(self, lfs, schema, data):
+        from repro.container.codec import ContainerFormatError
+
+        with LiveDataset.create(lfs, "ds", schema, data=data) as lds:
+            raw = duplicated_section(lds.file.path.read_bytes(), schema,
+                                     "var/temp")
+        with lfs.create("dup", "S", n_records=len(raw), record_size=1) as f:
+            f.write_records(0, np.frombuffer(raw, dtype=np.uint8).reshape(-1, 1))
+        with pytest.raises(ContainerFormatError, match="duplicate"):
+            LiveDataset.open(lfs, "dup")
+
+        env = Environment()
+        pfs = build_pfs(env)
+        f = pfs.create("dup", "S", n_records=len(raw), record_size=1)
+        f.volume.poke(f.entry.extent, f.layout, 0,
+                      np.frombuffer(raw, dtype=np.uint8))
+        with pytest.raises(ContainerFormatError, match="duplicate"):
+            run(env, Dataset.open(pfs, "dup"))
 
 
 class TestErrors:

@@ -154,6 +154,32 @@ class TestSync:
         assert scan_container(ds.file).clean
 
 
+    def test_write_during_sync_keeps_variable_dirty(self, env, pfs, schema, data):
+        """A slab write that lands while sync reads the payload leaves the
+        variable dirty: the crc sync computed may predate the write."""
+        ds = make(env, pfs, schema, data, org="S")
+        run(env, ds.write_slab("temp", (0, 0, 0), (1, 6, 8),
+                               np.ones((1, 6, 8), dtype="<f4")))
+
+        def writer():
+            yield env.timeout(0)  # sync has issued its payload read
+            yield from ds.write_slab("temp", (3, 0, 0), (1, 6, 8),
+                                     np.full((1, 6, 8), 5.0, dtype="<f4"))
+
+        def both():
+            sync = env.process(ds.sync())
+            yield env.process(writer())
+            assert sync.is_alive  # the write landed inside the sync
+            yield sync
+
+        run(env, both())
+        stale = [f.section for f in scan_container(ds.file).findings
+                 if f.kind == "section-checksum"]
+        assert stale == ["var/temp"] and ds.dirty == ["temp"]
+        run(env, ds.sync())
+        assert ds.dirty == [] and scan_container(ds.file).clean
+
+
 class TestCreateModes:
     def test_collective_create_of_a_large_grid_matches_view_create(self):
         # the ledger's sim_noncontig set-up: 512 x 512 float64, IS, four

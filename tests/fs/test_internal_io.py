@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import ExhaustedError, OrganizationError, OwnershipError
-from repro.fs import SSSession, make_internal_handle
+from repro.fs import SSSession
 
 
 def records(n, items=2, seed=2):
@@ -238,7 +238,7 @@ class TestSSHandles:
         )
         session = SSSession(f1)
         with pytest.raises(OrganizationError):
-            make_internal_handle(f2, 0, session=session)
+            f2.internal_view(0, session=session)
 
     def test_session_requires_ss_file(self, pfs):
         f = make_file(pfs, "PS")
@@ -323,6 +323,22 @@ class TestDirectHandles:
         h_bad = f.internal_view(intruder)
         with pytest.raises(OwnershipError):
             next(h_bad.read_record(0))
+
+    def test_pda_request_crossing_a_foreign_block_rejected(self, env, pfs):
+        """Every block a request touches is checked, not just its ends:
+        process 0's records 0..5 cross block 1, which process 1 owns."""
+        f = pfs.create(
+            "pda_x", "PDA", n_records=16, record_size=16, dtype="float64",
+            records_per_block=2, n_processes=2, assignment="interleaved",
+        )
+        h = f.internal_view(0)
+        with pytest.raises(OwnershipError, match="record 2"):
+            next(h.read_record(0, 6))
+        with pytest.raises(OwnershipError):
+            next(h.write_record(0, records(6)))
+        cached = f.internal_view(0, cache_blocks=4)
+        with pytest.raises(OwnershipError):
+            next(cached.read_record(0, 6))
 
     def test_pda_cached_reads_hit(self, env, pfs):
         f = make_file(pfs, "PDA")

@@ -102,6 +102,48 @@ class TestGlobalView:
             v.read_at(4)
         f.close()
 
+    def test_concurrent_appends_land_once(self, lfs):
+        """Threads appending through one global view share its cursor: each
+        append lands whole, none overlap, and the cursor ends at EOF."""
+        import sys
+
+        n_threads, appends, width = 8, 25, 3
+        n = n_threads * appends * width
+        f = lfs.create("ga", "S", n_records=n, record_size=8, dtype="float64")
+        v = f.global_view()
+
+        def worker(t):
+            for k in range(appends):
+                v.write(np.full((width, 1), float(t * appends + k)))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,))
+                       for t in range(n_threads)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30)
+                assert not th.is_alive()
+        finally:
+            sys.setswitchinterval(old)
+        assert v.position == n and v.eof
+        got = v.read_at(0, n).reshape(-1, width)
+        assert (got == got[:, :1]).all()  # every append contiguous
+        assert sorted(got[:, 0]) == list(range(n_threads * appends))
+        f.close()
+
+    def test_failed_write_leaves_cursor(self, lfs):
+        """The cursor advances only after a transfer succeeds."""
+        f = lfs.create("g", "S", n_records=16, record_size=8, dtype="float64")
+        v = f.global_view()
+        v.seek(15)
+        with pytest.raises(ValueError):
+            v.write(payload(3, 1))
+        assert v.position == 15 and not v.eof
+        f.close()
+
 
 class TestConcurrentPartitionedWrites:
     @pytest.mark.parametrize("org", ["PS", "IS"])
@@ -184,7 +226,7 @@ class TestLiveSelfScheduling:
     def test_session_required(self, lfs):
         f = lfs.create("ss2", "SS", n_records=4, record_size=8,
                        records_per_block=1, n_processes=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(OrganizationError):
             f.internal_view(0)
         f.close()
 
@@ -231,6 +273,20 @@ class TestLiveDirectAccess:
         h_other = f.internal_view(1 - owner)
         with pytest.raises(OwnershipError):
             h_other.read_record(0)
+        f.close()
+
+    def test_pda_request_crossing_a_foreign_block_rejected(self, lfs):
+        """Every block a request touches is checked, not just its ends:
+        process 0's records 0..5 cross block 1, which process 1 owns."""
+        f = lfs.create("pdax", "PDA", n_records=16, record_size=8,
+                       dtype="float64", records_per_block=2, n_processes=2,
+                       assignment="interleaved")
+        h = f.internal_view(0)
+        with pytest.raises(OwnershipError, match="record 2"):
+            h.read_record(0, 6)
+        with pytest.raises(OwnershipError):
+            h.write_record(0, payload(6, 1))
+        assert not f.path.read_bytes().strip(b"\0")  # nothing was written
         f.close()
 
     def test_s_handle_requires_reader(self, lfs):
