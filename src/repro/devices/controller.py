@@ -174,14 +174,17 @@ class DeviceController:
     def queue_length(self) -> int:
         return len(self._pending)
 
-    def read(self, offset: int, nbytes: int) -> Event:
-        """Read ``nbytes`` at byte ``offset``; event value is a uint8 array."""
-        return self._submit("read", offset, nbytes, None)
+    def read(self, offset: int, nbytes: int, tenant: Any = None) -> Event:
+        """Read ``nbytes`` at byte ``offset``; event value is a uint8 array.
 
-    def write(self, offset: int, data: bytes | np.ndarray) -> Event:
+        ``tenant`` bills the request; None takes the active process's.
+        """
+        return self._submit("read", offset, nbytes, None, tenant)
+
+    def write(self, offset: int, data: bytes | np.ndarray, tenant: Any = None) -> Event:
         """Write ``data`` at byte ``offset``; event value is bytes written."""
         arr = as_payload(data)
-        return self._submit("write", offset, arr.size, arr)
+        return self._submit("write", offset, arr.size, arr, tenant)
 
     def fail(self) -> None:
         """Hard-fail the device; pending and future requests error out."""
@@ -241,7 +244,7 @@ class DeviceController:
                 f"capacity {self.capacity_bytes}"
             )
 
-    def _submit(self, kind: str, offset: int, nbytes: int, data) -> Event:
+    def _submit(self, kind: str, offset: int, nbytes: int, data, tenant: Any) -> Event:
         env = self.env
         ev = Event(env)
         if self._failed:
@@ -250,7 +253,8 @@ class DeviceController:
         self._check_range(offset, nbytes)
         # a zero-length request at the very end still names a real block
         start_block = min(offset // self._block_size, self._last_block)
-        tenant = getattr(env._active, "qos_tenant", None)
+        if tenant is None:
+            tenant = getattr(env._active, "qos_tenant", None)
         rel_deadline = getattr(tenant, "deadline", None)
         now = env._now
         req = IORequest(

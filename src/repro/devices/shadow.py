@@ -29,7 +29,7 @@ Degraded-mode semantics (the online-resilience layer builds on these):
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -82,15 +82,21 @@ class ShadowPair:
     def queue_length(self) -> int:
         return self.primary.queue_length + self.shadow.queue_length
 
-    def read(self, offset: int, nbytes: int) -> Event:
-        """Read from a surviving member, failing over mid-request if it dies."""
+    def read(self, offset: int, nbytes: int, tenant: Any = None) -> Event:
+        """Read from a surviving member, failing over mid-request if it dies.
+
+        ``tenant`` bills the member requests; None takes the active
+        process's.
+        """
         if self.failed:
             ev = Event(self.env)
             ev.fail(DeviceFailedError(self.name))
             return ev
-        return self.env.process(self._do_read(offset, nbytes), name="shadow.read")
+        return self.env.process(
+            self._do_read(offset, nbytes, tenant), name="shadow.read"
+        )
 
-    def _do_read(self, offset: int, nbytes: int):
+    def _do_read(self, offset: int, nbytes: int, tenant: Any):
         self._check_degraded()
         # shorter queue first when both live; the other member is the
         # in-request fallback if the first dies under us
@@ -101,7 +107,7 @@ class ShadowPair:
         last_exc: DeviceFailedError | None = None
         for attempt, member in enumerate(members):
             try:
-                data = yield member.read(offset, nbytes)
+                data = yield member.read(offset, nbytes, tenant)
             except DeviceFailedError as exc:
                 last_exc = exc
                 continue
@@ -112,16 +118,18 @@ class ShadowPair:
         self._check_degraded()
         raise last_exc if last_exc is not None else DeviceFailedError(self.name)
 
-    def write(self, offset: int, data: bytes | np.ndarray) -> Event:
+    def write(self, offset: int, data: bytes | np.ndarray, tenant: Any = None) -> Event:
         """Write to every surviving member; completes when >= 1 applied."""
         arr = as_payload(data)
         if self.failed:
             ev = Event(self.env)
             ev.fail(DeviceFailedError(self.name))
             return ev
-        return self.env.process(self._do_write(offset, arr), name="shadow.write")
+        return self.env.process(
+            self._do_write(offset, arr, tenant), name="shadow.write"
+        )
 
-    def _do_write(self, offset: int, arr: np.ndarray):
+    def _do_write(self, offset: int, arr: np.ndarray, tenant: Any):
         self._writes_in_progress += 1
         try:
             self._check_degraded()
@@ -133,7 +141,7 @@ class ShadowPair:
                 self.degraded_writes += 1
                 self._dirty.append((offset, len(arr)))
             guards = [
-                self.env.process(self._guard(d.write(offset, arr))) for d in members
+                self.env.process(self._guard(d.write(offset, arr, tenant))) for d in members
             ]
             yield self.env.all_of(guards)
             failures = [g.value[1] for g in guards if not g.value[0]]

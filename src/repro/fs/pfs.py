@@ -26,7 +26,7 @@ from ..core.errors import OrganizationError
 from ..core.handles import RecordFile
 from ..core.mapping import OrganizationMap
 from ..core.organizations import FileCategory, FileOrganization
-from ..sim.engine import Environment, Process
+from ..sim.engine import Environment, Event
 from ..storage.layout import (
     ClusteredLayout,
     DataLayout,
@@ -124,50 +124,38 @@ class ParallelFile(RecordFile):
 
     # -- record-level byte I/O (the layer every handle sits on) ---------------
 
-    def read_records(self, start: int, count: int) -> Process:
+    def read_records(self, start: int, count: int) -> Event:
         """Read ``count`` records from global index ``start`` (decoded array)."""
         spec = self.attrs.record_spec
         self._check_span(start, count)
         offset, nbytes = spec.span(start, count)
-        if self.pfs.qos is not None:
-            return self.env.process(
-                self._admit_then("read", offset, nbytes, None, decode=True),
-                name=f"{self.name}.read",
-            )
-        return self.env.process(
-            self._decode_after(self.data_plane.read(self.entry.extent, self.layout, offset, nbytes)),
-            name=f"{self.name}.read",
+        return self._io(
+            "read", nbytes, spec.decode,
+            lambda: self.data_plane.read(self.entry.extent, self.layout, offset, nbytes),
         )
 
-    def write_records(self, start: int, values: np.ndarray) -> Process:
+    def write_records(self, start: int, values: np.ndarray) -> Event:
         """Write decoded record ``values`` at global index ``start``."""
         spec = self.attrs.record_spec
         raw = spec.encode(values)
         count = raw.size // spec.record_size
         self._check_span(start, count)
         offset = start * spec.record_size
-        if self.pfs.qos is not None:
-            return self.env.process(
-                self._admit_then("write", offset, raw.size, raw, decode=False),
-                name=f"{self.name}.write",
-            )
-        return self.data_plane.write(self.entry.extent, self.layout, offset, raw)
+        return self._io(
+            "write", raw.size, None,
+            lambda: self.data_plane.write(self.entry.extent, self.layout, offset, raw),
+        )
 
-    def read_block(self, block: int) -> Process:
+    def read_block(self, block: int) -> Event:
         """Read one logical block (decoded records)."""
         bs = self.attrs.block_spec
         offset, nbytes = bs.block_byte_range(block, self.n_records)
-        if self.pfs.qos is not None:
-            return self.env.process(
-                self._admit_then("read", offset, nbytes, None, decode=True),
-                name=f"{self.name}.readblk",
-            )
-        return self.env.process(
-            self._decode_after(self.data_plane.read(self.entry.extent, self.layout, offset, nbytes)),
-            name=f"{self.name}.readblk",
+        return self._io(
+            "readblk", nbytes, self.attrs.record_spec.decode,
+            lambda: self.data_plane.read(self.entry.extent, self.layout, offset, nbytes),
         )
 
-    def write_block(self, block: int, values: np.ndarray) -> Process:
+    def write_block(self, block: int, values: np.ndarray) -> Event:
         """Write one logical block from decoded records."""
         bs = self.attrs.block_spec
         expect = bs.block_records(block, self.n_records)
@@ -178,43 +166,38 @@ class ParallelFile(RecordFile):
                 f"{raw.size // self.attrs.record_size}"
             )
         offset, _ = bs.block_byte_range(block, self.n_records)
+        return self._io(
+            "writeblk", raw.size, None,
+            lambda: self.data_plane.write(self.entry.extent, self.layout, offset, raw),
+        )
+
+    def _io(self, name: str, nbytes: int, decode, submit) -> Event:
+        """Run the data-plane op ``submit()``, then ``decode`` its value if given.
+
+        With QoS on, the op is only *created* once the tenant's token bucket
+        covers ``nbytes`` (a list-I/O batch is one ``nbytes`` operation), so
+        throttled traffic never holds queue slots; the wait is billed to the
+        tenant as blocked time.
+        """
         if self.pfs.qos is not None:
             return self.env.process(
-                self._admit_then("write", offset, raw.size, raw, decode=False),
-                name=f"{self.name}.writeblk",
+                self._admit_then(nbytes, decode, submit), name=f"{self.name}.{name}"
             )
-        return self.data_plane.write(self.entry.extent, self.layout, offset, raw)
+        op = submit()
+        return op if decode is None else self.env.then(op, decode)
 
-    def _admit_then(self, kind: str, offset: int, nbytes: int, raw, decode: bool):
-        """QoS path: token-bucket admission, then the data-plane op.
-
-        The device/node operation is only *created* after the submitting
-        tenant's bucket covers ``nbytes`` — a throttled tenant's traffic
-        never occupies queue slots while it waits. The admission wait is
-        billed to the tenant as blocked time.
-        """
+    def _admit_then(self, nbytes: int, decode, submit):
         yield from self.pfs.qos.admit_active(nbytes)
-        if kind == "read":
-            result = yield self.data_plane.read(
-                self.entry.extent, self.layout, offset, nbytes
-            )
-        else:
-            result = yield self.data_plane.write(
-                self.entry.extent, self.layout, offset, raw
-            )
-        return self.attrs.record_spec.decode(result) if decode else result
-
-    def _decode_after(self, read_proc: Process):
-        raw = yield read_proc
-        return self.attrs.record_spec.decode(raw)
+        result = yield submit()
+        return result if decode is None else decode(result)
 
     # -- list I/O (extent-batched submission) -----------------------------------
 
-    def read_gather(self, runs: list[tuple[int, int]]) -> Process:
+    def read_gather(self, runs: list[tuple[int, int]]) -> Event:
         """Read several ``(start, count)`` record runs as one submission.
 
         The per-run byte ranges go down the data plane together
-        (``read_many``): one submission process, one join, one QoS
+        (``read_many``): one submission op, one join, one QoS
         admission for the batch's total bytes, and — when batching is on —
         device-contiguous segments merged across run boundaries. The value
         is the decoded records of all runs concatenated in list order,
@@ -227,19 +210,12 @@ class ParallelFile(RecordFile):
             self._check_span(start, count)
             ranges.append(spec.span(start, count))
             total += ranges[-1][1]
-        if self.pfs.qos is not None:
-            return self.env.process(
-                self._admit_then_many("read", ranges, total, None),
-                name=f"{self.name}.gather",
-            )
-        return self.env.process(
-            self._decode_after(
-                self.data_plane.read_many(self.entry.extent, self.layout, ranges)
-            ),
-            name=f"{self.name}.gather",
+        return self._io(
+            "gather", total, spec.decode,
+            lambda: self.data_plane.read_many(self.entry.extent, self.layout, ranges),
         )
 
-    def write_gather(self, runs: list[tuple[int, int]], values: np.ndarray) -> Process:
+    def write_gather(self, runs: list[tuple[int, int]], values: np.ndarray) -> Event:
         """Write several record runs as one submission (see :meth:`read_gather`).
 
         ``values`` holds the records of all runs concatenated in list
@@ -257,30 +233,10 @@ class ParallelFile(RecordFile):
             raise ValueError(
                 f"runs cover {total} bytes, values encode to {raw.size}"
             )
-        if self.pfs.qos is not None:
-            return self.env.process(
-                self._admit_then_many("write", ranges, total, raw),
-                name=f"{self.name}.scatter",
-            )
-        return self.data_plane.write_many(self.entry.extent, self.layout, ranges, raw)
-
-    def _admit_then_many(self, kind: str, ranges, total: int, raw):
-        """QoS path for list I/O: one admission covering the whole batch.
-
-        The batch is billed to the submitting tenant as a single
-        ``total``-byte operation; the resulting device/node requests carry
-        the ambient tenant tag exactly as per-run submissions would.
-        """
-        yield from self.pfs.qos.admit_active(total)
-        if kind == "read":
-            result = yield self.data_plane.read_many(
-                self.entry.extent, self.layout, ranges
-            )
-            return self.attrs.record_spec.decode(result)
-        result = yield self.data_plane.write_many(
-            self.entry.extent, self.layout, ranges, raw
+        return self._io(
+            "scatter", total, None,
+            lambda: self.data_plane.write_many(self.entry.extent, self.layout, ranges, raw),
         )
-        return result
 
     # -- file views and data sieving --------------------------------------------
 
@@ -318,7 +274,7 @@ class ParallelFile(RecordFile):
         sieve: bool = False,
         sieve_factor: float = 4.0,
         sieve_window: int = 1 << 22,
-    ) -> Process:
+    ) -> Event:
         """Read the records a view selects; decoded rows in view order.
 
         Without ``sieve`` this is list I/O: the view's runs go down the
@@ -339,7 +295,7 @@ class ParallelFile(RecordFile):
         )
         runs = plan.runs
         if plan.mode == "empty":
-            return self.env.process(self._empty_result(), name=f"{self.name}.view")
+            return self.env.join(list, lambda _: self.attrs.record_spec.decode(b""))
         if plan.mode == "sieved":
             return self.env.process(
                 self._read_sieved(plan), name=f"{self.name}.sieveread"
@@ -356,7 +312,7 @@ class ParallelFile(RecordFile):
         sieve: bool = False,
         sieve_factor: float = 4.0,
         sieve_window: int = 1 << 22,
-    ) -> Process:
+    ) -> Event:
         """Write ``values`` (rows in view order) to the view's records.
 
         Without ``sieve`` this is list I/O via :meth:`write_gather`. With
@@ -376,9 +332,7 @@ class ParallelFile(RecordFile):
         )
         runs, total = plan.runs, plan.n_view_records
         if plan.mode == "empty":
-            return self.env.process(
-                self._empty_result(0), name=f"{self.name}.view"
-            )
+            return self.env.join(list, lambda _: 0)
         if plan.mode == "sieved":
             return self.env.process(
                 self._write_sieved(plan, decoded), name=f"{self.name}.sievewrite"
@@ -387,19 +341,7 @@ class ParallelFile(RecordFile):
             op = self.write_records(runs[0].start, decoded)
         else:
             op = self.write_gather([(r.start, r.count) for r in runs], decoded)
-        return self.env.process(
-            self._count_after(op, total), name=f"{self.name}.view"
-        )
-
-    def _count_after(self, op, count: int):
-        yield op
-        return count
-
-    def _empty_result(self, value=None):
-        if value is None:
-            value = self.attrs.record_spec.decode(b"")
-        return value
-        yield  # pragma: no cover - makes this a generator
+        return self.env.then(op, lambda _: total)
 
     def _read_sieved(self, plan):
         covering = plan.covering  # record-unit runs

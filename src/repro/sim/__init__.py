@@ -11,6 +11,7 @@ from .engine import (
     Environment,
     Event,
     Interrupt,
+    Op,
     Process,
     SimulationError,
     Timeout,
@@ -26,6 +27,7 @@ __all__ = [
     "Environment",
     "Event",
     "Interrupt",
+    "Op",
     "Process",
     "SimulationError",
     "Timeout",

@@ -41,6 +41,7 @@ __all__ = [
     "Process",
     "AllOf",
     "AnyOf",
+    "Op",
     "Interrupt",
     "SimulationError",
 ]
@@ -176,13 +177,13 @@ class Timeout(Event):
 
 
 class Initialize(Event):
-    """Internal: first resumption of a new process (pooled in fast mode)."""
+    """Internal: the start slot of a new process or op (pooled in fast mode)."""
 
     __slots__ = ()
 
-    def __init__(self, env: "Environment", process: "Process"):
+    def __init__(self, env: "Environment", callback: Callable[[Event], None]):
         self.env = env
-        self.callbacks = [process._resume_cb]
+        self.callbacks = [callback]
         self._value = None
         self._ok = True
         self._processed = False
@@ -227,17 +228,8 @@ class Process(Event):
         #: rebuild it (``callbacks.append(self._resume)`` allocates a fresh
         #: bound method per append, ~1 per event on process-heavy runs)
         self._resume_cb = self._resume
-        pool = env._init_pool
-        if pool and env._fast:
-            init = pool.pop()
-            init.callbacks.append(self._resume_cb)
-            init._processed = False
-            init._poolable = True
-            env._schedule(init)
-        else:
-            init = Initialize(env, self)
         #: the event this process is currently waiting on
-        self._target: Event | None = init
+        self._target: Event | None = env._start(self._resume_cb)
 
     @property
     def is_alive(self) -> bool:
@@ -335,6 +327,84 @@ class Process(Event):
                 return
             # Already processed: feed its value back immediately.
             event = next_event
+
+
+class Op(Event):
+    """A callback op: a process whose body only waits, without the generator.
+
+    ``env.join(submit, finish)`` acts as a process running ``events =
+    submit(); yield env.all_of(events)`` (skipped when empty) ``; return
+    finish([ev.value for ev in events])``, and ``env.then(event, fn)`` as one
+    running ``return fn((yield event))`` (or ``event()``), in exactly that
+    process's schedule slots: same event order, eids, steps and failures. No
+    process is active when ``submit`` runs: capture the QoS tenant first.
+    """
+
+    __slots__ = ("_source", "_finish", "_join", "_left")
+
+    def __init__(self, env: "Environment", source: Any, finish: Callable[[Any], Any]):
+        Event.__init__(self, env)
+        self._source = source
+        self._finish = finish
+        env._start(self._wait if isinstance(source, Event) else self._begin)
+
+    def _wait(self, _start: Event) -> None:
+        source = self._source
+        if source.callbacks is None:
+            self._settle(source)
+        else:
+            source.callbacks.append(self._settle)
+
+    def _begin(self, _start: Event) -> None:
+        try:
+            events = self._source = self._source()
+        except BaseException as exc:
+            self.fail(exc)
+            return
+        if isinstance(events, Event):  # then() with the event made here
+            return self._wait(_start)
+        if not events:
+            self._apply([])
+            return
+        # a counted join, not an AllOf: its value dict costs what the op saves
+        self._left = len(events)
+        self._join = join = Event(self.env)
+        join.callbacks.append(self._settle)
+        check = self._check
+        for ev in events:
+            if ev.callbacks is None:
+                check(ev)
+            else:
+                ev.callbacks.append(check)
+
+    def _check(self, event: Event) -> None:
+        join = self._join
+        if not event._ok:
+            event._defused = True
+            if join._value is Event._PENDING:
+                join.fail(event._value)
+            return
+        self._left -= 1
+        if not self._left and join._value is Event._PENDING:
+            join.succeed([ev._value for ev in self._source])
+
+    def _settle(self, event: Event) -> None:
+        if event._ok:
+            self._apply(event._value)
+            return
+        event._defused = True
+        self._source = self._finish = None
+        self.fail(event._value)
+
+    def _apply(self, value: Any) -> None:
+        finish = self._finish
+        self._source = self._finish = self._join = None
+        try:
+            value = finish(value)
+        except BaseException as exc:
+            self.fail(exc)
+        else:
+            self.succeed(value)
 
 
 class Condition(Event):
@@ -526,6 +596,14 @@ class Environment:
         """Start a new simulated process from ``generator``."""
         return Process(self, generator, name)
 
+    def join(self, submit: Callable[[], list[Event]], finish: Callable[[list], Any]) -> Op:
+        """A callback op joining the events ``submit()`` returns (see :class:`Op`)."""
+        return Op(self, submit, finish)
+
+    def then(self, event: Event | Callable[[], Event], fn: Callable[[Any], Any]) -> Op:
+        """A callback op whose value is ``fn`` of ``event``'s (see :class:`Op`)."""
+        return Op(self, event, fn)
+
     def all_of(self, events: list[Event]) -> AllOf:
         """An event triggering once every component has occurred (join)."""
         return AllOf(self, events)
@@ -539,6 +617,18 @@ class Environment:
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
         self._eid += 1
         heappush(self._queue, (self._now + delay, self._eid, event))
+
+    def _start(self, callback: Callable[[Event], None]) -> Event:
+        """Schedule ``callback`` now in a start slot (pooled in fast mode)."""
+        pool = self._init_pool
+        if pool and self._fast:
+            init = pool.pop()
+            init.callbacks.append(callback)
+            init._processed = False
+            init._poolable = True
+            self._schedule(init)
+            return init
+        return Initialize(self, callback)
 
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if none."""

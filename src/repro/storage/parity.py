@@ -119,7 +119,7 @@ class ParityGroup:
 
     # -- writes ------------------------------------------------------------------
 
-    def write_stripe(self, offset: int, chunks: list[bytes | np.ndarray]) -> Process:
+    def write_stripe(self, offset: int, chunks: list[bytes | np.ndarray]) -> Event:
         """Synchronized full-stripe write: one equal-length chunk per data
         device at the same ``offset``, plus the parity write, all in parallel."""
         if len(chunks) != self.n_data:
@@ -128,39 +128,42 @@ class ParityGroup:
         length = len(arrays[0])
         if any(len(a) != length for a in arrays):
             raise ValueError("stripe chunks must be equal length")
-        return self.env.process(self._do_write_stripe(offset, arrays, length), name="parity.stripe")
+        tenant = getattr(self.env._active, "qos_tenant", None)
 
-    def _do_write_stripe(self, offset: int, arrays: list[np.ndarray], length: int):
-        parity = np.zeros(length, dtype=np.uint8)
-        for a in arrays:
-            np.bitwise_xor(parity, a, out=parity)
-        events = [
-            d.write(offset, a) for d, a in zip(self.data_devices, arrays)
-        ]
-        events.append(self.parity_device.write(offset, parity))
-        yield self.env.all_of(events)
-        for dev in range(self.n_data):
-            for u in self._units(offset, length):
-                self._stale.discard((dev, u))
-        return length * self.n_data
+        def submit():
+            parity = np.zeros(length, dtype=np.uint8)
+            for a in arrays:
+                np.bitwise_xor(parity, a, out=parity)
+            events = [d.write(offset, a, tenant) for d, a in zip(self.data_devices, arrays)]
+            events.append(self.parity_device.write(offset, parity, tenant))
+            return events
 
-    def write(self, device: int, offset: int, data: bytes | np.ndarray) -> Process:
+        def finish(_):
+            for dev in range(self.n_data):
+                for u in self._units(offset, length):
+                    self._stale.discard((dev, u))
+            return length * self.n_data
+
+        return self.env.join(submit, finish)
+
+    def write(self, device: int, offset: int, data: bytes | np.ndarray) -> Event:
         """Independent single-device write (PS/IS-style access)."""
         arr = as_payload(data)
         if self.mode == "synchronized":
-            return self.env.process(
-                self._do_independent_stale(device, offset, arr), name="parity.write"
+            # data lands; parity is NOT updated — exactly the §5 gap
+            tenant = getattr(self.env._active, "qos_tenant", None)
+
+            def mark_stale(_):
+                for u in self._units(offset, len(arr)):
+                    self._stale.add((device, u))
+                return len(arr)
+
+            return self.env.then(
+                lambda: self.data_devices[device].write(offset, arr, tenant), mark_stale
             )
         return self.env.process(
             self._do_independent_rmw(device, offset, arr), name="parity.rmw"
         )
-
-    def _do_independent_stale(self, device: int, offset: int, arr: np.ndarray):
-        # Data lands; parity is NOT updated — exactly the §5 gap.
-        yield self.data_devices[device].write(offset, arr)
-        for u in self._units(offset, len(arr)):
-            self._stale.add((device, u))
-        return len(arr)
 
     def _do_independent_rmw(self, device: int, offset: int, arr: np.ndarray):
         # new_parity = old_parity XOR old_data XOR new_data

@@ -8,8 +8,9 @@ range touches. Segments on *different* devices proceed in parallel (this
 is the entire point of parallel I/O); segments on the same device queue at
 that device's controller.
 
-Reads return the reassembled byte array; both operations are events (the
-volume internally runs a join process).
+Reads return the reassembled byte array. Every operation is one callback
+:class:`~repro.sim.engine.Op`: the request's extent plan is submitted at
+the op's start slot and joined, with no generator process per request.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from ..devices.controller import DeviceController, as_payload
 from ..devices.shadow import ShadowPair
-from ..sim.engine import Environment, Process
+from ..sim.engine import Environment, Op
 from .allocation import ExtentAllocator
 from .layout import DataLayout, ExtentPlan, plan_batch
 
@@ -108,34 +109,34 @@ class Volume:
 
     def read(
         self, extent: Extent, layout: DataLayout, offset: int, nbytes: int
-    ) -> Process:
+    ) -> Op:
         """Read file bytes ``[offset, offset+nbytes)``; value is a uint8 array."""
         plan = plan_batch(layout, [(offset, nbytes)], coalesce=self.coalesce, extent=extent)
-        return self.env.process(self._run_read(extent, plan), name="volume.read")
+        return self._op(extent, plan, None)
 
     def write(
         self, extent: Extent, layout: DataLayout, offset: int, data: bytes | np.ndarray
-    ) -> Process:
+    ) -> Op:
         """Write ``data`` at file byte ``offset``; value is bytes written."""
         arr = as_payload(data)
         plan = plan_batch(layout, [(offset, arr.size)], coalesce=self.coalesce, extent=extent)
-        return self.env.process(self._run_write(extent, plan, arr), name="volume.write")
+        return self._op(extent, plan, arr)
 
     def read_many(
         self,
         extent: Extent,
         layout: DataLayout,
         ranges: list[tuple[int, int]],
-    ) -> Process:
+    ) -> Op:
         """List-I/O read of several ``(offset, nbytes)`` file byte ranges.
 
         All ranges are planned up front and submitted as one batch (one
-        process, one join), with device-contiguous runs merged across
-        range boundaries when ``coalesce`` is on. The value is the single
+        op, one join), with device-contiguous runs merged across range
+        boundaries when ``coalesce`` is on. The value is the single
         concatenated uint8 array, ranges in list order.
         """
         plan = plan_batch(layout, ranges, coalesce=self.coalesce, extent=extent)
-        return self.env.process(self._run_read(extent, plan), name="volume.readmany")
+        return self._op(extent, plan, None)
 
     def write_many(
         self,
@@ -143,35 +144,32 @@ class Volume:
         layout: DataLayout,
         ranges: list[tuple[int, int]],
         data: bytes | np.ndarray,
-    ) -> Process:
+    ) -> Op:
         """List-I/O write: ``data`` is the concatenation of all ranges."""
         arr = as_payload(data)
         plan = plan_batch(layout, ranges, coalesce=self.coalesce, extent=extent)
         if plan.nbytes != arr.size:
             raise ValueError(f"ranges cover {plan.nbytes} bytes, data has {arr.size}")
-        return self.env.process(self._run_write(extent, plan, arr), name="volume.writemany")
+        return self._op(extent, plan, arr)
 
-    def _run_read(self, extent: Extent, plan: ExtentPlan):
+    def _op(self, extent: Extent, plan: ExtentPlan, arr: np.ndarray | None) -> Op:
+        """Submit ``plan`` (billed to the caller's tenant) and join it."""
         devices, bases = self.devices, extent.bases
-        events = [
-            devices[dev].read(bases[dev] + off, n) for dev, off, n, _ in plan.requests
-        ]
-        if events:
-            yield self.env.all_of(events)
-        return plan.assemble([ev.value for ev in events])
-
-    def _run_write(self, extent: Extent, plan: ExtentPlan, arr: np.ndarray):
-        devices, bases = self.devices, extent.bases
-        events = [
-            devices[dev].write(bases[dev] + off, chunk)
-            for (dev, off, _, _), chunk in zip(plan.requests, plan.payloads(arr))
-        ]
-        # nothing below needs the plan: with thousands of writes queued,
-        # each pinning its plan is garbage for the collector to walk
-        del plan
-        if events:
-            yield self.env.all_of(events)
-        return int(arr.size)
+        tenant = getattr(self.env._active, "qos_tenant", None)
+        if arr is None:
+            reqs = plan.requests
+            return self.env.join(
+                lambda: [devices[d].read(bases[d] + o, n, tenant) for d, o, n, _ in reqs],
+                plan.assemble,
+            )
+        size = int(arr.size)  # a write's finish pins no plan for the collector to walk
+        return self.env.join(
+            lambda: [
+                devices[d].write(bases[d] + o, chunk, tenant)
+                for (d, o, _, _), chunk in zip(plan.requests, plan.payloads(arr))
+            ],
+            lambda _: size,
+        )
 
     # -- zero-time inspection (tests, recovery) ---------------------------------
 

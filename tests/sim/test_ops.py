@@ -1,0 +1,249 @@
+"""Callback ops: schedule-identical to the processes they replace.
+
+``env.join(submit, finish)`` stands in for a process whose body is
+``events = submit(); yield all_of(events); return finish(values)`` and
+``env.then(event, fn)`` for one whose body is ``return fn((yield event))``
+(``event()`` when it is a callable).
+Each scenario below runs once with the op and once with that process, and
+the two runs must observe the same ``(now, eid, steps, outcome)`` at every
+point, in the fast and the hooked loop alike.
+"""
+
+import pytest
+
+from repro.sim import Environment
+from repro.sim.engine import Interrupt
+
+LOOPS = [None, False]  # fast (unless --sanitize forces hooked), hooked
+
+
+def join_process(env, submit, finish):
+    def body():
+        events = submit()
+        if events:
+            yield env.all_of(events)
+        return finish([ev.value for ev in events])
+
+    return env.process(body())
+
+
+def then_process(env, event, fn):
+    def body():
+        return fn((yield event() if callable(event) else event))
+
+    return env.process(body())
+
+
+def make(env, use_op):
+    """``(join, then)`` constructors of one flavour."""
+    if use_op:
+        return env.join, env.then
+    return (
+        lambda submit, finish: join_process(env, submit, finish),
+        lambda event, fn: then_process(env, event, fn),
+    )
+
+
+def fail_later(env, delay, exc):
+    """An event that fails with ``exc`` after ``delay``."""
+    ev = env.event()
+
+    def body():
+        yield env.timeout(delay)
+        ev.fail(exc)
+
+    env.process(body())
+    return ev
+
+
+def stamp(env, tag, outcome):
+    return (tag, env.now, env._eid, env.steps, outcome)
+
+
+def waiter(env, log, tag, op):
+    try:
+        value = yield op
+    except Exception as exc:  # noqa: BLE001 - the exception type is the outcome
+        log.append(stamp(env, tag, type(exc).__name__))
+    else:
+        log.append(stamp(env, tag, value))
+
+
+# -- scenarios: each returns the log of one run --------------------------------------
+
+
+def failing_components(env, use_op):
+    join, then = make(env, use_op)
+    log = []
+
+    def driver():
+        op = join(
+            lambda: [
+                env.timeout(1, "a"),
+                fail_later(env, 2, ValueError("first")),
+                fail_later(env, 3, KeyError("late")),
+            ],
+            lambda values: values,
+        )
+        yield from waiter(env, log, "join", op)
+        yield from waiter(env, log, "then", then(op, len))
+
+    env.process(driver())
+    return log
+
+
+def already_processed(env, use_op):
+    join, then = make(env, use_op)
+    log = []
+
+    def driver():
+        done = env.event()
+        done.succeed(7)
+        bad = env.event()
+        bad.fail(ValueError("early"))
+        bad.defuse()
+        yield env.timeout(1)  # both are processed by now
+        yield from waiter(env, log, "then", then(done, lambda v: v + 1))
+        yield from waiter(env, log, "then-failed", then(bad, lambda v: v))
+        yield from waiter(
+            env, log, "join",
+            join(lambda: [done, env.timeout(1, 3)], lambda vs: sum(vs)),
+        )
+        yield from waiter(env, log, "join-failed", join(lambda: [bad], len))
+
+    env.process(driver())
+    return log
+
+
+def zero_requests(env, use_op):
+    join, then = make(env, use_op)
+    log = []
+
+    def driver():
+        yield from waiter(env, log, "join", join(lambda: [], lambda vs: len(vs)))
+        yield env.timeout(0.5)
+        yield from waiter(env, log, "join-again", join(list, tuple))
+
+    env.process(driver())
+    return log
+
+
+def deferred_event(env, use_op):
+    """``then`` with a callable: the event is made at the start slot."""
+    join, then = make(env, use_op)
+    log = []
+
+    def driver():
+        op = then(lambda: env.timeout(1, 4), lambda v: v * 2)
+        env.timeout(0, "made after the op")
+        yield from waiter(env, log, "then", op)
+        failing = then(lambda: fail_later(env, 1, KeyError("x")), len)
+        yield from waiter(env, log, "then-failed", failing)
+
+    env.process(driver())
+    return log
+
+
+def raising_finish(env, use_op):
+    join, then = make(env, use_op)
+    log = []
+
+    def boom(_):
+        raise RuntimeError("finish")
+
+    def driver():
+        yield from waiter(env, log, "join", join(lambda: [env.timeout(1)], boom))
+        yield from waiter(env, log, "then", then(env.timeout(1), boom))
+        yield from waiter(env, log, "empty", join(list, boom))
+
+        def bad_submit():
+            raise OSError("submit")
+
+        yield from waiter(env, log, "submit", join(bad_submit, len))
+        # the environment keeps running after all of that
+        yield env.timeout(1)
+        log.append(stamp(env, "after", None))
+
+    env.process(driver())
+    return log
+
+
+def interrupted_caller(env, use_op):
+    join, then = make(env, use_op)
+    log = []
+    ops = []
+
+    def caller():
+        op = join(lambda: [env.timeout(2, "x"), env.timeout(1, "y")], tuple)
+        ops.append(then(op, list))
+        try:
+            yield ops[0]
+        except Interrupt as irq:
+            log.append(stamp(env, "interrupted", irq.cause))
+        yield from waiter(env, log, "rejoined", ops[0])
+
+    proc = env.process(caller())
+
+    def interrupter():
+        yield env.timeout(0.5)
+        proc.interrupt("stop")
+
+    env.process(interrupter())
+    return log
+
+
+SCENARIOS = [
+    failing_components,
+    already_processed,
+    zero_requests,
+    deferred_event,
+    raising_finish,
+    interrupted_caller,
+]
+
+
+def run(scenario, fast, use_op):
+    env = Environment(fast=fast)
+    log = scenario(env, use_op)
+    env.run()
+    log.append(stamp(env, "end", None))
+    return log
+
+
+@pytest.mark.parametrize("fast", LOOPS, ids=["fast", "hooked"])
+@pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.__name__)
+def test_op_keeps_the_process_schedule(scenario, fast):
+    with_op = run(scenario, fast, use_op=True)
+    assert with_op == run(scenario, fast, use_op=False)
+    # and the loops agree with each other (the fast loop publishes
+    # ``steps`` when it returns, so mid-run stamps skip it)
+    hooked = run(scenario, False, use_op=True)
+    assert with_op[-1] == hooked[-1]
+    assert [s[:3] + s[4:] for s in with_op] == [s[:3] + s[4:] for s in hooked]
+
+
+def test_outcomes_are_the_process_outcomes():
+    """Spot-check the values the scenarios compare, not only their equality."""
+    log = run(failing_components, None, use_op=True)
+    assert [(tag, outcome) for tag, _, _, _, outcome in log[:2]] == [
+        ("join", "ValueError"),
+        ("then", "ValueError"),
+    ]
+    assert log[0][1] == 2  # failed at the first failing component
+    log = run(raising_finish, None, use_op=True)
+    assert [outcome for _, _, _, _, outcome in log[:4]] == [
+        "RuntimeError", "RuntimeError", "RuntimeError", "OSError",
+    ]
+    assert log[4][0] == "after"
+    log = run(interrupted_caller, None, use_op=True)
+    assert log[0][0] == "interrupted" and log[0][1] == 0.5
+    assert log[1][0] == "rejoined" and log[1][4] == ["x", "y"]
+
+
+def test_unwaited_failing_op_raises_like_a_process():
+    for use_op in (True, False):
+        env = Environment()
+        join, _ = make(env, use_op)
+        join(lambda: [fail_later(env, 1, ValueError("nobody waits"))], len)
+        with pytest.raises(ValueError, match="nobody waits"):
+            env.run()

@@ -3,9 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.devices import RAM_DEVICE, WREN_1989, DeviceController, DiskGeometry, DiskModel
+from repro.devices import (
+    RAM_DEVICE,
+    WREN_1989,
+    DeviceController,
+    DiskGeometry,
+    DiskModel,
+    ShadowPair,
+)
 from repro.sim import Environment
 from repro.storage import AllocationError, ClusteredLayout, StripedLayout, Volume
+from repro.storage.layout import ExtentPlan
 
 
 def make_volume(env, n_devices, timing=WREN_1989, cylinders=64):
@@ -144,3 +152,84 @@ class TestIO:
         ext = vol.allocate(lay, 4096)
         vol.poke(ext, lay, 1000, b"xyz")
         assert bytes(vol.peek(ext, lay, 1000, 3)) == b"xyz"
+
+
+class RecordingTenant:
+    """A QoS principal stand-in: notes which requests were billed to it."""
+
+    deadline = None
+
+    def __init__(self):
+        self.queued = 0
+
+    def note_queued(self, wait):
+        self.queued += 1
+
+    def note_service(self, elapsed, nbytes):
+        pass
+
+
+def make_shadowed_volume(env, n_pairs):
+    geo = DiskGeometry(block_size=512, blocks_per_cylinder=8, cylinders=64)
+
+    def dev(name):
+        return DeviceController(env, DiskModel(geo, WREN_1989), name=name)
+
+    return Volume(env, [ShadowPair(env, dev(f"p{i}"), dev(f"s{i}")) for i in range(n_pairs)])
+
+
+class TestCallbackOps:
+    """Volume ops are callback ops: the device requests go out at the op's
+    start slot, when no process is active."""
+
+    @pytest.mark.parametrize("shadowed", [False, True], ids=["plain", "shadow"])
+    def test_requests_are_billed_to_the_submitting_tenant(self, shadowed):
+        env = Environment()
+        vol = make_shadowed_volume(env, 2) if shadowed else make_volume(env, 2)
+        lay = StripedLayout(2, 512)
+        ext = vol.allocate(lay, 4096)
+        tenant = RecordingTenant()
+
+        def client():
+            env.active_process.qos_tenant = tenant
+            yield vol.write(ext, lay, 0, np.ones(2048, dtype=np.uint8))
+            yield vol.write_many(
+                ext, lay, [(2048, 512), (3072, 512)], np.ones(1024, dtype=np.uint8)
+            )
+            yield vol.read(ext, lay, 0, 2048)
+            yield vol.read_many(ext, lay, [(2048, 512), (3072, 512)])
+
+        env.run(env.process(client()))
+        # one request per 512-byte stripe unit: 4 + 2 written, 4 + 2 read.
+        # Every request carries the tenant; a shadow pair writes both of its
+        # members and reads one.
+        assert tenant.queued == 6 * (2 if shadowed else 1) + 6
+
+    def test_a_raising_assemble_fails_the_op_and_the_run_goes_on(self, monkeypatch):
+        env = Environment()
+        vol = make_volume(env, 2)
+        lay = StripedLayout(2, 512)
+        ext = vol.allocate(lay, 4096)
+        payload = np.arange(4096, dtype=np.uint8) % 251
+        env.run(vol.write(ext, lay, 0, payload))
+
+        def boom(self, values):
+            raise RuntimeError("assemble")
+
+        with monkeypatch.context() as m:
+            m.setattr(ExtentPlan, "assemble", boom)
+            with pytest.raises(RuntimeError, match="assemble"):
+                env.run(vol.read(ext, lay, 0, 4096))
+            caught = []
+
+            def waiter():
+                try:
+                    yield vol.read_many(ext, lay, [(0, 512), (1024, 512)])
+                except RuntimeError as exc:
+                    caught.append(str(exc))
+
+            env.run(env.process(waiter()))
+            assert caught == ["assemble"]
+        # the devices still serve, and the environment still runs
+        assert np.array_equal(env.run(vol.read(ext, lay, 0, 4096)), payload)
+        assert env.run(vol.write(ext, lay, 100, b"abc")) == 3
