@@ -1,6 +1,6 @@
 """Golden event-trace digests: the fast paths must not move the simulation.
 
-For every organization, on both stacks (bare, full), under both
+For every organization, on every stack (bare, full, resilient, shadow), under both
 submission modes (per-block, extent-batched), the outcome digest —
 final clock, event/step counters, device statistics, media bytes — must
 be identical between the hooked engine loop (``fast=False``) and
@@ -39,8 +39,26 @@ GOLDEN = Path(__file__).parent.parent / "baselines" / "engine_digests.json"
 
 N_DEVICES = 4
 IO_NODES = 2
-STACKS = ("bare", "full")
+#: bare: direct-attached, no opt-ins; full: every opt-in on; resilient:
+#: parity plus one spare, direct-attached; shadow: shadow pairs behind
+#: the I/O nodes (the per-device node path of the resilience layer)
+STACKS = ("bare", "full", "resilient", "shadow")
 SUBMISSIONS = ("per_block", "batched")
+STACK_KWARGS = {
+    "bare": lambda: {},
+    "full": lambda: dict(
+        io_nodes=IO_NODES,
+        resilience=ResilienceConfig(protection="parity", spares=1),
+        qos=QoSConfig(),
+    ),
+    "resilient": lambda: dict(
+        resilience=ResilienceConfig(protection="parity", spares=1),
+    ),
+    "shadow": lambda: dict(
+        io_nodes=IO_NODES,
+        resilience=ResilienceConfig(protection="shadow", spares=1),
+    ),
+}
 
 
 def _config() -> WorkloadConfig:
@@ -50,15 +68,8 @@ def _config() -> WorkloadConfig:
 def _build(stack: str, batched: bool, fast: bool):
     env = Environment(fast=None if fast else False)
     recorder = NullTraceRecorder() if fast else TraceRecorder()
-    kw = {}
-    if stack == "full":
-        kw = dict(
-            io_nodes=IO_NODES,
-            resilience=ResilienceConfig(protection="parity", spares=1),
-            qos=QoSConfig(),
-        )
     pfs = build_parallel_fs(
-        env, N_DEVICES, recorder=recorder, batch_io=batched, **kw
+        env, N_DEVICES, recorder=recorder, batch_io=batched, **STACK_KWARGS[stack]()
     )
     return env, pfs
 
