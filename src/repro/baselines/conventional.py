@@ -43,8 +43,7 @@ def build_parallel_fs(
     ``qos`` (a :class:`~repro.qos.QoSConfig`) opts into the multi-tenant
     QoS layer: tenant-aware scheduling on every device and I/O-node
     inbox, token-bucket admission throttling, and per-tenant
-    backpressure accounting. It is attached last, after the I/O-node and
-    resilience layers, so it schedules whatever queue points exist.
+    backpressure accounting.
 
     ``batch_io=True`` turns on extent-batched (list-I/O) submission —
     see :meth:`~repro.fs.pfs.ParallelFileSystem.set_batching` and
@@ -55,9 +54,12 @@ def build_parallel_fs(
     check drive and a :class:`~repro.storage.parity.ParityGroup` over the
     data drives, ``protection="shadow"`` mirrors every drive into a
     :class:`~repro.devices.ShadowPair`; ``spares`` idle drives are built
-    for the hot-spare rebuilder either way. The layer wraps whatever data
-    plane is active (direct or server-mediated), and the file system's
+    for the hot-spare rebuilder either way. The layer runs over the I/O
+    nodes when ``io_nodes`` is given, and the file system's
     ``resilience`` attribute exposes its stats/journal/rebuilder.
+
+    The layers attach in the one order the file system accepts: I/O
+    nodes, then resilience, then QoS.
     """
     from ..devices.scheduling import make_policy
 
@@ -97,8 +99,7 @@ def build_parallel_fs(
         pfs.attach_resilience(resilience, group=group, spares=spares)
     if qos is not None:
         pfs.attach_qos(qos)
-    if batch_io:
-        pfs.set_batching(True)
+    pfs.set_batching(batch_io)
     return pfs
 
 

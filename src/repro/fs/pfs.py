@@ -44,6 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..datatype.views import FileView
     from ..ionode.routing import IONodeCluster, MediatedVolume
     from ..qos import QoSConfig, QoSManager
+    from ..resilience import ResilientVolume
     from ..sanitize.access import AccessConflictDetector
 
 __all__ = ["ParallelFileSystem", "ParallelFile"]
@@ -65,8 +66,6 @@ class ParallelFile(RecordFile):
         self.pfs = pfs
         self.entry = entry
         self.map = org_map
-        #: per-file data-plane override (None: follow the file system)
-        self._data_plane: "Volume | MediatedVolume | None" = None
         #: default noncontiguous view for read_view/write_view (see set_view)
         self._view: "FileView | None" = None
 
@@ -79,34 +78,6 @@ class ParallelFile(RecordFile):
     @property
     def volume(self) -> Volume:
         return self.pfs.volume
-
-    @property
-    def data_plane(self) -> "Volume | MediatedVolume":
-        """Where this file's data traffic goes: the raw volume, or the
-        server-mediated facade when the ``io_nodes=`` path is active."""
-        return self._data_plane if self._data_plane is not None else self.pfs.data_plane
-
-    def route_through(self, io_nodes: "IONodeCluster | int", **cluster_kwargs: Any) -> "IONodeCluster":
-        """Opt this file into server-mediated I/O (overrides the pfs default).
-
-        ``io_nodes`` is an existing :class:`~repro.ionode.IONodeCluster`
-        or a node count to build one over the volume's devices;
-        ``cluster_kwargs`` are forwarded to the builder in that case.
-        Returns the cluster in use.
-        """
-        from ..ionode.routing import IONodeCluster, MediatedVolume
-
-        cluster = (
-            IONodeCluster.build(self.env, self.volume.devices, io_nodes, **cluster_kwargs)
-            if isinstance(io_nodes, int)
-            else io_nodes
-        )
-        self._data_plane = MediatedVolume(self.volume, cluster)
-        return cluster
-
-    def route_direct(self) -> None:
-        """Opt this file back into direct-attached device access."""
-        self._data_plane = self.volume
 
     @property
     def attrs(self) -> FileAttributes:
@@ -131,7 +102,7 @@ class ParallelFile(RecordFile):
         offset, nbytes = spec.span(start, count)
         return self._io(
             "read", nbytes, spec.decode,
-            lambda: self.data_plane.read(self.entry.extent, self.layout, offset, nbytes),
+            lambda: self.pfs.data_plane.read(self.entry.extent, self.layout, [(offset, nbytes)]),
         )
 
     def write_records(self, start: int, values: np.ndarray) -> Event:
@@ -143,7 +114,9 @@ class ParallelFile(RecordFile):
         offset = start * spec.record_size
         return self._io(
             "write", raw.size, None,
-            lambda: self.data_plane.write(self.entry.extent, self.layout, offset, raw),
+            lambda: self.pfs.data_plane.write(
+                self.entry.extent, self.layout, [(offset, raw.size)], raw
+            ),
         )
 
     def read_block(self, block: int) -> Event:
@@ -152,7 +125,7 @@ class ParallelFile(RecordFile):
         offset, nbytes = bs.block_byte_range(block, self.n_records)
         return self._io(
             "readblk", nbytes, self.attrs.record_spec.decode,
-            lambda: self.data_plane.read(self.entry.extent, self.layout, offset, nbytes),
+            lambda: self.pfs.data_plane.read(self.entry.extent, self.layout, [(offset, nbytes)]),
         )
 
     def write_block(self, block: int, values: np.ndarray) -> Event:
@@ -168,7 +141,9 @@ class ParallelFile(RecordFile):
         offset, _ = bs.block_byte_range(block, self.n_records)
         return self._io(
             "writeblk", raw.size, None,
-            lambda: self.data_plane.write(self.entry.extent, self.layout, offset, raw),
+            lambda: self.pfs.data_plane.write(
+                self.entry.extent, self.layout, [(offset, raw.size)], raw
+            ),
         )
 
     def _io(self, name: str, nbytes: int, decode, submit) -> Event:
@@ -196,8 +171,8 @@ class ParallelFile(RecordFile):
     def read_gather(self, runs: list[tuple[int, int]]) -> Event:
         """Read several ``(start, count)`` record runs as one submission.
 
-        The per-run byte ranges go down the data plane together
-        (``read_many``): one submission op, one join, one QoS
+        The per-run byte ranges go down the data plane together (one
+        ``read`` of the whole list): one submission op, one join, one QoS
         admission for the batch's total bytes, and — when batching is on —
         device-contiguous segments merged across run boundaries. The value
         is the decoded records of all runs concatenated in list order,
@@ -212,7 +187,7 @@ class ParallelFile(RecordFile):
             total += ranges[-1][1]
         return self._io(
             "gather", total, spec.decode,
-            lambda: self.data_plane.read_many(self.entry.extent, self.layout, ranges),
+            lambda: self.pfs.data_plane.read(self.entry.extent, self.layout, ranges),
         )
 
     def write_gather(self, runs: list[tuple[int, int]], values: np.ndarray) -> Event:
@@ -235,7 +210,7 @@ class ParallelFile(RecordFile):
             )
         return self._io(
             "scatter", total, None,
-            lambda: self.data_plane.write_many(self.entry.extent, self.layout, ranges, raw),
+            lambda: self.pfs.data_plane.write(self.entry.extent, self.layout, ranges, raw),
         )
 
     # -- file views and data sieving --------------------------------------------
@@ -442,18 +417,16 @@ class ParallelFileSystem:
         self._update_tracing()
         #: the cluster serving this file system, when server-mediated
         self.io_cluster: "IONodeCluster | None" = None
-        #: where file data traffic goes: the volume, or a MediatedVolume
-        self.data_plane: "Volume | MediatedVolume" = volume
+        #: where file data traffic goes: the volume, the I/O nodes, or the
+        #: resilience layer stacked over either
+        self.data_plane: "Volume | MediatedVolume | ResilientVolume" = volume
         #: the resilience layer, when attached (see :meth:`attach_resilience`)
-        self.resilience = None
+        self.resilience: "ResilientVolume | None" = None
         #: the sharded metadata service, when attached
         #: (see :meth:`attach_metastore`)
         self.metastore = None
         #: the QoS manager, when attached (see :meth:`attach_qos`)
         self.qos: "QoSManager | None" = None
-        self._qos_saved_policies: list = []
-        #: extent-batched submission (list I/O) — see :meth:`set_batching`
-        self.batch_io = False
         if io_nodes is not None:
             self.attach_io_nodes(io_nodes)
         if qos is not None:
@@ -489,6 +462,11 @@ class ParallelFileSystem:
 
     # -- extent-batched submission ----------------------------------------------
 
+    @property
+    def batch_io(self) -> bool:
+        """Is extent-batched (list-I/O) submission on? See :meth:`set_batching`."""
+        return self.volume.coalesce
+
     def set_batching(self, enabled: bool) -> None:
         """Turn extent-batched (list-I/O) submission on or off.
 
@@ -496,19 +474,35 @@ class ParallelFileSystem:
         :meth:`ParallelFile.read_gather` / ``write_gather`` as one
         submission, and every plane in the data path merges
         device-contiguous segments into single multi-block device
-        requests. Off by default: batching preserves the simulated
-        *results* but changes request sizes and therefore timing — see
-        ``docs/PERF.md`` for the per-organization rules.
+        requests: they all plan with the volume's one ``coalesce`` flag.
+        Off by default: batching preserves the simulated *results* but
+        changes request sizes and therefore timing — see ``docs/PERF.md``
+        for the per-organization rules.
         """
-        self.batch_io = enabled
-        plane = self.data_plane
-        seen: set[int] = set()
-        while plane is not None and id(plane) not in seen:
-            seen.add(id(plane))
-            if hasattr(plane, "coalesce"):
-                plane.coalesce = enabled
-            plane = getattr(plane, "inner", None)
         self.volume.coalesce = enabled
+
+    # -- opt-in layers -----------------------------------------------------------
+
+    def _check_attach_order(self, layer: str) -> None:
+        """Layers stack in one order: io_nodes, then resilience, then qos.
+
+        The resilience layer is built over the I/O nodes present when it
+        attaches, and QoS schedules the node inboxes present when it
+        attaches, so a layer attached after one that comes later in the
+        order would be left out of the data path.
+        """
+        attached = {
+            "io_nodes": self.io_cluster,
+            "resilience": self.resilience,
+            "qos": self.qos,
+        }
+        order = list(attached)
+        for later in order[order.index(layer) + 1 :]:
+            if attached[later] is not None:
+                raise RuntimeError(
+                    f"cannot attach {layer} after {later}: the attach order "
+                    "is io_nodes, then resilience, then qos"
+                )
 
     # -- I/O-node opt-in -------------------------------------------------------
 
@@ -521,11 +515,12 @@ class ParallelFileSystem:
         or a node count to build one over the volume's devices;
         ``cluster_kwargs`` (``queue_depth``, ``cache_blocks``, ``policy``,
         ...) are forwarded to the builder in that case. Files opened
-        before or after attach both follow the new data plane unless they
-        carry a per-file override. Returns the cluster in use.
+        before or after attach both follow the new data plane. Attach
+        before the resilience and QoS layers. Returns the cluster in use.
         """
         from ..ionode.routing import IONodeCluster, MediatedVolume
 
+        self._check_attach_order("io_nodes")
         cluster = (
             IONodeCluster.build(self.env, self.volume.devices, io_nodes, **cluster_kwargs)
             if isinstance(io_nodes, int)
@@ -534,11 +529,6 @@ class ParallelFileSystem:
         self.io_cluster = cluster
         self.data_plane = MediatedVolume(self.volume, cluster)
         return cluster
-
-    def detach_io_nodes(self) -> None:
-        """Return to direct-attached device access (the default)."""
-        self.io_cluster = None
-        self.data_plane = self.volume
 
     # -- resilience opt-in -----------------------------------------------------
 
@@ -550,17 +540,17 @@ class ParallelFileSystem:
         spares: list[Any] | None = None,
         rng: Any = None,
     ) -> Any:
-        """Wrap the data plane in the online resilience layer.
+        """Stack the online resilience layer over the data plane.
 
         ``config`` is a :class:`~repro.resilience.ResilienceConfig` (a
         default one is built when omitted); ``group`` an optional
         :class:`~repro.storage.parity.ParityGroup` over the volume's
         devices (the degraded-read reconstruction source); ``spares`` idle
         :class:`~repro.devices.DeviceController` drives for the hot-spare
-        rebuilder. Attach I/O nodes *before* calling this, so the layer
-        wraps the server-mediated plane and can manage node failover.
-        Returns the :class:`~repro.resilience.ResilientVolume` now serving
-        as the data plane (also at ``self.resilience``).
+        rebuilder. Attach I/O nodes *before* calling this (and QoS after),
+        so the layer runs over the server-mediated plane and can manage
+        node failover. Returns the :class:`~repro.resilience.ResilientVolume`
+        now serving as the data plane (also at ``self.resilience``).
         """
         from ..devices.shadow import ShadowPair
         from ..resilience import (
@@ -570,8 +560,9 @@ class ParallelFileSystem:
             ResilientVolume,
         )
 
+        self._check_attach_order("resilience")
         config = config or ResilienceConfig()
-        rv = ResilientVolume(self.data_plane, group=group, config=config, rng=rng)
+        rv = ResilientVolume(self.volume, self.io_cluster, group=group, config=config, rng=rng)
         if spares:
             rv.rebuilder = HotSpareRebuilder(
                 rv,
@@ -580,19 +571,15 @@ class ParallelFileSystem:
                 throttle=config.rebuild_throttle,
             )
         if self.io_cluster is not None and config.failover:
-            rv.failover = FailoverManager(
+            # registers itself as the cluster's failover manager, which
+            # every client request to the nodes feeds
+            FailoverManager(
                 self.env,
                 self.io_cluster,
                 rv.stats,
                 breaker_threshold=config.breaker_threshold,
                 breaker_cooldown=config.breaker_cooldown,
             )
-            from ..ionode.routing import MediatedVolume
-
-            if isinstance(rv.inner, MediatedVolume):
-                # batched client requests also feed the breakers (and
-                # reset them on success) — not just the per-device path
-                rv.inner.failover = rv.failover
         # shadow pairs report their first degradation so auto-rebuild can
         # kick in even though the pair never surfaces a DeviceFailedError
         for idx, dev in enumerate(self.volume.devices):
@@ -601,17 +588,6 @@ class ParallelFileSystem:
         self.resilience = rv
         self.data_plane = rv
         return rv
-
-    def detach_resilience(self) -> None:
-        """Drop the resilience layer, keeping the plane it wrapped."""
-        if self.resilience is not None:
-            from ..ionode.routing import MediatedVolume
-
-            inner = self.resilience.inner
-            if isinstance(inner, MediatedVolume):
-                inner.failover = None
-            self.data_plane = inner
-            self.resilience = None
 
     # -- sharded metadata opt-in -------------------------------------------------
 
@@ -648,18 +624,6 @@ class ParallelFileSystem:
             service.sanitizer = self._sanitizer
         return service
 
-    def detach_metastore(self) -> None:
-        """Return to the plain in-memory catalog (entries carried over)."""
-        if self.metastore is None:
-            return
-        plain = Catalog()
-        for _, entry in self.metastore.entries():
-            plain.add(entry)
-        plain.creates = self.catalog.creates
-        plain.deletes = self.catalog.deletes
-        self.catalog = plain
-        self.metastore = None
-
     # -- QoS opt-in -------------------------------------------------------------
 
     def attach_qos(self, config: "QoSConfig | QoSManager | None" = None) -> "QoSManager":
@@ -671,13 +635,14 @@ class ParallelFileSystem:
         on every device controller (both members of a
         :class:`~repro.devices.ShadowPair`) and on every I/O-node inbox,
         and gates client operations through per-tenant token buckets.
-        Attach *after* ``attach_io_nodes`` / ``attach_resilience`` so the
-        nodes exist to be scheduled; failover replay preserves tenant
-        tags either way. Returns the manager (also at ``self.qos``).
+        Attach last, after ``attach_io_nodes`` / ``attach_resilience``, so
+        the nodes exist to be scheduled; failover replay preserves tenant
+        tags. Returns the manager (also at ``self.qos``).
         """
         from ..devices.shadow import ShadowPair
         from ..qos import QoSDevicePolicy, QoSManager
 
+        self._check_attach_order("qos")
         manager = (
             config
             if isinstance(config, QoSManager)
@@ -694,7 +659,6 @@ class ParallelFileSystem:
                     else [dev]
                 )
                 for ctrl in members:
-                    self._qos_saved_policies.append((ctrl, ctrl.policy))
                     ctrl.policy = QoSDevicePolicy(
                         manager.make_scheduler(ctrl.name), manager.resolve
                     )
@@ -703,19 +667,6 @@ class ParallelFileSystem:
                 node.enable_qos(manager)
         self.qos = manager
         return manager
-
-    def detach_qos(self) -> None:
-        """Drop the QoS layer: restore device policies and FIFO inboxes."""
-        if self.qos is None:
-            return
-        for ctrl, policy in self._qos_saved_policies:
-            ctrl.policy = policy
-        self._qos_saved_policies = []
-        if self.io_cluster is not None:
-            for node in self.io_cluster.nodes:
-                if hasattr(node.inbox, "scheduler"):
-                    node.disable_qos()
-        self.qos = None
 
     # -- lifecycle ------------------------------------------------------------
 

@@ -287,18 +287,6 @@ class IONode:
         old._gets.clear()
         self.inbox = new
 
-    def disable_qos(self) -> None:
-        """Return to the plain FIFO inbox (idle node only)."""
-        old = self.inbox
-        if old.items or any(not p.triggered for p in old._puts):
-            raise RuntimeError(
-                f"node {self.name}: disable_qos requires an idle inbox"
-            )
-        new = _Inbox(self.env, self.queue_depth, self)
-        new._gets.extend(old._gets)
-        old._gets.clear()
-        self.inbox = new
-
     def assert_drained(self) -> None:
         """Raise unless every accepted request was serviced or migrated."""
         backlog = self.queued + self.in_service + self.pending_admission

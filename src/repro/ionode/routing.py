@@ -2,8 +2,8 @@
 
 The cluster layer binds everything together: a :class:`DeviceRouter`
 assigns each device of a volume to exactly one :class:`~repro.ionode.
-node.IONode`; a :class:`MediatedVolume` presents the standard
-``Volume`` read/write surface, so :class:`~repro.fs.pfs.ParallelFile`
+node.IONode`; a :class:`MediatedVolume` speaks the data-plane protocol
+of :class:`~repro.storage.volume.Volume`, so :class:`~repro.fs.pfs.ParallelFile`
 can run server-mediated without any change to the organizations above it
 (the opt-in ``io_nodes=`` path of :class:`~repro.fs.pfs.
 ParallelFileSystem`).
@@ -97,6 +97,10 @@ class IONodeCluster:
         self.nodes = list(nodes)
         self.router = router
         self.interconnect = interconnect or Interconnect()
+        #: the node-failover manager whose circuit breakers every client
+        #: request feeds (a :class:`~repro.resilience.FailoverManager`
+        #: registers itself here); None when no manager is attached
+        self.failover: "FailoverManager | None" = None
 
     @classmethod
     def build(
@@ -148,13 +152,14 @@ class IONodeCluster:
 
 
 class MediatedVolume:
-    """The ``Volume`` surface, with data traffic routed through I/O nodes.
+    """A data plane routing file traffic through the I/O nodes.
 
-    Allocation, freeing, and zero-time ``peek``/``poke`` stay on the
-    underlying volume (they are management-plane); ``read``/``write``
-    become client/server interactions: one request message per touched
-    node, admission control at the node inbox, reply payload over the
-    interconnect.
+    ``read``/``write`` become client/server interactions: one request
+    message per touched node, admission control at the node inbox, reply
+    payload over the interconnect. Requests are planned with the volume's
+    ``coalesce`` flag, so merged runs are grouped per node as fewer,
+    larger items. Allocation and zero-time inspection stay on the volume
+    (management plane); :meth:`poke` here also invalidates node caches.
     """
 
     def __init__(self, volume: "Volume", cluster: IONodeCluster):
@@ -164,43 +169,8 @@ class MediatedVolume:
                 f"has {volume.n_devices}"
             )
         self.volume = volume
+        self.env: Environment = volume.env
         self.cluster = cluster
-        #: node-failover manager feeding the per-node circuit breakers
-        #: (set by ``ParallelFileSystem.attach_resilience``; optional)
-        self.failover: "FailoverManager | None" = None
-        #: extent-batched submission: merge device-contiguous segments
-        #: before grouping them into per-node request messages (fewer,
-        #: larger items per message). Off by default; see docs/PERF.md.
-        self.coalesce = False
-
-    # -- delegated management plane ---------------------------------------
-
-    @property
-    def env(self) -> Environment:
-        """The simulation environment."""
-        return self.volume.env
-
-    @property
-    def devices(self) -> list[Any]:
-        """The underlying device controllers."""
-        return self.volume.devices
-
-    @property
-    def n_devices(self) -> int:
-        """Number of devices in the underlying volume."""
-        return self.volume.n_devices
-
-    def allocate(self, layout: "DataLayout", file_bytes: int) -> "Extent":
-        """Reserve space on the underlying volume."""
-        return self.volume.allocate(layout, file_bytes)
-
-    def free(self, extent: "Extent") -> None:
-        """Release an extent on the underlying volume."""
-        return self.volume.free(extent)
-
-    def peek(self, extent: "Extent", layout: "DataLayout", offset: int, nbytes: int) -> np.ndarray:
-        """Zero-time read, straight from the devices (bypasses nodes)."""
-        return self.volume.peek(extent, layout, offset, nbytes)
 
     def poke(self, extent: "Extent", layout: "DataLayout", offset: int, data: Any) -> None:
         """Zero-time write; invalidates node caches over the touched devices."""
@@ -211,42 +181,29 @@ class MediatedVolume:
 
     # -- server-mediated data plane ------------------------------------------
 
-    def read(self, extent: "Extent", layout: "DataLayout", offset: int, nbytes: int) -> Process:
-        """Read file bytes ``[offset, offset+nbytes)`` via the I/O nodes."""
-        plan = plan_batch(layout, [(offset, nbytes)], coalesce=self.coalesce, extent=extent)
-        return self.env.process(self._run_read(extent, plan), name="ionode.read")
-
-    def write(self, extent: "Extent", layout: "DataLayout", offset: int, data: Any) -> Process:
-        """Write ``data`` at file byte ``offset`` via the I/O nodes."""
-        arr = as_payload(data)
-        plan = plan_batch(layout, [(offset, arr.size)], coalesce=self.coalesce, extent=extent)
-        return self.env.process(self._run_write(extent, plan, arr), name="ionode.write")
-
-    def read_many(
-        self,
-        extent: "Extent",
-        layout: "DataLayout",
-        ranges: list[tuple[int, int]],
+    def read(
+        self, extent: "Extent", layout: "DataLayout", ranges: list[tuple[int, int]]
     ) -> Process:
         """List-I/O read over the nodes: one message per node for the
         whole batch of ``(offset, nbytes)`` ranges. Value is the single
         concatenated uint8 array, ranges in list order."""
-        plan = plan_batch(layout, ranges, coalesce=self.coalesce, extent=extent)
-        return self.env.process(self._run_read(extent, plan), name="ionode.readmany")
+        plan = plan_batch(layout, ranges, coalesce=self.volume.coalesce, extent=extent)
+        return self.env.process(self._run_read(extent, plan), name="ionode.read")
 
-    def write_many(
+    def write(
         self,
         extent: "Extent",
         layout: "DataLayout",
         ranges: list[tuple[int, int]],
         data: Any,
     ) -> Process:
-        """List-I/O write: ``data`` is the concatenation of all ranges."""
+        """List-I/O write: ``data`` is the concatenation of all ranges;
+        the value is the byte count."""
         arr = as_payload(data)
-        plan = plan_batch(layout, ranges, coalesce=self.coalesce, extent=extent)
+        plan = plan_batch(layout, ranges, coalesce=self.volume.coalesce, extent=extent)
         if plan.nbytes != arr.size:
             raise ValueError(f"ranges cover {plan.nbytes} bytes, data has {arr.size}")
-        return self.env.process(self._run_write(extent, plan, arr), name="ionode.writemany")
+        return self.env.process(self._run_write(extent, plan, arr), name="ionode.write")
 
     def _run_read(self, extent: "Extent", plan: "ExtentPlan"):
         env = self.env
@@ -284,6 +241,11 @@ class MediatedVolume:
 
     def _client_read(self, entries: list):
         """One read message's worth of items, submitted to current owners.
+
+        ``entries`` are ``(slot, device, offset, nbytes)``; the value is
+        the ``(slot, array)`` pairs. This is the one client request path
+        to the nodes: the resilience layer's per-device requests are this
+        with a single entry.
 
         Owners are resolved only *after* the request-message flight: a
         node crash (or breaker quarantine) during that window re-routes
@@ -372,9 +334,10 @@ class MediatedVolume:
         Successes close the breaker again; only *transient* errors count
         as breaker failures (a dead device is not the node's fault).
         """
-        if self.failover is None:
+        failover = self.cluster.failover
+        if failover is None:
             return
         if exc is None:
-            self.failover.note_request_success(node_idx)
+            failover.note_request_success(node_idx)
         elif isinstance(exc, TransientIOError):
-            self.failover.note_request_failure(node_idx)
+            failover.note_request_failure(node_idx)

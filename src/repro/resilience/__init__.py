@@ -4,8 +4,8 @@ The paper's §5 treats failures as an offline concern — detect, then
 restore from backup, shadow, or parity. This package keeps the file
 system *serving* through the failure:
 
-* :class:`~repro.resilience.volume.ResilientVolume` — the ``Volume``
-  surface with transparent retries, on-the-fly reconstruction of a dead
+* :class:`~repro.resilience.volume.ResilientVolume` — the data-plane
+  protocol with transparent retries, on-the-fly reconstruction of a dead
   device's reads, and journaled degraded writes;
 * :class:`~repro.resilience.retry.RetryPolicy` — bounded attempts with
   exponential backoff + deterministic jitter for transient device errors;

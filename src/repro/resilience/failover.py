@@ -113,6 +113,8 @@ class FailoverManager:
         #: node's devices are re-routed — the metadata service hooks in
         #: here to re-home its shards (see MetadataService.bind_failover)
         self.on_node_failed: list = []
+        # every client request through the cluster feeds these breakers
+        cluster.failover = self
 
     def breaker(self, node_index: int) -> CircuitBreaker:
         """The (lazily created) circuit breaker watching ``node_index``."""

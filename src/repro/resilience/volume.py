@@ -1,9 +1,10 @@
 """Degraded-mode I/O: the volume keeps serving through a device failure.
 
-:class:`ResilientVolume` wraps a data plane — a raw
-:class:`~repro.storage.volume.Volume` or the server-mediated
-:class:`~repro.ionode.routing.MediatedVolume` — and presents the same
-read/write surface, with three behavioural changes:
+:class:`ResilientVolume` stacks over a
+:class:`~repro.storage.volume.Volume` — directly, or through the I/O
+nodes of a cluster when one is given, in which case it builds the
+server-mediated :class:`~repro.ionode.routing.MediatedVolume` itself —
+and speaks the same two-method protocol, with three behavioural changes:
 
 * **retry** — every operation runs under a :class:`~repro.resilience.
   retry.RetryPolicy`: transient device errors (bus glitches, limping
@@ -34,8 +35,9 @@ from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
-from ..devices.controller import DeviceFailedError, TransientIOError, as_payload
-from ..sim.engine import Environment, Event, Process
+from ..devices.controller import DeviceFailedError, as_payload
+from ..ionode.routing import MediatedVolume
+from ..sim.engine import Event, Process
 from ..sim.resources import Resource
 from ..sim.rng import RngStreams
 from ..storage.layout import plan_batch
@@ -47,7 +49,7 @@ from .stats import ResilienceStats
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..ionode.routing import IONodeCluster
-    from ..storage.layout import DataLayout, ExtentPlan, Segment
+    from ..storage.layout import DataLayout, ExtentPlan
     from ..storage.volume import Extent, Volume
     from .failover import FailoverManager
     from .rebuild import HotSpareRebuilder
@@ -56,21 +58,25 @@ __all__ = ["ResilientVolume"]
 
 
 class ResilientVolume:
-    """The ``Volume`` surface with degraded-mode service and retries."""
+    """A data plane with degraded-mode service and retries."""
 
     def __init__(
         self,
-        inner: Any,
+        volume: "Volume",
+        cluster: "IONodeCluster | None" = None,
         *,
         group: ParityGroup | None = None,
         config: ResilienceConfig | None = None,
         rng: RngStreams | None = None,
     ):
-        self.inner = inner
-        #: the raw volume under the plane (identical for a direct plane)
-        self.volume: "Volume" = getattr(inner, "volume", inner)
+        self.volume = volume
+        self.env = volume.env
         #: the I/O-node cluster when the plane is server-mediated
-        self.cluster: "IONodeCluster | None" = getattr(inner, "cluster", None)
+        self.cluster = cluster
+        #: the plane healthy traffic goes down: the volume, or the nodes
+        self.inner: "Volume | MediatedVolume" = (
+            volume if cluster is None else MediatedVolume(volume, cluster)
+        )
         self.config = config or ResilienceConfig()
         self.policy: RetryPolicy | None = self.config.retry
         self.group = group
@@ -84,185 +90,82 @@ class ResilientVolume:
                     "in volume order"
                 )
         self.rng = rng or RngStreams(self.config.seed)
-        #: extent-batched (list-I/O) submission: merge device-contiguous
-        #: segment runs before parity planning (set via ``set_batching``)
-        self.coalesce = False
         self.stats = ResilienceStats()
         self.journal = WriteJournal()
         #: device index -> time the layer first observed it failed
         self.failed_at: dict[int, float] = {}
         #: attached background rebuilder (set by ``attach_resilience``)
         self.rebuilder: "HotSpareRebuilder | None" = None
-        #: attached node-failover manager (set by ``attach_resilience``)
-        self.failover: "FailoverManager | None" = None
         #: per-parity-unit serialization (absolute unit index -> lock)
         self._unit_locks: dict[int, Resource] = {}
 
-    # -- delegated management plane ----------------------------------------
-
     @property
-    def env(self) -> Environment:
-        return self.volume.env
-
-    @property
-    def devices(self) -> list[Any]:
-        return self.volume.devices
-
-    @property
-    def n_devices(self) -> int:
-        return self.volume.n_devices
-
-    def allocate(self, layout: "DataLayout", file_bytes: int) -> "Extent":
-        """Reserve space on the wrapped plane."""
-        return self.inner.allocate(layout, file_bytes)
-
-    def free(self, extent: "Extent") -> None:
-        """Release an extent on the wrapped plane."""
-        return self.inner.free(extent)
-
-    def peek(self, extent: "Extent", layout: "DataLayout", offset: int, nbytes: int) -> np.ndarray:
-        """Zero-time inspection via the wrapped plane."""
-        return self.inner.peek(extent, layout, offset, nbytes)
-
-    def poke(self, extent: "Extent", layout: "DataLayout", offset: int, data: Any) -> None:
-        """Zero-time mutation via the wrapped plane."""
-        return self.inner.poke(extent, layout, offset, data)
+    def failover(self) -> "FailoverManager | None":
+        """The cluster's node-failover manager, when one is attached."""
+        return None if self.cluster is None else self.cluster.failover
 
     # -- reads ---------------------------------------------------------------
 
-    def read(self, extent: "Extent", layout: "DataLayout", offset: int, nbytes: int) -> Process:
-        """Read file bytes, degrading to reconstruction on device failure."""
-        return self.env.process(
-            self._do_read(extent, layout, offset, nbytes), name="resilient.read"
-        )
-
-    def read_many(
-        self,
-        extent: "Extent",
-        layout: "DataLayout",
-        ranges: list[tuple[int, int]],
+    def read(
+        self, extent: "Extent", layout: "DataLayout", ranges: list[tuple[int, int]]
     ) -> Process:
-        """List-I/O read: every range in flight at once, resilience per
-        range — a range that hits a failed device degrades to
-        reconstruction on its own, without splitting the healthy ones.
-        Value is the single concatenated uint8 array, ranges in list
-        order."""
+        """List-I/O read, degrading to reconstruction on device failure.
+
+        The whole list goes down the inner plane under one retry (with
+        batching off, only a single range does: a longer list then goes
+        range by range). When a member is permanently down, a single
+        range degrades segment by segment, and each range of a longer
+        list is first retried whole on its own, so the healthy ranges
+        stay whole. Value is the single concatenated uint8 array, ranges
+        in list order.
+        """
         return self.env.process(
-            self._do_read_many(extent, layout, ranges), name="resilient.readmany"
+            self._do_read(extent, layout, ranges), name="resilient.read"
         )
 
-    def _do_read_many(self, extent, layout, ranges):
-        if self.coalesce:
-            # list-I/O fast path: the whole batch down the inner plane as
-            # one submission (which merges device runs itself), one retry
-            # wrapper for the lot; a permanent failure degrades to the
-            # per-range path below so healthy ranges stay whole
+    def _do_read(self, extent: "Extent", layout: "DataLayout", ranges: list[tuple[int, int]]):
+        if len(ranges) == 1 or self.volume.coalesce:
             try:
                 value = yield from self._with_retry(
-                    lambda: self.inner.read_many(extent, layout, ranges),
+                    lambda: self.inner.read(extent, layout, ranges),
                     kind="read",
                     target="plane",
                 )
                 return value
             except DeviceFailedError:
-                pass
-        procs = [
-            self.read(extent, layout, offset, nbytes)
-            for offset, nbytes in ranges
-        ]
-        if procs:
+                pass  # a member is permanently down
+        if len(ranges) != 1:
+            procs = [self.read(extent, layout, [rng]) for rng in ranges]
+            if not procs:
+                return np.empty(0, dtype=np.uint8)
             yield self.env.all_of(procs)
-        if not procs:
-            return np.empty(0, dtype=np.uint8)
-        if len(procs) == 1:
-            return procs[0].value
-        return np.concatenate([p.value for p in procs])
-
-    def write_many(
-        self,
-        extent: "Extent",
-        layout: "DataLayout",
-        ranges: list[tuple[int, int]],
-        data: Any,
-    ) -> Process:
-        """List-I/O write of concatenated ``data`` (see :meth:`read_many`)."""
-        return self.env.process(
-            self._do_write_many(extent, layout, ranges, as_payload(data)),
-            name="resilient.writemany",
-        )
-
-    def _do_write_many(self, extent, layout, ranges, arr):
-        total = sum(nbytes for _, nbytes in ranges)
-        if total != arr.size:
-            raise ValueError(f"ranges cover {total} bytes, data has {arr.size}")
-        if self.coalesce:
-            # list-I/O: one plan, one parity pass for the whole gather —
-            # merged device runs become single multi-unit rows/RMWs
-            # instead of per-range, per-unit ops
-            yield from self._write_plan(
-                extent, plan_batch(layout, ranges, coalesce=True, extent=extent), arr
-            )
-            return total
-        # every range planned (and bounds-checked) before any is submitted
-        plans = [
-            plan_batch(layout, [rng], coalesce=False, extent=extent) for rng in ranges
-        ]
-        procs = []
-        pos = 0
-        for plan in plans:
-            procs.append(
-                self.env.process(
-                    self._write_plan(extent, plan, arr[pos : pos + plan.nbytes]),
-                    name="resilient.write",
-                )
-            )
-            pos += plan.nbytes
-        if procs:
-            yield self.env.all_of(procs)
-        return total
-
-    def _do_read(self, extent: "Extent", layout: "DataLayout", offset: int, nbytes: int):
-        try:
-            # fast path: the whole range down the normal plane (keeps the
-            # I/O-node batch view intact), transient errors retried
-            value = yield from self._with_retry(
-                lambda: self.inner.read(extent, layout, offset, nbytes),
-                kind="read",
-                target="plane",
-            )
-            return value
-        except DeviceFailedError:
-            pass  # a member is permanently down: degrade to per-segment
+            return np.concatenate([p.value for p in procs])
         t0 = self.env.now
-        segments = layout.map_range(offset, nbytes)
+        plan = plan_batch(layout, ranges, coalesce=False, extent=extent)
+        bases = extent.bases
         procs = [
-            self.env.process(self._read_segment(extent, seg)) for seg in segments
+            self.env.process(self._read_segment(dev, bases[dev] + off, n))
+            for dev, off, n, _ in plan.requests
         ]
         if procs:
             yield self.env.all_of(procs)
-        out = np.empty(nbytes, dtype=np.uint8)
-        pos = 0
-        for seg, proc in zip(segments, procs):
-            out[pos : pos + seg.length] = proc.value
-            pos += seg.length
+        out = plan.assemble([p.value for p in procs])
         self.stats.degraded_reads += 1
         self.stats.degraded_read_latency.observe(self.env.now - t0)
         return out
 
-    def _read_segment(self, extent: "Extent", seg: "Segment"):
-        dev_i = seg.device
-        abs_off = extent.base(dev_i) + seg.offset
+    def _read_segment(self, dev_i: int, abs_off: int, nbytes: int):
         if not self.volume.devices[dev_i].failed:
             try:
                 value = yield from self._with_retry(
-                    lambda: self._plane_read(dev_i, abs_off, seg.length),
+                    lambda: self._plane_read(dev_i, abs_off, nbytes),
                     kind="read",
                     target=f"dev{dev_i}",
                 )
                 return value
             except DeviceFailedError:
                 pass  # died between the check and the read
-        return (yield from self._reconstruct_read(dev_i, abs_off, seg.length))
+        return (yield from self._reconstruct_read(dev_i, abs_off, nbytes))
 
     def _reconstruct_read(self, dev_i: int, abs_off: int, nbytes: int):
         """Serve a dead device's bytes from parity + survivors + journal."""
@@ -297,19 +200,52 @@ class ResilientVolume:
 
     # -- writes -----------------------------------------------------------------
 
-    def write(self, extent: "Extent", layout: "DataLayout", offset: int, data: Any) -> Process:
-        """Write file bytes under the active protection discipline."""
+    def write(
+        self,
+        extent: "Extent",
+        layout: "DataLayout",
+        ranges: list[tuple[int, int]],
+        data: Any,
+    ) -> Process:
+        """List-I/O write of the concatenated ``data`` under the active
+        protection discipline; the value is the byte count.
+
+        The list is one plan and one parity pass, except with batching
+        off, where each range of a longer list gets its own.
+        """
         return self.env.process(
-            self._do_write(extent, layout, offset, as_payload(data)),
+            self._do_write(extent, layout, ranges, as_payload(data)),
             name="resilient.write",
         )
 
-    def _do_write(self, extent: "Extent", layout: "DataLayout", offset: int, arr: np.ndarray):
-        plan = plan_batch(
-            layout, [(offset, arr.size)], coalesce=self.coalesce, extent=extent
-        )
-        yield from self._write_plan(extent, plan, arr)
-        return int(arr.size)
+    def _do_write(
+        self, extent: "Extent", layout: "DataLayout", ranges: list[tuple[int, int]], arr: np.ndarray
+    ):
+        coalesce = self.volume.coalesce
+        # every range planned (and bounds-checked) before any is submitted
+        if coalesce or len(ranges) == 1:
+            plans = [plan_batch(layout, ranges, coalesce=coalesce, extent=extent)]
+        else:
+            plans = [plan_batch(layout, [rng], coalesce=False, extent=extent) for rng in ranges]
+        total = sum(plan.nbytes for plan in plans)
+        if total != arr.size:
+            raise ValueError(f"ranges cover {total} bytes, data has {arr.size}")
+        if len(plans) == 1:
+            yield from self._write_plan(extent, plans[0], arr)
+            return total
+        procs = []
+        pos = 0
+        for plan in plans:
+            procs.append(
+                self.env.process(
+                    self._write_plan(extent, plan, arr[pos : pos + plan.nbytes]),
+                    name="resilient.write",
+                )
+            )
+            pos += plan.nbytes
+        if procs:
+            yield self.env.all_of(procs)
+        return total
 
     def _write_plan(self, extent: "Extent", plan: "ExtentPlan", arr: np.ndarray):
         """Run the protection discipline over one planned submission.
@@ -568,62 +504,30 @@ class ResilientVolume:
     # -- plumbing ----------------------------------------------------------------
 
     def _plane_read(self, dev_i: int, abs_off: int, nbytes: int) -> Event:
-        """One device-range read down the active plane (node or direct)."""
+        """One device-range read down the active plane (node or direct).
+
+        Through the nodes it is the mediated client read with one item,
+        so each retry attempt is a fresh request message that feeds the
+        node's circuit breaker and lands at the device's current owner.
+        """
         if self.cluster is not None:
             return self.env.process(
-                self._node_op("read", dev_i, abs_off, nbytes, None),
-                name=f"resilient.nread{dev_i}",
+                self._node_read(dev_i, abs_off, nbytes), name=f"resilient.nread{dev_i}"
             )
         return self.volume.devices[dev_i].read(abs_off, nbytes)
+
+    def _node_read(self, dev_i: int, abs_off: int, nbytes: int):
+        ((_, data),) = yield from self.inner._client_read([(0, dev_i, abs_off, nbytes)])
+        return data
 
     def _plane_write(self, dev_i: int, abs_off: int, chunk: np.ndarray) -> Event:
         """One device-range write down the active plane (node or direct)."""
         if self.cluster is not None:
             return self.env.process(
-                self._node_op("write", dev_i, abs_off, len(chunk), chunk),
+                self.inner._client_write([(dev_i, abs_off, len(chunk))], [chunk]),
                 name=f"resilient.nwrite{dev_i}",
             )
         return self.volume.devices[dev_i].write(abs_off, chunk)
-
-    def _node_op(self, kind: str, dev_i: int, abs_off: int, nbytes: int, chunk):
-        """One single-item request through the owning I/O node.
-
-        This is the retried ionode client path: each attempt is a fresh
-        request message, and its outcome feeds the node's circuit breaker
-        (repeatedly failing nodes get quarantined, a success closes the
-        breaker again). The owner is resolved only *after* the message
-        flight over the interconnect: a node crash or breaker quarantine
-        during that window re-routes the device, and the request must
-        land at its current owner — callers never learn their server
-        changed.
-        """
-        cluster = self.cluster
-        ic = cluster.interconnect
-        yield self.env.sleep(
-            ic.request_cost() if kind == "read" else ic.transfer_cost(nbytes)
-        )
-        node_idx = cluster.router.node_of(dev_i)
-        node = cluster.nodes[node_idx]
-        try:
-            if kind == "read":
-                req = node.submit("read", [(dev_i, abs_off, nbytes)])
-                yield req.admitted
-                arrays = yield req.event
-                yield self.env.sleep(ic.transfer_cost(nbytes))
-                result = arrays[0]
-            else:
-                req = node.submit("write", [(dev_i, abs_off, nbytes)], data=[chunk])
-                yield req.admitted
-                yield req.event
-                yield self.env.sleep(ic.request_cost())
-                result = nbytes
-        except TransientIOError:
-            if self.failover is not None:
-                self.failover.note_request_failure(node_idx)
-            raise
-        if self.failover is not None:
-            self.failover.note_request_success(node_idx)
-        return result
 
     def _with_retry(self, make_event: Callable[[], Event], kind: str, target: str):
         if self.policy is None:

@@ -8,6 +8,13 @@ range touches. Segments on *different* devices proceed in parallel (this
 is the entire point of parallel I/O); segments on the same device queue at
 that device's controller.
 
+Every data plane — this volume, the I/O-node
+:class:`~repro.ionode.routing.MediatedVolume` and the
+:class:`~repro.resilience.volume.ResilientVolume` — speaks one protocol
+of two methods, ``read(extent, layout, ranges)`` and ``write(extent,
+layout, ranges, data)``, whose unit is the list of ``(offset, nbytes)``
+file byte ranges to transfer.
+
 Reads return the reassembled byte array. Every operation is one callback
 :class:`~repro.sim.engine.Op`: the request's extent plan is submitted at
 the op's start slot and joined, with no generator process per request.
@@ -65,6 +72,7 @@ class Volume:
         ]
         #: extent-batched submission: merge device-contiguous segments into
         #: single multi-block requests before they hit the controllers.
+        #: Every plane stacked over this volume plans with this one flag.
         #: Off by default — batching changes simulated request sizes and
         #: therefore timing (see docs/PERF.md).
         self.coalesce = False
@@ -107,28 +115,8 @@ class Volume:
 
     # -- I/O -------------------------------------------------------------------
 
-    def read(
-        self, extent: Extent, layout: DataLayout, offset: int, nbytes: int
-    ) -> Op:
-        """Read file bytes ``[offset, offset+nbytes)``; value is a uint8 array."""
-        plan = plan_batch(layout, [(offset, nbytes)], coalesce=self.coalesce, extent=extent)
-        return self._op(extent, plan, None)
-
-    def write(
-        self, extent: Extent, layout: DataLayout, offset: int, data: bytes | np.ndarray
-    ) -> Op:
-        """Write ``data`` at file byte ``offset``; value is bytes written."""
-        arr = as_payload(data)
-        plan = plan_batch(layout, [(offset, arr.size)], coalesce=self.coalesce, extent=extent)
-        return self._op(extent, plan, arr)
-
-    def read_many(
-        self,
-        extent: Extent,
-        layout: DataLayout,
-        ranges: list[tuple[int, int]],
-    ) -> Op:
-        """List-I/O read of several ``(offset, nbytes)`` file byte ranges.
+    def read(self, extent: Extent, layout: DataLayout, ranges: list[tuple[int, int]]) -> Op:
+        """List-I/O read of the ``(offset, nbytes)`` file byte ``ranges``.
 
         All ranges are planned up front and submitted as one batch (one
         op, one join), with device-contiguous runs merged across range
@@ -138,14 +126,15 @@ class Volume:
         plan = plan_batch(layout, ranges, coalesce=self.coalesce, extent=extent)
         return self._op(extent, plan, None)
 
-    def write_many(
+    def write(
         self,
         extent: Extent,
         layout: DataLayout,
         ranges: list[tuple[int, int]],
         data: bytes | np.ndarray,
     ) -> Op:
-        """List-I/O write: ``data`` is the concatenation of all ranges."""
+        """List-I/O write: ``data`` is the concatenation of all ranges;
+        the value is the byte count."""
         arr = as_payload(data)
         plan = plan_batch(layout, ranges, coalesce=self.coalesce, extent=extent)
         if plan.nbytes != arr.size:

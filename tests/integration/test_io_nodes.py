@@ -147,40 +147,31 @@ def test_concurrent_direct_access_through_nodes(org):
     pfs.io_cluster.assert_drained()
 
 
-def test_per_file_route_through_override():
-    env = Environment()
-    pfs = build_pfs(env)  # direct by default
-    f = pfs.create(
-        "f",
-        "IS",
-        n_records=N_RECORDS,
-        record_size=RECORD_SIZE,
-        records_per_block=RECORDS_PER_BLOCK,
-        n_processes=N_PROCESSES,
-    )
-    cluster = f.route_through(2)
-    assert f.data_plane is not pfs.data_plane
+def test_io_nodes_after_resilience_is_rejected():
+    """Attached after it, the nodes would be left out of the resilience
+    layer's data path: a parity-protected read with a dead device raised
+    DeviceFailedError instead of reconstructing."""
+    from repro.resilience import ResilienceConfig
 
-    def run():
-        yield f.write_records(0, pattern())
-        data = yield f.read_records(0, N_RECORDS)
-        return data
-
-    assert np.array_equal(env.run(env.process(run())), pattern())
-    cluster.assert_drained()
-    assert cluster.total_device_requests > 0
-    f.route_direct()
-    assert f.data_plane is pfs.volume
-
-
-def test_detach_restores_direct_plane():
     env = Environment()
     pfs = build_pfs(env)
-    pfs.attach_io_nodes(1)
-    assert pfs.io_cluster is not None
-    pfs.detach_io_nodes()
+    pfs.attach_resilience(ResilienceConfig(protection=None, spares=0))
+    with pytest.raises(RuntimeError, match="io_nodes, then resilience, then qos"):
+        pfs.attach_io_nodes(2)
     assert pfs.io_cluster is None
-    assert pfs.data_plane is pfs.volume
+
+
+def test_io_nodes_after_qos_is_rejected():
+    """Attached after it, the new nodes got plain FIFO inboxes instead of
+    tenant-scheduled ones."""
+    from repro.qos import QoSConfig
+
+    env = Environment()
+    pfs = build_pfs(env)
+    pfs.attach_qos(QoSConfig())
+    with pytest.raises(RuntimeError, match="io_nodes, then resilience, then qos"):
+        pfs.attach_io_nodes(2)
+    assert pfs.io_cluster is None
 
 
 def test_ps_written_is_read_mismatch_through_node():

@@ -184,17 +184,6 @@ def test_direct_plane_without_nodes_or_resilience():
     san.assert_clean()
 
 
-def test_detach_qos_restores_the_plain_policies():
-    env = Environment()
-    pfs = build(env)
-    assert pfs.qos is not None
-    wrapped = pfs.volume.devices[0].policy
-    assert wrapped.name == "qos"
-    pfs.detach_qos()
-    assert pfs.qos is None
-    assert pfs.volume.devices[0].policy is not wrapped
-
-
 def test_reports_render_with_qos_columns():
     env = Environment()
     pfs = build(env)

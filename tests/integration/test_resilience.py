@@ -243,13 +243,3 @@ def test_resilience_report_renders_nonzero_counters():
     assert stats.rebuilds_completed == 1
     assert stats.degraded_read_latency.count > 0
     assert np.isfinite(stats.mttr_seconds)
-
-
-def test_detach_resilience_restores_the_plain_plane():
-    env = Environment()
-    pfs = build(env, "parity")
-    assert pfs.resilience is not None
-    assert pfs.data_plane is pfs.resilience
-    pfs.detach_resilience()
-    assert pfs.resilience is None
-    assert pfs.data_plane is pfs.volume

@@ -96,8 +96,7 @@ def test_mediated_volume_delegates_management_plane():
     vol = make_volume(env, 4)
     mv = MediatedVolume(vol, IONodeCluster.build(env, vol.devices, 2))
     assert mv.env is env
-    assert mv.n_devices == 4
-    assert mv.devices is vol.devices
+    assert mv.volume is vol  # allocation and inspection stay on the volume
 
 
 def test_poke_invalidates_node_cache():
@@ -110,11 +109,11 @@ def test_poke_invalidates_node_cache():
     )
     mv = MediatedVolume(vol, cluster)
     layout = StripedLayout(2, 512)
-    extent = mv.allocate(layout, 2048)
+    extent = vol.allocate(layout, 2048)
 
     def run():
-        yield mv.write(extent, layout, 0, np.ones(512, np.uint8))
-        yield mv.read(extent, layout, 0, 512)  # populate the cache
+        yield mv.write(extent, layout, [(0, 512)], np.ones(512, np.uint8))
+        yield mv.read(extent, layout, [(0, 512)])  # populate the cache
 
     env.run(env.process(run()))
     assert len(cluster.nodes[0].cache) > 0
@@ -122,7 +121,7 @@ def test_poke_invalidates_node_cache():
     assert len(cluster.nodes[0].cache) == 0
 
     def check():
-        data = yield mv.read(extent, layout, 0, 512)
+        data = yield mv.read(extent, layout, [(0, 512)])
         return data
 
     assert np.array_equal(env.run(env.process(check())), np.zeros(512, np.uint8))

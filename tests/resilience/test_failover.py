@@ -206,19 +206,19 @@ def test_glitches_interleaved_with_successes_never_quarantine():
         ResilienceConfig(breaker_threshold=2, retry=RetryPolicy(max_attempts=1))
     )
     layout = StripedLayout(4, 512)
-    extent = rv.allocate(layout, 2048)
+    extent = pfs.volume.allocate(layout, 2048)
     dev0 = pfs.volume.devices[0]
     br = rv.failover.breaker(cluster.router.node_of(0))
 
     dev0.transient_error_budget += 1
     with pytest.raises(RetryError):
-        env.run(rv.read(extent, layout, 0, 512))
+        env.run(rv.read(extent, layout, [(0, 512)]))
     assert br._failures == 1  # the client path fed the breaker
-    env.run(rv.read(extent, layout, 0, 512))  # clean request
+    env.run(rv.read(extent, layout, [(0, 512)]))  # clean request
     assert br._failures == 0  # ...and the success reset it
     dev0.transient_error_budget += 1
     with pytest.raises(RetryError):
-        env.run(rv.read(extent, layout, 0, 512))
+        env.run(rv.read(extent, layout, [(0, 512)]))
     assert br._failures == 1  # no trip: the failures never accumulated
     assert not any(n.crashed for n in cluster.nodes)
     assert rv.stats.quarantined_nodes == 0
@@ -255,7 +255,8 @@ def test_client_request_crossing_a_failover_lands_at_the_new_owner():
 
 
 def test_node_op_crossing_a_failover_lands_at_the_new_owner():
-    """Same window through the per-device resilient path (_node_op)."""
+    """Same window through the resilience layer's per-device node request
+    (the degraded-read path's one-item client read)."""
     from repro.resilience import ResilienceConfig
 
     env = Environment()
@@ -265,7 +266,7 @@ def test_node_op_crossing_a_failover_lands_at_the_new_owner():
     got = []
 
     def scenario():
-        proc = env.process(rv._node_op("read", 0, 0, 32, None))
+        proc = rv._plane_read(0, 0, 32)
         yield env.timeout(cluster.interconnect.request_cost() / 2)
         rv.failover.fail_node(0)
         data = yield proc

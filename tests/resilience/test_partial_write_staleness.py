@@ -57,7 +57,7 @@ def make_rv(env, mode="rmw"):
     )
     rv = ResilientVolume(volume, group=group, config=cfg)
     layout = StripedLayout(3, UNIT)
-    extent = rv.allocate(layout, 3 * UNIT)
+    extent = volume.allocate(layout, 3 * UNIT)
     return rv, devices, parity, group, layout, extent, contents
 
 
@@ -86,11 +86,11 @@ def test_row_parity_retry_exhaustion_poisons_the_stripe():
     rv, devices, parity, group, layout, extent, _ = make_rv(env)
     sabotage_writes(parity, 2)
     with pytest.raises(RetryError):
-        env.run(rv.write(extent, layout, 0, np.full(3 * UNIT, 7, np.uint8)))
+        env.run(rv.write(extent, layout, [(0, 3 * UNIT)], np.full(3 * UNIT, 7, np.uint8)))
     assert not group.reconstruct_safe(extent.base(0), UNIT)
     devices[1].fail()
     with pytest.raises(StaleParityError):
-        env.run(rv.read(extent, layout, UNIT, UNIT))  # file unit 1 -> d1
+        env.run(rv.read(extent, layout, [(UNIT, UNIT)]))  # file unit 1 -> d1
 
 
 def test_row_data_retry_exhaustion_poisons_other_members_too():
@@ -100,11 +100,11 @@ def test_row_data_retry_exhaustion_poisons_other_members_too():
     rv, devices, parity, group, layout, extent, _ = make_rv(env)
     sabotage_writes(devices[0], 2)
     with pytest.raises(RetryError):
-        env.run(rv.write(extent, layout, 0, np.full(3 * UNIT, 9, np.uint8)))
+        env.run(rv.write(extent, layout, [(0, 3 * UNIT)], np.full(3 * UNIT, 9, np.uint8)))
     assert not group.reconstruct_safe(extent.base(0), UNIT)
     devices[1].fail()  # a member whose own write DID land
     with pytest.raises(StaleParityError):
-        env.run(rv.read(extent, layout, UNIT, UNIT))
+        env.run(rv.read(extent, layout, [(UNIT, UNIT)]))
 
 
 def test_rmw_parity_retry_exhaustion_poisons_the_range():
@@ -113,11 +113,11 @@ def test_rmw_parity_retry_exhaustion_poisons_the_range():
     rv, devices, parity, group, layout, extent, _ = make_rv(env, mode="rmw")
     sabotage_writes(parity, 2)
     with pytest.raises(RetryError):
-        env.run(rv.write(extent, layout, 0, np.full(UNIT, 5, np.uint8)))
+        env.run(rv.write(extent, layout, [(0, UNIT)], np.full(UNIT, 5, np.uint8)))
     assert not group.reconstruct_safe(extent.base(0), UNIT)
     devices[0].fail()
     with pytest.raises(StaleParityError):
-        env.run(rv.read(extent, layout, 0, UNIT))
+        env.run(rv.read(extent, layout, [(0, UNIT)]))
 
 
 def test_rmw_data_retry_exhaustion_poisons_the_range():
@@ -126,11 +126,11 @@ def test_rmw_data_retry_exhaustion_poisons_the_range():
     rv, devices, parity, group, layout, extent, _ = make_rv(env, mode="rmw")
     sabotage_writes(devices[0], 2)
     with pytest.raises(RetryError):
-        env.run(rv.write(extent, layout, 0, np.full(UNIT, 5, np.uint8)))
+        env.run(rv.write(extent, layout, [(0, UNIT)], np.full(UNIT, 5, np.uint8)))
     assert not group.reconstruct_safe(extent.base(0), UNIT)
     devices[1].fail()  # cross-device: the poisoned unit covers d1 too
     with pytest.raises(StaleParityError):
-        env.run(rv.read(extent, layout, UNIT, UNIT))
+        env.run(rv.read(extent, layout, [(UNIT, UNIT)]))
 
 
 def test_both_legs_transient_leaves_media_consistent():
@@ -141,9 +141,9 @@ def test_both_legs_transient_leaves_media_consistent():
     sabotage_writes(parity, 2)
     sabotage_writes(devices[0], 2)
     with pytest.raises(RetryError):
-        env.run(rv.write(extent, layout, 0, np.full(UNIT, 5, np.uint8)))
+        env.run(rv.write(extent, layout, [(0, UNIT)], np.full(UNIT, 5, np.uint8)))
     base = extent.base(0)
     assert group.reconstruct_safe(base, UNIT)  # nothing reached media
     devices[0].fail()
-    data = env.run(rv.read(extent, layout, 0, UNIT))
+    data = env.run(rv.read(extent, layout, [(0, UNIT)]))
     assert np.array_equal(data, contents[0][base : base + UNIT])

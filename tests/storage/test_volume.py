@@ -65,8 +65,8 @@ class TestIO:
         payload = np.arange(5000, dtype=np.uint8) % 251
 
         def proc():
-            yield vol.write(ext, lay, 100, payload)
-            data = yield vol.read(ext, lay, 100, 5000)
+            yield vol.write(ext, lay, [(100, 5000)], payload)
+            data = yield vol.read(ext, lay, [(100, 5000)])
             return data
 
         result = env.run(env.process(proc()))
@@ -80,8 +80,8 @@ class TestIO:
         payload = (np.arange(9000) % 256).astype(np.uint8)
 
         def proc():
-            yield vol.write(ext, lay, 0, payload)
-            data = yield vol.read(ext, lay, 0, 9000)
+            yield vol.write(ext, lay, [(0, 9000)], payload)
+            data = yield vol.read(ext, lay, [(0, 9000)])
             return data
 
         assert np.array_equal(env.run(env.process(proc())), payload)
@@ -93,7 +93,7 @@ class TestIO:
         ext = vol.allocate(lay, 4096)
 
         def proc():
-            n = yield vol.write(ext, lay, 0, b"hello")
+            n = yield vol.write(ext, lay, [(0, 5)], b"hello")
             return n
 
         assert env.run(env.process(proc())) == 5
@@ -105,7 +105,7 @@ class TestIO:
         ext = vol.allocate(lay, 4096)
 
         def proc():
-            data = yield vol.read(ext, lay, 0, 0)
+            data = yield vol.read(ext, lay, [(0, 0)])
             return data
 
         assert len(env.run(env.process(proc()))) == 0
@@ -118,10 +118,10 @@ class TestIO:
         ext_b = vol.allocate(lay, 2048)
 
         def proc():
-            yield vol.write(ext_a, lay, 0, b"A" * 2048)
-            yield vol.write(ext_b, lay, 0, b"B" * 2048)
-            a = yield vol.read(ext_a, lay, 0, 2048)
-            b = yield vol.read(ext_b, lay, 0, 2048)
+            yield vol.write(ext_a, lay, [(0, 2048)], b"A" * 2048)
+            yield vol.write(ext_b, lay, [(0, 2048)], b"B" * 2048)
+            a = yield vol.read(ext_a, lay, [(0, 2048)])
+            b = yield vol.read(ext_b, lay, [(0, 2048)])
             return bytes(a[:1]), bytes(b[:1])
 
         assert env.run(env.process(proc())) == (b"A", b"B")
@@ -137,7 +137,7 @@ class TestIO:
             ext = vol.allocate(lay, nbytes)
 
             def proc():
-                yield vol.read(ext, lay, 0, nbytes)
+                yield vol.read(ext, lay, [(0, nbytes)])
 
             env.run(env.process(proc()))
             return env.now
@@ -192,12 +192,12 @@ class TestCallbackOps:
 
         def client():
             env.active_process.qos_tenant = tenant
-            yield vol.write(ext, lay, 0, np.ones(2048, dtype=np.uint8))
-            yield vol.write_many(
+            yield vol.write(ext, lay, [(0, 2048)], np.ones(2048, dtype=np.uint8))
+            yield vol.write(
                 ext, lay, [(2048, 512), (3072, 512)], np.ones(1024, dtype=np.uint8)
             )
-            yield vol.read(ext, lay, 0, 2048)
-            yield vol.read_many(ext, lay, [(2048, 512), (3072, 512)])
+            yield vol.read(ext, lay, [(0, 2048)])
+            yield vol.read(ext, lay, [(2048, 512), (3072, 512)])
 
         env.run(env.process(client()))
         # one request per 512-byte stripe unit: 4 + 2 written, 4 + 2 read.
@@ -211,7 +211,7 @@ class TestCallbackOps:
         lay = StripedLayout(2, 512)
         ext = vol.allocate(lay, 4096)
         payload = np.arange(4096, dtype=np.uint8) % 251
-        env.run(vol.write(ext, lay, 0, payload))
+        env.run(vol.write(ext, lay, [(0, 4096)], payload))
 
         def boom(self, values):
             raise RuntimeError("assemble")
@@ -219,17 +219,17 @@ class TestCallbackOps:
         with monkeypatch.context() as m:
             m.setattr(ExtentPlan, "assemble", boom)
             with pytest.raises(RuntimeError, match="assemble"):
-                env.run(vol.read(ext, lay, 0, 4096))
+                env.run(vol.read(ext, lay, [(0, 4096)]))
             caught = []
 
             def waiter():
                 try:
-                    yield vol.read_many(ext, lay, [(0, 512), (1024, 512)])
+                    yield vol.read(ext, lay, [(0, 512), (1024, 512)])
                 except RuntimeError as exc:
                     caught.append(str(exc))
 
             env.run(env.process(waiter()))
             assert caught == ["assemble"]
         # the devices still serve, and the environment still runs
-        assert np.array_equal(env.run(vol.read(ext, lay, 0, 4096)), payload)
-        assert env.run(vol.write(ext, lay, 100, b"abc")) == 3
+        assert np.array_equal(env.run(vol.read(ext, lay, [(0, 4096)])), payload)
+        assert env.run(vol.write(ext, lay, [(100, 3)], b"abc")) == 3

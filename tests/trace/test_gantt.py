@@ -68,7 +68,7 @@ class TestDeviceGantt:
         ext = vol.allocate(lay, 3 * 512)
 
         def proc():
-            yield vol.write(ext, lay, 0, np.zeros(3 * 512, dtype=np.uint8))
+            yield vol.write(ext, lay, [(0, 3 * 512)], np.zeros(3 * 512, dtype=np.uint8))
 
         env.run(env.process(proc()))
         out = render_device_gantt(devices, width=24)
