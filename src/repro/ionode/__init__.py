@@ -17,7 +17,8 @@ simulated client/server architecture:
   ``ParallelFileSystem(..., io_nodes=...)`` installs.
 
 Every file organization (S/PS/IS/SS/GDA/PDA) runs unchanged over either
-path; ``benchmarks/bench_io_nodes.py`` measures the trade.
+path; the ``x6_io_nodes`` claim in ``benchmarks/claims/`` measures the
+trade.
 """
 
 from .aggregator import ReadPlan, Run, WriteOp, coalesce, plan_reads, plan_writes

@@ -6,8 +6,8 @@ synchronous — correctness is proved by the crash-point harness. What a
 FIFO inbox, each operation costs ``op_time`` simulated seconds, and
 requests to different shards proceed in parallel. A 1-shard
 :class:`MetaServer` is exactly the single-catalog FIFO bottleneck the
-open/create-storm benchmark (``benchmarks/bench_metadata.py``) compares
-against; with *k* shards the storm fans out *k* ways.
+open/create-storm claim (``x4_metadata_storm`` in ``benchmarks/claims/``)
+compares against; with *k* shards the storm fans out *k* ways.
 
 Crash handling mirrors the I/O-node failover design
 (:mod:`repro.resilience.failover`): an :class:`~repro.metastore.crash.

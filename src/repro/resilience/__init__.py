@@ -14,7 +14,7 @@ system *serving* through the failure:
   quarantine of repeatedly failing nodes;
 * :class:`~repro.resilience.rebuild.HotSpareRebuilder` — background
   reconstruction of a failed device onto a spare, with a throttle knob
-  trading MTTR against foreground throughput (benchmark E10);
+  trading MTTR against foreground throughput (claim X7);
 * :class:`~repro.resilience.config.ResilienceConfig` — the single opt-in
   knob bag threaded through ``build_parallel_fs(..., resilience=...)``.
 """

@@ -24,8 +24,8 @@ against the simulator's oracle (the dead device's frozen media plus the
 journal, or the survivor's media), reported to the sanitizer, and only
 then patched into the volume, parity group, and owning I/O node. A
 ``rebuild_throttle`` of *t* sleeps ``t×`` each chunk's busy time, trading
-repair time (MTTR) against foreground interference — the knob benchmark
-E10 sweeps.
+repair time (MTTR) against foreground interference — the knob the
+``x7_rebuild_throttle`` claim sweeps.
 """
 
 from __future__ import annotations

@@ -12,7 +12,6 @@ from ..sim.engine import Environment
 if TYPE_CHECKING:  # pragma: no cover
     from ..container.verify import ContainerReport
     from ..ionode.routing import IONodeCluster
-    from ..metastore.service import MetadataService
     from ..qos.manager import QoSManager
     from ..resilience.volume import ResilientVolume
     from ..sanitize.access import AccessConflictDetector
@@ -29,8 +28,6 @@ __all__ = [
     "invariant_report",
     "resilience_report",
     "container_report",
-    "metastore_report",
-    "dataset_server_report",
 ]
 
 
@@ -276,69 +273,3 @@ def container_report(report: "ContainerReport") -> str:
         )
         rows.append(f"  scan resilience activity: {deltas}")
     return "\n".join(rows)
-
-
-def metastore_report(service: "MetadataService") -> list[str]:
-    """Render the sharded metadata service: per-shard directory/journal
-    occupancy, lease epochs, failover counts, then the lifetime
-    operation counters and any live invariant findings."""
-    d = service.to_dict()
-    rows = [
-        f"{'shard':>5s} {'entries':>8s} {'extents':>8s} {'journal':>8s} "
-        f"{'epoch':>6s} {'home':>5s} {'failovers':>9s}"
-    ]
-    for s in d["shards"]:
-        home = "-" if s["home_node"] is None else str(s["home_node"])
-        rows.append(
-            f"{s['index']:>5d} {s['entries']:>8d} {s['extents']:>8d} "
-            f"{s['journal']:>8d} {s['epoch']:>6d} {home:>5s} "
-            f"{s['failovers']:>9d}"
-        )
-    c = d["counters"]
-    rows.append(
-        f"ops: {c['creates']} created, {c['deletes']} deleted, "
-        f"{c['renames']} renamed, {c['extends']} extended, "
-        f"{c['lookups']} lookups"
-    )
-    rows.append(
-        f"repair: {c['recoveries']} transaction(s) replayed, "
-        f"{c['shard_failovers']} shard failover(s)"
-    )
-    findings = service.check_invariants()
-    if findings:
-        rows.append(f"{len(findings)} namespace invariant finding(s):")
-        rows.extend("  " + f.row() for f in findings)
-    else:
-        rows.append("namespace invariants: clean")
-    return rows
-
-
-def dataset_server_report(stats: dict) -> list[str]:
-    """Render a :meth:`~repro.live.server.DatasetServer.stats` dict:
-    the server totals, then one row per tenant with its admission state
-    (rate/burst, throttle count, total admission wait)."""
-    rows = [
-        f"uptime {stats['uptime_s']:.3f}s  "
-        f"{stats['connections_total']} connection(s), "
-        f"{stats['requests_total']} request(s), "
-        f"{stats['errors_total']} error(s), "
-        f"{stats['protocol_errors']} protocol error(s)"
-    ]
-    if stats.get("datasets_open"):
-        rows.append("open datasets: " + ", ".join(stats["datasets_open"]))
-    rows.append(
-        f"{'tenant':<12s} {'reqs':>6s} {'errs':>5s} {'read MB':>9s} "
-        f"{'write MB':>9s} {'rate MB/s':>10s} {'throttled':>9s} "
-        f"{'wait s':>8s}"
-    )
-    for name, t in stats.get("tenants", {}).items():
-        rate = (
-            f"{t['rate'] / 1e6:.2f}" if "rate" in t else "-"
-        )
-        throttled = str(t.get("throttled_grants", "-"))
-        rows.append(
-            f"{name:<12s} {t['requests']:>6d} {t['errors']:>5d} "
-            f"{t['bytes_read'] / 1e6:>9.3f} {t['bytes_written'] / 1e6:>9.3f} "
-            f"{rate:>10s} {throttled:>9s} {t['admission_wait_s']:>8.3f}"
-        )
-    return rows
