@@ -1,4 +1,5 @@
-"""Cross-backend behaviour matrix for the global view and the six handle kinds.
+"""Cross-backend behaviour matrix for the global view, the six handle kinds
+and file-view I/O.
 
 One scripted operation sequence per kind runs through the simulator's
 generator handles and the live backend's plain-call handles. After every
@@ -6,7 +7,9 @@ operation the two must agree on the return value (or the exception type)
 and on the handle's observable state: ``position``, ``eof`` and
 ``remaining`` wherever the handle has them. The scripts include the error
 paths: an exhausted partition, a foreign PDA block, a span outside the
-file, a wrong block size, SS exhaustion and ``session.validate()``.
+file, a wrong block size, SS exhaustion and ``session.validate()``. The
+view scripts run ``read_view``/``write_view`` with sieving off and on and
+then compare the media bytes of both files.
 """
 
 import inspect
@@ -16,8 +19,9 @@ import pytest
 
 from repro import build_parallel_fs
 from repro.fs import SSSession
+from repro.datatype import IndexedView, StridedView
 from repro.live import LiveParallelFileSystem
-from repro.sim import Environment
+from repro.sim import Environment, Event
 
 N = 16
 STATE = ("position", "eof", "remaining")
@@ -41,12 +45,15 @@ class SimBackend:
 
     def call(self, fn, *args, **kw):
         out = fn(*args, **kw)
-        if not inspect.isgenerator(out):
+        if not (inspect.isgenerator(out) or isinstance(out, Event)):
             return out
         box = {}
 
         def body():
-            box["out"] = yield from out
+            if isinstance(out, Event):
+                box["out"] = yield out
+            else:
+                box["out"] = yield from out
 
         self.env.run(self.env.process(body()))
         return box["out"]
@@ -93,14 +100,16 @@ def replay(tmp_path, org, script, **create_kw):
     A step ``("open", name, process, options)`` opens an internal view
     (``options["session"] = True`` passes the file's SS session); any other
     step is ``(target, method, *args)`` on a handle opened earlier, on the
-    global view (``"global"``) or on the SS session (``"session"``).
+    global view (``"global"``), on the file itself (``"file"``) or on the
+    SS session (``"session"``); a trailing dict in ``args`` is passed as
+    keyword arguments.
     Returns the outcome kinds, for the scripts to check that their error
     paths really raised.
     """
     sides = []
     for backend in (SimBackend(tmp_path), LiveBackend(tmp_path)):
         f = backend.create(org, **create_kw)
-        objs = {"global": f.global_view()}
+        objs = {"global": f.global_view(), "file": f}
         if org == "SS":
             objs["session"] = backend.session(f)
         sides.append((backend, f, objs))
@@ -119,8 +128,9 @@ def replay(tmp_path, org, script, **create_kw):
                 target = objs.get(name)
             else:
                 target_name, method, *args = step
+                kw = args.pop() if args and isinstance(args[-1], dict) else {}
                 target = objs[target_name]
-                res = outcome(backend, getattr(target, method), *args)
+                res = outcome(backend, getattr(target, method), *args, **kw)
             got.append(res)
             states.append(state(target) if target is not None else {})
         (sim_kind, sim_val), (live_kind, live_val) = got
@@ -128,6 +138,11 @@ def replay(tmp_path, org, script, **create_kw):
         assert same(sim_val, live_val), (step, got)
         assert states[0] == states[1], (step, states)
         kinds.append(sim_kind)
+    media = [
+        backend.call(f.global_view().read_at, 0, N).tobytes()
+        for backend, f, _ in sides
+    ]
+    assert media[0] == media[1]
     sides[1][1].close()
     return kinds
 
@@ -230,3 +245,28 @@ def test_partitioned_direct(tmp_path):
         ("s0", "read_record", 0, 2),
     ], n_processes=2, records_per_block=2, assignment="interleaved")
     assert kinds.count("raise") == 4
+
+
+STRIDED = StridedView(1, 4, 2, 4)                       # 1,2 5,6 9,10 13,14
+INDEXED = IndexedView([(0, 1), (3, 2), (5, 1), (9, 3), (15, 1)])
+
+
+@pytest.mark.parametrize("view", [STRIDED, INDEXED], ids=["strided", "indexed"])
+@pytest.mark.parametrize("sieve", [
+    {},
+    {"sieve": True},
+    {"sieve": True, "sieve_factor": 8.0},
+    {"sieve": True, "sieve_window": 8},                 # one record
+], ids=["list", "sieve", "sieve-wide", "sieve-one-record"])
+def test_view_io(tmp_path, view, sieve):
+    n = len(view)
+    kinds = replay(tmp_path, "S", [
+        ("global", "write", rows(N)),
+        ("file", "read_view", view, sieve),
+        ("file", "write_view", rows(n, 100.0), view, sieve),
+        ("file", "read_view", view, sieve),
+        ("global", "read_at", 0, N),
+        ("file", "write_view", rows(n + 1), view, sieve),   # wrong count
+        ("file", "read_view", StridedView(8, 3, 2, 4), sieve),  # past EOF
+    ])
+    assert kinds.count("raise") == 2
