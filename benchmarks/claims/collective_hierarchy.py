@@ -73,8 +73,8 @@ def run_per_segment(n_records, p):
     start = env.now
 
     def worker(q):
-        for r in contiguous_runs(f.map.records_of(q)):
-            yield f.read_records(r.start, r.count)
+        for start, count in contiguous_runs(f.map.records_of(q)):
+            yield f.read_records(start, count)
 
     env.run(env.all_of([env.process(worker(q)) for q in range(p)]))
     return env.now - start
@@ -149,9 +149,9 @@ def check_write_identity(org, n_records, p):
 
     def writer(q):
         rows, pos = data[idx[q]], 0
-        for r in contiguous_runs(idx[q]):
-            yield f_i.write_records(r.start, rows[pos : pos + r.count])
-            pos += r.count
+        for start, count in contiguous_runs(idx[q]):
+            yield f_i.write_records(start, rows[pos : pos + count])
+            pos += count
 
     env_i.run(env_i.all_of([env_i.process(writer(q)) for q in range(p)]))
     return media_digest(f_c) == media_digest(f_i)

@@ -345,17 +345,13 @@ class CollectiveIO:
                 # previous on-media contents
                 holes = contiguous_runs(np.nonzero(~covered)[0] + lo)
                 if len(holes) == 1:
-                    fill = yield self.file.read_records(
-                        holes[0].start, holes[0].count
-                    )
+                    fill = yield self.file.read_records(*holes[0])
                 else:
-                    fill = yield self.file.read_gather(
-                        [(h.start, h.count) for h in holes]
-                    )
+                    fill = yield self.file.read_gather(holes)
                 pos = 0
-                for h in holes:
-                    buf[h.start - lo : h.stop - lo] = fill[pos : pos + h.count]
-                    pos += h.count
+                for start, count in holes:
+                    buf[start - lo : start - lo + count] = fill[pos : pos + count]
+                    pos += count
             yield self.file.write_records(lo, buf)
             return q
 

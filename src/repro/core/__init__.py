@@ -15,7 +15,7 @@ from .access import (
 )
 from .blocks import BlockSpec
 from .boundary import HaloCache, ReplicatedPartitioning
-from .convert import CopyStep, Run, alternate_view_runs, contiguous_runs, conversion_plan
+from .convert import alternate_view_runs, contiguous_runs, conversion_plan
 from .errors import (
     ExhaustedError,
     FileExistsError_,
@@ -48,8 +48,6 @@ __all__ = [
     "BlockSpec",
     "HaloCache",
     "ReplicatedPartitioning",
-    "CopyStep",
-    "Run",
     "alternate_view_runs",
     "contiguous_runs",
     "conversion_plan",

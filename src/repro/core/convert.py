@@ -11,13 +11,14 @@
 This module provides the pure planning layer:
 
 * :func:`contiguous_runs` — compress a record access sequence into maximal
-  contiguous runs. Runs are the currency of cost: each run is one
-  sequential transfer; run boundaries are seeks.
+  contiguous ``(start, count)`` runs. Runs are the currency of cost: each
+  run is one sequential transfer; run boundaries are seeks.
 * :func:`alternate_view_runs` — the per-process run structure when a file
   laid out for organization A is *accessed through* organization B's
   internal view (the degraded software-interface option).
-* :func:`conversion_plan` — the copy plan (src run -> dst run pairs) for
-  physically converting a file from one organization to another.
+* :func:`conversion_plan` — the copy plan (``(src_start, dst_start,
+  count)`` steps) for physically converting a file from one organization
+  to another.
 
 The executable halves (actually moving bytes, measuring times) live in
 ``repro.fs.convert`` and benchmark E10.
@@ -25,7 +26,6 @@ The executable halves (actually moving bytes, measuring times) live in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -33,26 +33,15 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover
     from .mapping import OrganizationMap
 
-__all__ = ["Run", "contiguous_runs", "alternate_view_runs", "conversion_plan", "CopyStep"]
+__all__ = ["contiguous_runs", "alternate_view_runs", "conversion_plan"]
 
 
-@dataclass(frozen=True)
-class Run:
-    """``count`` consecutive global records starting at ``start``."""
-
-    start: int
-    count: int
-
-    @property
-    def stop(self) -> int:
-        return self.start + self.count
-
-
-def contiguous_runs(records: np.ndarray) -> list[Run]:
-    """Maximal contiguous ascending runs in an access sequence.
+def contiguous_runs(records: np.ndarray) -> list[tuple[int, int]]:
+    """Maximal contiguous ascending ``(start, count)`` runs in an access
+    sequence.
 
     >>> contiguous_runs(np.array([4, 5, 6, 10, 11, 2]))
-    [Run(start=4, count=3), Run(start=10, count=2), Run(start=2, count=1)]
+    [(4, 3), (10, 2), (2, 1)]
     """
     records = np.asarray(records, dtype=np.int64)
     if records.size == 0:
@@ -60,14 +49,12 @@ def contiguous_runs(records: np.ndarray) -> list[Run]:
     breaks = np.nonzero(np.diff(records) != 1)[0] + 1
     starts = np.concatenate(([0], breaks))
     stops = np.concatenate((breaks, [records.size]))
-    return [
-        Run(int(records[a]), int(b - a)) for a, b in zip(starts, stops)
-    ]
+    return [(int(records[a]), int(b - a)) for a, b in zip(starts, stops)]
 
 
 def alternate_view_runs(
     desired: OrganizationMap, process: int
-) -> list[Run]:
+) -> list[tuple[int, int]]:
     """Run structure of ``process``'s accesses under the *desired* view.
 
     When the file's physical layout matches the desired organization, each
@@ -81,28 +68,19 @@ def alternate_view_runs(
     return contiguous_runs(desired.records_of(process))
 
 
-@dataclass(frozen=True)
-class CopyStep:
-    """Copy ``count`` records from global ``src_start`` to ``dst_start``
-    positions in the *converted* record ordering."""
-
-    src_start: int
-    dst_start: int
-    count: int
-
-
 def conversion_plan(
     src: OrganizationMap, dst: OrganizationMap
-) -> list[CopyStep]:
+) -> list[tuple[int, int, int]]:
     """Plan a physical conversion between two static organizations.
 
     Both maps must describe the same record population. The physical
     record order of a static organization is the concatenation of each
     process's access sequence (process 0's records, then process 1's...),
     which is how the clustered/interleaved layouts place data on devices.
-    The plan copies between the two orderings in maximal contiguous steps;
-    ``len(plan)`` is the number of distinct transfers (seek cost) and the
-    summed counts always equal ``n_records``.
+    The plan copies between the two orderings in maximal contiguous
+    ``(src_start, dst_start, count)`` steps, positions in the two
+    physical orders; ``len(plan)`` is the number of distinct transfers
+    (seek cost) and the summed counts always equal ``n_records``.
     """
     if src.n_records != dst.n_records:
         raise ValueError(
@@ -128,19 +106,13 @@ def conversion_plan(
     # for each destination slot, the source slot it reads from
     src_slot_for_dst = src_pos[dst_order]
 
-    steps: list[CopyStep] = []
+    steps: list[tuple[int, int, int]] = []
     i = 0
     n = len(src_slot_for_dst)
     while i < n:
         j = i + 1
         while j < n and src_slot_for_dst[j] == src_slot_for_dst[j - 1] + 1:
             j += 1
-        steps.append(
-            CopyStep(
-                src_start=int(src_slot_for_dst[i]),
-                dst_start=i,
-                count=j - i,
-            )
-        )
+        steps.append((int(src_slot_for_dst[i]), i, j - i))
         i = j
     return steps

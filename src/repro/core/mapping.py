@@ -139,7 +139,7 @@ class OrganizationMap(ABC):
         """
         self._check_local(local, count)
         recs = self.records_of(process)
-        return [(r.start, r.count) for r in contiguous_runs(recs[local:local + count])]
+        return contiguous_runs(recs[local:local + count])
 
     @staticmethod
     def _check_local(local: int, count: int) -> None:

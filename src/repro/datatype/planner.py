@@ -6,9 +6,9 @@ covering-extent read planning, scatter, and read-modify-write window
 packing were welded to simulated processes. The live backend
 (``repro.live``) and the dataset layer (``repro.dataset``) need the same
 decisions against real file descriptors, so the planning now lives here
-as pure functions over record runs:
+as pure functions over ``(start, count)`` record runs:
 
-* :func:`check_view_runs` — flatten a view and bounds-check it against a
+* :func:`check_view_runs` — a view's runs, bounds-checked against a
   file's record count;
 * :func:`plan_view_read` — decide the access mode (empty / contiguous /
   list I/O / sieved) and, for sieving, the covering extents plus the
@@ -19,11 +19,20 @@ as pure functions over record runs:
   plan (for writes, the value count check too) that both backends'
   ``read_view``/``write_view`` run before their I/O.
 
+The sieve arithmetic is the I/O-node aggregator's
+(:mod:`repro.ionode.aggregator`): the ``plan_reads`` / ``plan_rmw`` logic
+Crockett's dedicated I/O processors apply to *batches of requests*
+applies unchanged to one client's *noncontiguous pattern*, counted in
+records instead of bytes. Only ``sieve_window`` stays byte-denominated
+(it bounds a real buffer) and is converted with the record size.
+
 Executors differ only in *how* they move bytes: the simulator yields
 device processes, the live backend calls ``os.pread``/``os.pwrite``.
 Neither re-derives a single planning decision — that is the invariant
 the dataset identity tests pin (sim and live media bytes agree because
-both executed the same plan).
+both executed the same plan). An RMW window rewrites *hole* records it
+only read, so both executors serialize windows through a per-file sieve
+lock.
 """
 
 from __future__ import annotations
@@ -33,12 +42,11 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.convert import Run
-from .sieve import (
+from ..ionode.aggregator import (
     DEFAULT_SIEVE_FACTOR,
     DEFAULT_SIEVE_WINDOW,
-    plan_sieved_reads,
-    plan_sieved_writes,
+    plan_reads,
+    plan_rmw,
 )
 from .views import FileView
 
@@ -59,49 +67,54 @@ MODE_LIST = "list"              # many runs: one list-I/O submission
 MODE_SIEVED = "sieved"          # covering extents (read) / RMW windows (write)
 
 
-def check_view_runs(view: FileView, n_records: int) -> list[Run]:
-    """Flatten ``view`` and bounds-check it against ``n_records``.
+def check_view_runs(view: FileView, n_records: int) -> list[tuple[int, int]]:
+    """``view``'s runs, bounds-checked against ``n_records``.
 
-    Returns the maximal contiguous record runs; raises ``ValueError``
-    (the historical :meth:`ParallelFile.read_view` contract) when the
-    view extends past the file.
+    Returns the maximal contiguous ``(start, count)`` record runs; raises
+    ``ValueError`` (the historical :meth:`ParallelFile.read_view`
+    contract) when the view extends past the file.
     """
-    runs = view.flatten()
-    if runs and runs[-1].stop > n_records:
+    lo, hi = view.extent
+    if hi > n_records:
         raise ValueError(
-            f"view extent [{runs[0].start}, {runs[-1].stop}) outside file "
-            f"of {n_records} records"
+            f"view extent [{lo}, {hi}) outside file of {n_records} records"
         )
-    return runs
+    return view.runs()
+
+
+def _window_records(sieve_window: int, record_size: int) -> int:
+    """The byte-denominated ``sieve_window`` in whole records (at least one)."""
+    if sieve_window < 1:
+        raise ValueError("sieve_window must be >= 1 byte")
+    return max(1, sieve_window // record_size)
 
 
 @dataclass(frozen=True)
 class ViewReadPlan:
     """How to read a view: the mode, and the sieve geometry if any.
 
-    ``covering`` holds the covering extents of a sieved read as record
-    runs (``offset`` / ``nbytes`` counted in records, the
-    :mod:`repro.ionode.aggregator` convention). The executor reads each
-    covering extent, then calls :meth:`scatter` to assemble the wanted
-    records in view order.
+    ``covering`` holds the covering extents of a sieved read as
+    ``(start, count)`` record runs. The executor reads each covering
+    extent, then calls :meth:`scatter` to assemble the wanted records in
+    view order.
     """
 
     mode: str
-    runs: tuple[Run, ...]
-    covering: tuple = ()
+    runs: tuple[tuple[int, int], ...]
+    covering: tuple[tuple[int, int], ...] = ()
 
     @property
     def n_view_records(self) -> int:
-        return sum(r.count for r in self.runs)
+        return sum(c for _, c in self.runs)
 
     def split(self, cat: np.ndarray) -> list[np.ndarray]:
         """Slice one concatenated covering-extent read back into
         per-extent record arrays (list-I/O executors return the
         extents' records concatenated in submission order)."""
         out, pos = [], 0
-        for c in self.covering:
-            out.append(cat[pos : pos + c.nbytes])
-            pos += c.nbytes
+        for _, n in self.covering:
+            out.append(cat[pos : pos + n])
+            pos += n
         return out
 
     def scatter(self, datas: Sequence[np.ndarray]) -> np.ndarray:
@@ -111,12 +124,12 @@ class ViewReadPlan:
             (self.n_view_records,) + first.shape[1:], dtype=first.dtype
         )
         ci = pos = 0
-        for run in self.runs:
-            while run.start >= self.covering[ci].end:
+        for start, count in self.runs:
+            while start >= sum(self.covering[ci]):
                 ci += 1
-            rel = run.start - self.covering[ci].offset
-            out[pos : pos + run.count] = datas[ci][rel : rel + run.count]
-            pos += run.count
+            rel = start - self.covering[ci][0]
+            out[pos : pos + count] = datas[ci][rel : rel + count]
+            pos += count
         return out
 
 
@@ -124,33 +137,34 @@ class ViewReadPlan:
 class ViewWritePlan:
     """How to write a view: the mode, and the RMW windows if sieved.
 
-    ``windows`` is a tuple of ``(window, pieces)`` pairs in record units
-    (see :func:`repro.ionode.aggregator.plan_rmw`); ``row_of`` maps each
-    run's first record to its row position in the view-order payload.
+    ``windows`` is a tuple of ``(window, pieces)`` pairs of
+    ``(start, count)`` record runs (see
+    :func:`repro.ionode.aggregator.plan_rmw`); ``row_of`` maps each run's
+    first record to its row position in the view-order payload.
     """
 
     mode: str
-    runs: tuple[Run, ...]
+    runs: tuple[tuple[int, int], ...]
     windows: tuple = ()
 
     @property
     def n_view_records(self) -> int:
-        return sum(r.count for r in self.runs)
+        return sum(c for _, c in self.runs)
 
     @property
     def row_of(self) -> dict[int, int]:
         """Row position of each run's records in the view-order payload."""
         out, pos = {}, 0
-        for r in self.runs:
-            out[r.start] = pos
-            pos += r.count
+        for start, count in self.runs:
+            out[start] = pos
+            pos += count
         return out
 
     @staticmethod
     def is_whole_window(window, pieces) -> bool:
         """True when the pieces cover the window exactly — a pure
         overwrite needing no read-modify-write (and no lock)."""
-        return len(pieces) == 1 and pieces[0].nbytes == window.nbytes
+        return len(pieces) == 1 and pieces[0] == window
 
     def overlay(self, window, pieces, buf: np.ndarray, decoded: np.ndarray) -> np.ndarray:
         """A copy of the window's records with the wanted rows applied.
@@ -161,22 +175,22 @@ class ViewWritePlan:
         """
         row_of = self.row_of
         out = np.array(buf, copy=True)
-        for p in pieces:
-            rel = p.offset - window.offset
-            start = row_of[p.offset]
-            out[rel : rel + p.nbytes] = decoded[start : start + p.nbytes]
+        for start, count in pieces:
+            rel = start - window[0]
+            row = row_of[start]
+            out[rel : rel + count] = decoded[row : row + count]
         return out
 
 
 def plan_view_read(
-    runs: Sequence[Run],
+    runs: Sequence[tuple[int, int]],
     record_size: int = 1,
     *,
     sieve: bool = False,
     sieve_factor: float = DEFAULT_SIEVE_FACTOR,
     sieve_window: int = DEFAULT_SIEVE_WINDOW,
 ) -> ViewReadPlan:
-    """Plan a view read over flattened record ``runs``.
+    """Plan a view read over a view's ``(start, count)`` record ``runs``.
 
     Single-run views are one contiguous transfer regardless of ``sieve``;
     multi-run views become list I/O, or covering-extent sieved reads when
@@ -190,21 +204,22 @@ def plan_view_read(
         return ViewReadPlan(MODE_CONTIGUOUS, runs)
     if not sieve:
         return ViewReadPlan(MODE_LIST, runs)
-    plan = plan_sieved_reads(
-        runs, record_size, sieve_factor=sieve_factor, sieve_window=sieve_window
+    plan = plan_reads(
+        runs, sieve=True, sieve_factor=sieve_factor,
+        sieve_window=_window_records(sieve_window, record_size),
     )
-    return ViewReadPlan(MODE_SIEVED, runs, covering=tuple(plan.reads))
+    return ViewReadPlan(MODE_SIEVED, runs, covering=plan.reads)
 
 
 def plan_view_write(
-    runs: Sequence[Run],
+    runs: Sequence[tuple[int, int]],
     record_size: int = 1,
     *,
     sieve: bool = False,
     sieve_factor: float = DEFAULT_SIEVE_FACTOR,
     sieve_window: int = DEFAULT_SIEVE_WINDOW,
 ) -> ViewWritePlan:
-    """Plan a view write over flattened record ``runs`` (see
+    """Plan a view write over a view's record ``runs`` (see
     :func:`plan_view_read`; sieved writes become RMW windows)."""
     runs = tuple(runs)
     if not runs:
@@ -213,13 +228,11 @@ def plan_view_write(
         return ViewWritePlan(MODE_CONTIGUOUS, runs)
     if not sieve:
         return ViewWritePlan(MODE_LIST, runs)
-    windows = plan_sieved_writes(
-        runs, record_size, sieve_factor=sieve_factor, sieve_window=sieve_window
+    windows = plan_rmw(
+        runs, sieve_factor=sieve_factor,
+        sieve_window=_window_records(sieve_window, record_size),
     )
-    return ViewWritePlan(
-        MODE_SIEVED, runs,
-        windows=tuple((w, tuple(ps)) for w, ps in windows),
-    )
+    return ViewWritePlan(MODE_SIEVED, runs, windows=tuple(windows))
 
 
 def prepare_view_read(view: FileView, n_records: int, record_size: int, **sieve) -> ViewReadPlan:

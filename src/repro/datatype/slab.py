@@ -156,10 +156,8 @@ def slab_to_view(
         if count[d] == 1:
             continue
         if isinstance(view, ContiguousView):
-            run = view.runs()[0]
-            view = StridedView(
-                run.start, count[d], run.count, strides[d] * scale
-            )
+            first, n = view.runs()[0]
+            view = StridedView(first, count[d], n, strides[d] * scale)
         else:
             view = NestedStridedView(view, count[d], strides[d] * scale)
     return view

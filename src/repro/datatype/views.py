@@ -17,24 +17,25 @@ paper's parallel files:
 * :func:`view_of_map` — the internal view of one process of an
   organization map, as a view object.
 
-A view is immutable and purely arithmetic. Its :meth:`~FileView.flatten`
-output — maximal contiguous record runs, ascending — is the interchange
-currency: :meth:`ParallelFile.read_view <repro.fs.pfs.ParallelFile.read_view>`
-feeds it to the extent-batched list-I/O path (``read_gather`` /
-``write_gather``) or to the data-sieving planner (`repro.datatype.sieve`).
+A view is immutable and purely arithmetic. Its :meth:`~FileView.runs` —
+maximal contiguous ``(start, count)`` record runs, ascending — is the
+interchange currency: :meth:`ParallelFile.read_view
+<repro.fs.pfs.ParallelFile.read_view>` feeds it to the extent-batched
+list-I/O path (``read_gather`` / ``write_gather``) or to the data-sieving
+planner (:mod:`repro.datatype.planner`).
 
 Views must be *monotonic*: runs strictly ascending and non-overlapping
-(the MPI-IO file-view rule). Construction validates this eagerly.
+(the MPI-IO file-view rule). Construction validates this once and merges
+adjacent runs once.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from ..core.convert import Run, contiguous_runs
+from ..core.convert import contiguous_runs
 from ..core.mapping import OrganizationMap
 
 __all__ = [
@@ -47,66 +48,64 @@ __all__ = [
 ]
 
 
-def _validate_runs(runs: Sequence[Run]) -> None:
-    prev_stop = None
-    for r in runs:
-        if r.start < 0 or r.count < 1:
-            raise ValueError(f"invalid run ({r.start}, {r.count})")
-        if prev_stop is not None and r.start < prev_stop:
-            raise ValueError(
-                f"view runs must be ascending and non-overlapping: run at "
-                f"{r.start} begins before previous run ends at {prev_stop}"
-            )
-        prev_stop = r.stop
+class FileView:
+    """A monotonic selection of file records, described as a pattern.
 
+    Every view is its list of ``(start, count)`` record runs, validated
+    and with adjacent runs merged at construction.
+    """
 
-def _merge_adjacent(runs: Sequence[Run]) -> list[Run]:
-    out: list[Run] = []
-    for r in runs:
-        if out and r.start == out[-1].stop:
-            out[-1] = Run(out[-1].start, out[-1].count + r.count)
-        else:
-            out.append(r)
-    return out
+    def __init__(self, runs: Iterable[tuple[int, int]]):
+        merged: list[tuple[int, int]] = []
+        stop = None
+        for start, count in runs:
+            if start < 0 or count < 1:
+                raise ValueError(f"invalid run ({start}, {count})")
+            if stop is not None and start < stop:
+                raise ValueError(
+                    f"view runs must be ascending and non-overlapping: run at "
+                    f"{start} begins before previous run ends at {stop}"
+                )
+            if start == stop:
+                merged[-1] = (merged[-1][0], merged[-1][1] + count)
+            else:
+                merged.append((start, count))
+            stop = start + count
+        self._runs = merged
 
+    def runs(self) -> list[tuple[int, int]]:
+        """The selected records as maximal contiguous ``(start, count)``
+        runs, ascending."""
+        return list(self._runs)
 
-class FileView(ABC):
-    """A monotonic selection of file records, described as a pattern."""
-
-    @abstractmethod
-    def runs(self) -> list[Run]:
-        """The selected records as ascending, non-overlapping record runs."""
-
-    def flatten(self) -> list[Run]:
-        """Maximal contiguous runs (adjacent runs merged) — the list-I/O
-        form of the view, suitable for ``read_gather``/``write_gather``."""
-        return _merge_adjacent(self.runs())
+    def flatten(self) -> list[tuple[int, int]]:
+        """The list-I/O form of the view, suitable for
+        ``read_gather``/``write_gather``: the same runs as :meth:`runs`."""
+        return self.runs()
 
     @property
     def n_view_records(self) -> int:
         """Number of records the view selects."""
-        return sum(r.count for r in self.runs())
+        return sum(c for _, c in self._runs)
 
     @property
     def extent(self) -> tuple[int, int]:
         """Half-open global record range ``[lo, hi)`` spanned by the view."""
-        runs = self.runs()
-        if not runs:
+        if not self._runs:
             return (0, 0)
-        return (runs[0].start, runs[-1].stop)
+        return (self._runs[0][0], sum(self._runs[-1]))
 
     def indices(self) -> np.ndarray:
         """All selected global record indices, ascending."""
-        runs = self.runs()
-        if not runs:
+        if not self._runs:
             return np.empty(0, dtype=np.int64)
         return np.concatenate(
-            [np.arange(r.start, r.stop, dtype=np.int64) for r in runs]
+            [np.arange(s, s + c, dtype=np.int64) for s, c in self._runs]
         )
 
     def byte_ranges(self, record_size: int) -> list[tuple[int, int]]:
         """The view's runs as ``(byte_offset, nbytes)`` ranges."""
-        return [(r.start * record_size, r.count * record_size) for r in self.flatten()]
+        return [(s * record_size, c * record_size) for s, c in self._runs]
 
     def __len__(self) -> int:
         return self.n_view_records
@@ -123,11 +122,7 @@ class ContiguousView(FileView):
     """``count`` consecutive records starting at ``start``."""
 
     def __init__(self, start: int, count: int):
-        self._runs = [Run(start, count)]
-        _validate_runs(self._runs)
-
-    def runs(self) -> list[Run]:
-        return list(self._runs)
+        super().__init__([(start, count)])
 
 
 class StridedView(FileView):
@@ -150,13 +145,9 @@ class StridedView(FileView):
         self.n_segments = n_segments
         self.seg_records = seg_records
         self.stride = stride
-        self._runs = [
-            Run(start + i * stride, seg_records) for i in range(n_segments)
-        ]
-        _validate_runs(self._runs)
-
-    def runs(self) -> list[Run]:
-        return list(self._runs)
+        super().__init__(
+            (start + i * stride, seg_records) for i in range(n_segments)
+        )
 
 
 class NestedStridedView(FileView):
@@ -181,26 +172,16 @@ class NestedStridedView(FileView):
         self.inner = inner
         self.count = count
         self.stride = stride
-        self._runs = [
-            Run(r.start + i * stride, r.count)
-            for i in range(count)
-            for r in inner.runs()
-        ]
-        _validate_runs(self._runs)
-
-    def runs(self) -> list[Run]:
-        return list(self._runs)
+        super().__init__(
+            (s + i * stride, c) for i in range(count) for s, c in inner.runs()
+        )
 
 
 class IndexedView(FileView):
     """An explicit ascending list of ``(start, count)`` record runs."""
 
-    def __init__(self, entries: Iterable[tuple[int, int] | Run]):
-        self._runs = [
-            e if isinstance(e, Run) else Run(int(e[0]), int(e[1]))
-            for e in entries
-        ]
-        _validate_runs(self._runs)
+    def __init__(self, entries: Iterable[tuple[int, int]]):
+        super().__init__((int(s), int(c)) for s, c in entries)
 
     @classmethod
     def from_indices(cls, indices: np.ndarray) -> "IndexedView":
@@ -209,9 +190,6 @@ class IndexedView(FileView):
         if arr.size and np.any(np.diff(arr) <= 0):
             raise ValueError("indices must be strictly ascending")
         return cls(contiguous_runs(arr))
-
-    def runs(self) -> list[Run]:
-        return list(self._runs)
 
 
 def view_of_map(org_map: OrganizationMap, process: int) -> IndexedView:

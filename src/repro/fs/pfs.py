@@ -26,6 +26,7 @@ from ..core.errors import OrganizationError
 from ..core.handles import RecordFile
 from ..core.mapping import OrganizationMap
 from ..core.organizations import FileCategory, FileOrganization
+from ..ionode.aggregator import DEFAULT_SIEVE_FACTOR, DEFAULT_SIEVE_WINDOW
 from ..sim.engine import Environment, Event
 from ..storage.layout import (
     ClusteredLayout,
@@ -247,8 +248,8 @@ class ParallelFile(RecordFile):
         view: "FileView | None" = None,
         *,
         sieve: bool = False,
-        sieve_factor: float = 4.0,
-        sieve_window: int = 1 << 22,
+        sieve_factor: float = DEFAULT_SIEVE_FACTOR,
+        sieve_window: int = DEFAULT_SIEVE_WINDOW,
     ) -> Event:
         """Read the records a view selects; decoded rows in view order.
 
@@ -256,7 +257,7 @@ class ParallelFile(RecordFile):
         data plane as one :meth:`read_gather` submission (merged into
         multi-block device requests when ``batch_io`` is on). With
         ``sieve=True`` the runs are first planned into covering extents
-        (:mod:`repro.datatype.sieve`): fewer, larger transfers that also
+        (:mod:`repro.datatype.planner`): fewer, larger transfers that also
         fetch the holes, bounded by ``sieve_factor`` (span at most that
         multiple of the wanted payload) and ``sieve_window`` (span at most
         that many bytes).
@@ -276,8 +277,8 @@ class ParallelFile(RecordFile):
                 self._read_sieved(plan), name=f"{self.name}.sieveread"
             )
         if plan.mode == "contiguous":
-            return self.read_records(runs[0].start, runs[0].count)
-        return self.read_gather([(r.start, r.count) for r in runs])
+            return self.read_records(*runs[0])
+        return self.read_gather(runs)
 
     def write_view(
         self,
@@ -285,8 +286,8 @@ class ParallelFile(RecordFile):
         view: "FileView | None" = None,
         *,
         sieve: bool = False,
-        sieve_factor: float = 4.0,
-        sieve_window: int = 1 << 22,
+        sieve_factor: float = DEFAULT_SIEVE_FACTOR,
+        sieve_window: int = DEFAULT_SIEVE_WINDOW,
     ) -> Event:
         """Write ``values`` (rows in view order) to the view's records.
 
@@ -313,20 +314,17 @@ class ParallelFile(RecordFile):
                 self._write_sieved(plan, decoded), name=f"{self.name}.sievewrite"
             )
         if plan.mode == "contiguous":
-            op = self.write_records(runs[0].start, decoded)
+            op = self.write_records(runs[0][0], decoded)
         else:
-            op = self.write_gather([(r.start, r.count) for r in runs], decoded)
+            op = self.write_gather(runs, decoded)
         return self.env.then(op, lambda _: total)
 
     def _read_sieved(self, plan):
-        covering = plan.covering  # record-unit runs
+        covering = plan.covering
         if len(covering) == 1:
-            datas = [(yield self.read_records(covering[0].offset, covering[0].nbytes))]
+            datas = [(yield self.read_records(*covering[0]))]
         else:
-            cat = yield self.read_gather(
-                [(c.offset, c.nbytes) for c in covering]
-            )
-            datas = plan.split(cat)
+            datas = plan.split((yield self.read_gather(covering)))
         return plan.scatter(datas)
 
     def _sieve_lock(self):
@@ -343,17 +341,17 @@ class ParallelFile(RecordFile):
         row_of = plan.row_of
         lock = self._sieve_lock()
         for window, pieces in plan.windows:
+            start, count = window
             if plan.is_whole_window(window, pieces):
-                p0 = pieces[0]
-                start = row_of[p0.offset]
-                yield self.write_records(p0.offset, decoded[start : start + p0.nbytes])
+                row = row_of[start]
+                yield self.write_records(start, decoded[row : row + count])
                 continue
             # read-modify-write: atomic with respect to other sieved writers
             yield lock.acquire()
             try:
-                buf = yield self.read_records(window.offset, window.nbytes)
+                buf = yield self.read_records(start, count)
                 yield self.write_records(
-                    window.offset, plan.overlay(window, pieces, buf, decoded)
+                    start, plan.overlay(window, pieces, buf, decoded)
                 )
             finally:
                 lock.release()

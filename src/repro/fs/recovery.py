@@ -25,6 +25,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..storage.layout import plan_batch
+
 if TYPE_CHECKING:  # pragma: no cover
     from .pfs import ParallelFile
 
@@ -105,7 +107,7 @@ class DamageReport:
     file: str
     affected_bytes: int
     total_bytes: int
-    affected_records: list[tuple[int, int]]  # half-open global record runs
+    affected_records: list[tuple[int, int]]  # global (start, count) record runs
 
     @property
     def fraction(self) -> float:
@@ -141,10 +143,11 @@ def assess_damage(pfs, device_index: int) -> list[DamageReport]:
                 affected += seg_len
                 lo = seg_start // rs
                 hi = -(-(seg_start + seg_len) // rs)
-                if runs and runs[-1][1] >= lo:
-                    runs[-1] = (runs[-1][0], max(runs[-1][1], hi))
+                if runs and sum(runs[-1]) >= lo:
+                    start = runs[-1][0]
+                    runs[-1] = (start, max(sum(runs[-1]), hi) - start)
                 else:
-                    runs.append((lo, hi))
+                    runs.append((lo, hi - lo))
         reports.append(
             DamageReport(
                 file=name,
@@ -157,12 +160,15 @@ def assess_damage(pfs, device_index: int) -> list[DamageReport]:
 
 
 def _device_ranges(layout, file_bytes: int, device: int):
-    """Yield (file_offset, length) ranges of the file living on ``device``."""
-    pos = 0
-    for seg in layout.map_range(0, file_bytes):
-        if seg.device == device:
-            yield pos, seg.length
-        pos += seg.length
+    """Yield (file_offset, length) ranges of the file living on ``device``.
+
+    Without ``coalesce`` every request is one stripe unit or partition and
+    its ``pieces`` is its payload position, here its file offset.
+    """
+    plan = plan_batch(layout, [(0, file_bytes)], coalesce=False)
+    for dev, _, length, file_offset in plan.requests:
+        if dev == device:
+            yield file_offset, length
 
 
 def verify_file(file: "ParallelFile", expected: np.ndarray) -> bool:

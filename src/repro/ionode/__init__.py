@@ -21,7 +21,7 @@ path; the ``x6_io_nodes`` claim in ``benchmarks/claims/`` measures the
 trade.
 """
 
-from .aggregator import ReadPlan, Run, WriteOp, coalesce, plan_reads, plan_writes
+from .aggregator import ReadPlan, coalesce, plan_reads, plan_writes
 from .cache import ServerCache
 from .interconnect import Interconnect
 from .node import IONode, NodeRequest
@@ -29,8 +29,6 @@ from .routing import DeviceRouter, IONodeCluster, MediatedVolume
 
 __all__ = [
     "ReadPlan",
-    "Run",
-    "WriteOp",
     "coalesce",
     "plan_reads",
     "plan_writes",

@@ -13,8 +13,11 @@ optimizations apply (both later formalized for MPI-IO by Thakur et al.):
   for saved per-request positioning time.
 
 Everything in this module is pure planning arithmetic over
-``(offset, nbytes)`` ranges — no simulation state — so it is unit-testable
-without an engine and reusable by the node service loop.
+``(offset, nbytes)`` tuples — no simulation state — so it is unit-testable
+without an engine and reusable by the node service loop. The arithmetic
+has no unit of its own: the datatype planner
+(:mod:`repro.datatype.planner`) applies the same ``plan_reads`` /
+``plan_rmw`` to one client's ``(start, count)`` record runs.
 """
 
 from __future__ import annotations
@@ -27,41 +30,33 @@ import numpy as np
 from ..devices.controller import as_payload
 
 __all__ = [
-    "Run",
+    "DEFAULT_SIEVE_FACTOR",
+    "DEFAULT_SIEVE_WINDOW",
     "ReadPlan",
-    "WriteOp",
     "coalesce",
     "plan_reads",
     "plan_rmw",
     "plan_writes",
 ]
 
-
-@dataclass(frozen=True)
-class Run:
-    """One contiguous device byte range ``[offset, offset + nbytes)``."""
-
-    offset: int
-    nbytes: int
-
-    @property
-    def end(self) -> int:
-        """Past-the-end byte offset."""
-        return self.offset + self.nbytes
+#: covering span may exceed the wanted payload by at most this factor
+DEFAULT_SIEVE_FACTOR = 4.0
+#: covering span may not exceed this many bytes (the sieve buffer size)
+DEFAULT_SIEVE_WINDOW = 1 << 22
 
 
 @dataclass(frozen=True)
 class ReadPlan:
     """Device reads covering one batch of read ranges on one device.
 
-    ``reads`` is what the device is asked to do; ``payload_bytes`` is the
-    union of bytes the batch actually wants (after coalescing overlaps);
-    ``waste_bytes`` is the sieving surcharge — hole bytes transferred only
-    to avoid extra requests. Invariant: the total bytes read equals
-    ``payload_bytes + waste_bytes``.
+    ``reads`` is what the device is asked to do, as ``(offset, nbytes)``
+    runs; ``payload_bytes`` is the union of bytes the batch actually wants
+    (after coalescing overlaps); ``waste_bytes`` is the sieving surcharge
+    — hole bytes transferred only to avoid extra requests. Invariant: the
+    total bytes read equals ``payload_bytes + waste_bytes``.
     """
 
-    reads: tuple[Run, ...]
+    reads: tuple[tuple[int, int], ...]
     sieved: bool
     payload_bytes: int
     waste_bytes: int
@@ -69,42 +64,31 @@ class ReadPlan:
     @property
     def device_bytes(self) -> int:
         """Total bytes the plan transfers from the device."""
-        return sum(r.nbytes for r in self.reads)
+        return sum(n for _, n in self.reads)
 
 
-@dataclass(frozen=True)
-class WriteOp:
-    """One device write: ``data`` landing at byte ``offset``."""
-
-    offset: int
-    data: np.ndarray
-
-
-def coalesce(ranges: Sequence[tuple[int, int]]) -> list[Run]:
+def coalesce(ranges: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
     """Merge overlapping/adjacent ``(offset, nbytes)`` ranges into runs.
 
-    Returns maximal contiguous runs in ascending offset order; zero-length
-    ranges are dropped. Each input range is fully contained in exactly one
-    returned run.
+    Returns maximal contiguous ``(offset, nbytes)`` runs in ascending
+    offset order; zero-length ranges are dropped. Each input range is
+    fully contained in exactly one returned run.
     """
-    spans = sorted((off, off + n) for off, n in ranges if n > 0)
-    runs: list[Run] = []
-    for lo, hi in spans:
-        if runs and lo <= runs[-1].end:
-            last = runs[-1]
-            if hi > last.end:
-                runs[-1] = Run(last.offset, hi - last.offset)
+    merged: list[list[int]] = []
+    for lo, hi in sorted((off, off + n) for off, n in ranges if n > 0):
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
         else:
-            runs.append(Run(lo, hi - lo))
-    return runs
+            merged.append([lo, hi])
+    return [(lo, hi - lo) for lo, hi in merged]
 
 
 def plan_reads(
     ranges: Sequence[tuple[int, int]],
     *,
     sieve: bool = True,
-    sieve_factor: float = 4.0,
-    sieve_window: int = 1 << 22,
+    sieve_factor: float = DEFAULT_SIEVE_FACTOR,
+    sieve_window: int = DEFAULT_SIEVE_WINDOW,
 ) -> ReadPlan:
     """Plan the device reads serving one batch of read ranges.
 
@@ -118,22 +102,22 @@ def plan_reads(
     if sieve_factor < 1.0:
         raise ValueError("sieve_factor must be >= 1.0")
     runs = coalesce(ranges)
-    payload = sum(r.nbytes for r in runs)
+    payload = sum(n for _, n in runs)
     if len(runs) <= 1 or not sieve:
         return ReadPlan(tuple(runs), False, payload, 0)
-    span = runs[-1].end - runs[0].offset
+    lo = runs[0][0]
+    span = sum(runs[-1]) - lo
     if span <= sieve_factor * payload and span <= sieve_window:
-        covering = Run(runs[0].offset, span)
-        return ReadPlan((covering,), True, payload, span - payload)
+        return ReadPlan(((lo, span),), True, payload, span - payload)
     return ReadPlan(tuple(runs), False, payload, 0)
 
 
 def plan_rmw(
     ranges: Sequence[tuple[int, int]],
     *,
-    sieve_factor: float = 4.0,
-    sieve_window: int = 1 << 22,
-) -> list[tuple[Run, tuple[Run, ...]]]:
+    sieve_factor: float = DEFAULT_SIEVE_FACTOR,
+    sieve_window: int = DEFAULT_SIEVE_WINDOW,
+) -> list[tuple[tuple[int, int], tuple[tuple[int, int], ...]]]:
     """Group noncontiguous write ranges into read-modify-write windows.
 
     The write-side counterpart of :func:`plan_reads` (data sieving for
@@ -144,54 +128,55 @@ def plan_rmw(
     ``sieve_window`` and within ``sieve_factor`` times its wanted payload,
     the same knobs that bound read sieving's transfer surcharge.
 
-    Returns ``(window, pieces)`` pairs in ascending order. A window whose
-    single piece equals the window itself needs no RMW — the caller should
-    issue it as a plain write.
+    Returns ``(window, pieces)`` pairs in ascending order, every one an
+    ``(offset, nbytes)`` run. A window whose single piece equals the
+    window itself needs no RMW — the caller should issue it as a plain
+    write.
     """
     if sieve_factor < 1.0:
         raise ValueError("sieve_factor must be >= 1.0")
-    runs = coalesce(ranges)
-    out: list[tuple[Run, tuple[Run, ...]]] = []
-    cur: list[Run] = []
+    out: list[tuple[tuple[int, int], tuple[tuple[int, int], ...]]] = []
+    cur: list[tuple[int, int]] = []
     payload = 0
 
     def close() -> None:
         if cur:
-            window = Run(cur[0].offset, cur[-1].end - cur[0].offset)
-            out.append((window, tuple(cur)))
+            lo = cur[0][0]
+            out.append(((lo, sum(cur[-1]) - lo), tuple(cur)))
 
-    for r in runs:
+    for off, n in coalesce(ranges):
         if cur:
-            span = r.end - cur[0].offset
-            if span <= sieve_window and span <= sieve_factor * (payload + r.nbytes):
-                cur.append(r)
-                payload += r.nbytes
+            span = off + n - cur[0][0]
+            if span <= sieve_window and span <= sieve_factor * (payload + n):
+                cur.append((off, n))
+                payload += n
                 continue
             close()
-        cur = [r]
-        payload = r.nbytes
+        cur = [(off, n)]
+        payload = n
     close()
     return out
 
 
-def plan_writes(items: Sequence[tuple[int, Any]]) -> list[WriteOp]:
+def plan_writes(items: Sequence[tuple[int, Any]]) -> list[tuple[int, np.ndarray]]:
     """Plan the device writes for one batch of ``(offset, data)`` items.
 
-    Strictly adjacent writes merge into one transfer. Overlapping writes
-    within one batch are an application race (the access sanitizer flags
-    them); they are never merged — each is issued separately, in arrival
-    order, so the outcome stays the outcome of *some* serial order.
+    Returns ``(offset, data)`` pairs. Strictly adjacent writes merge into
+    one transfer. Overlapping writes within one batch are an application
+    race (the access sanitizer flags them); they are never merged — each
+    is issued separately, in arrival order, so the outcome stays the
+    outcome of *some* serial order.
     """
     arrs = [(off, as_payload(data)) for off, data in items]
     arrs = [(off, arr) for off, arr in arrs if arr.size]
     in_order = sorted(arrs, key=lambda t: t[0])
     for (lo_a, a), (lo_b, _) in zip(in_order, in_order[1:]):
         if lo_b < lo_a + len(a):  # overlap: no merging at all
-            return [WriteOp(off, arr) for off, arr in arrs]
-    ops: list[WriteOp] = []
+            return arrs
+    ops: list[tuple[int, np.ndarray]] = []
     for off, arr in in_order:
-        if ops and off == ops[-1].offset + len(ops[-1].data):
-            ops[-1] = WriteOp(ops[-1].offset, np.concatenate([ops[-1].data, arr]))
+        if ops and off == ops[-1][0] + len(ops[-1][1]):
+            ops[-1] = (ops[-1][0], np.concatenate([ops[-1][1], arr]))
         else:
-            ops.append(WriteOp(off, arr))
+            ops.append((off, arr))
     return ops

@@ -34,7 +34,7 @@ import numpy as np
 from ..sim.engine import Environment, Event, Interrupt
 from ..sim.resources import Store
 from ..sim.stats import PercentileTally, TimeWeighted, UtilizationTracker
-from .aggregator import plan_reads, plan_writes
+from .aggregator import DEFAULT_SIEVE_FACTOR, DEFAULT_SIEVE_WINDOW, plan_reads, plan_writes
 from .cache import ServerCache
 
 __all__ = ["IONode", "NodeRequest"]
@@ -119,8 +119,8 @@ class IONode:
         queue_depth: int = 16,
         batch_limit: int = 8,
         sieve: bool = True,
-        sieve_factor: float = 4.0,
-        sieve_window: int = 1 << 22,
+        sieve_factor: float = DEFAULT_SIEVE_FACTOR,
+        sieve_window: int = DEFAULT_SIEVE_WINDOW,
         cache_blocks: int = 0,
         cache_block_bytes: int = 4096,
     ):
@@ -434,25 +434,25 @@ class IONode:
             for (dev, offset, _), data in zip(req.items, req.data):
                 per_device.setdefault(dev, []).append((offset, data, req))
         for dev, triples in per_device.items():
-            ops = plan_writes([(off, data) for off, data, _ in triples])
-            for op in ops:
+            for at, payload in plan_writes([(off, data) for off, data, _ in triples]):
+                end = at + len(payload)
                 consumers = [
                     req
                     for off, data, req in triples
-                    if off >= op.offset and off + len(data) <= op.offset + len(op.data)
+                    if off >= at and off + len(data) <= end
                 ]
-                ev = self._issue(self.devices[dev].write(op.offset, op.data))
+                ev = self._issue(self.devices[dev].write(at, payload))
                 self.device_writes += 1
-                self.device_bytes_written += len(op.data)
+                self.device_bytes_written += len(payload)
                 jobs.append(
                     _Job(
                         kind="write",
                         device=dev,
-                        offset=op.offset,
-                        nbytes=len(op.data),
+                        offset=at,
+                        nbytes=len(payload),
                         guard=self.env.process(self._guard(ev)),
                         consumers=consumers,
-                        data=op.data,
+                        data=payload,
                     )
                 )
 
@@ -489,19 +489,19 @@ class IONode:
             self.sieve_waste_bytes += plan.waste_bytes
             if plan.sieved:
                 self.sieved_batches += 1
-            for run in plan.reads:
+            for at, n in plan.reads:
                 consumers = [
                     w
                     for w in wants
-                    if w.offset >= run.offset and w.offset + w.nbytes <= run.end
+                    if w.offset >= at and w.offset + w.nbytes <= at + n
                 ]
-                ev = self._issue(self.devices[dev].read(run.offset, run.nbytes))
+                ev = self._issue(self.devices[dev].read(at, n))
                 jobs.append(
                     _Job(
                         kind="read",
                         device=dev,
-                        offset=run.offset,
-                        nbytes=run.nbytes,
+                        offset=at,
+                        nbytes=n,
                         guard=self.env.process(self._guard(ev)),
                         consumers=consumers,
                     )

@@ -29,6 +29,7 @@ from ..core.handles import RecordFile
 from ..core.mapping import OrganizationMap
 from ..core.organizations import FileCategory, FileOrganization
 from ..fs.metadata import FileAttributes
+from ..ionode.aggregator import DEFAULT_SIEVE_FACTOR, DEFAULT_SIEVE_WINDOW
 from .handles import HANDLE_KINDS, LiveGlobalView, LiveSSSession
 
 __all__ = ["LiveParallelFileSystem", "LiveParallelFile"]
@@ -129,8 +130,8 @@ class LiveParallelFile(RecordFile):
         view,
         *,
         sieve: bool = False,
-        sieve_factor: float = 4.0,
-        sieve_window: int = 1 << 22,
+        sieve_factor: float = DEFAULT_SIEVE_FACTOR,
+        sieve_window: int = DEFAULT_SIEVE_WINDOW,
     ) -> np.ndarray:
         """Read the records a view selects; decoded rows in view order.
 
@@ -148,10 +149,8 @@ class LiveParallelFile(RecordFile):
         if plan.mode == "empty":
             return self.attrs.record_spec.decode(b"")
         if plan.mode == "sieved":
-            return plan.scatter(
-                [self.read_records(c.offset, c.nbytes) for c in plan.covering]
-            )
-        pieces = [self.read_records(r.start, r.count) for r in plan.runs]
+            return plan.scatter([self.read_records(*c) for c in plan.covering])
+        pieces = [self.read_records(*r) for r in plan.runs]
         return np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
 
     def write_view(
@@ -160,8 +159,8 @@ class LiveParallelFile(RecordFile):
         view,
         *,
         sieve: bool = False,
-        sieve_factor: float = 4.0,
-        sieve_window: int = 1 << 22,
+        sieve_factor: float = DEFAULT_SIEVE_FACTOR,
+        sieve_window: int = DEFAULT_SIEVE_WINDOW,
     ) -> int:
         """Write ``values`` (rows in view order) to the view's records.
 
@@ -179,21 +178,21 @@ class LiveParallelFile(RecordFile):
         )
         if plan.mode != "sieved":
             pos = 0
-            for r in plan.runs:
-                self.write_records(r.start, decoded[pos : pos + r.count])
-                pos += r.count
+            for start, count in plan.runs:
+                self.write_records(start, decoded[pos : pos + count])
+                pos += count
             return plan.n_view_records
         row_of = plan.row_of
         for window, pieces in plan.windows:
+            start, count = window
             if plan.is_whole_window(window, pieces):
-                p0 = pieces[0]
-                start = row_of[p0.offset]
-                self.write_records(p0.offset, decoded[start : start + p0.nbytes])
+                row = row_of[start]
+                self.write_records(start, decoded[row : row + count])
                 continue
             with self._sieve_lock:
-                buf = self.read_records(window.offset, window.nbytes)
+                buf = self.read_records(start, count)
                 self.write_records(
-                    window.offset, plan.overlay(window, pieces, buf, decoded)
+                    start, plan.overlay(window, pieces, buf, decoded)
                 )
         return plan.n_view_records
 

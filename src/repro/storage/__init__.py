@@ -6,7 +6,6 @@ from .layout import (
     DataLayout,
     ExtentPlan,
     InterleavedLayout,
-    Segment,
     StripedLayout,
     make_layout,
     plan_batch,
@@ -21,7 +20,6 @@ __all__ = [
     "DataLayout",
     "ExtentPlan",
     "InterleavedLayout",
-    "Segment",
     "StripedLayout",
     "make_layout",
     "plan_batch",

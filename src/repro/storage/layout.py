@@ -16,24 +16,21 @@
   devices than partitions, partitions wrap round-robin onto devices.
 
 A layout is pure arithmetic: it maps file byte ranges to
-``(device, device_offset, length)`` segments, with device offsets relative
-to the file's allocated extent on that device. :meth:`DataLayout.map_range`
-is the scalar form, one :class:`Segment` per stripe unit or partition in
-ascending file order; :func:`plan_batch` is what the data planes submit
-from, an :class:`ExtentPlan` of whole device requests computed without
-visiting the units one by one.
+``(device, device_offset, length)`` requests, with device offsets relative
+to the file's allocated extent on that device. :func:`plan_batch` computes
+them, an :class:`ExtentPlan` of whole device requests computed without
+visiting the units one by one; without ``coalesce`` it is one request per
+stripe unit or partition, in ascending file order.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from bisect import bisect_right
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "Segment",
     "ExtentPlan",
     "DataLayout",
     "StripedLayout",
@@ -42,15 +39,6 @@ __all__ = [
     "plan_batch",
     "make_layout",
 ]
-
-
-@dataclass(frozen=True)
-class Segment:
-    """``length`` file bytes living at ``offset`` on ``device`` (extent-relative)."""
-
-    device: int
-    offset: int
-    length: int
 
 
 def _strided(buf: np.ndarray, pos: int, length: int, count: int, stride: int) -> np.ndarray:
@@ -264,21 +252,8 @@ class DataLayout(ABC):
         """Layout family name ('striped', 'interleaved', 'clustered')."""
 
     @abstractmethod
-    def map_range(self, offset: int, length: int) -> list[Segment]:
-        """Decompose file bytes ``[offset, offset+length)`` into segments."""
-
-    @abstractmethod
     def device_bytes(self, file_bytes: int) -> list[int]:
         """Extent size each device must provide to hold ``file_bytes``."""
-
-    def locate(self, offset: int) -> tuple[int, int]:
-        """``(device, device_offset)`` of a single file byte."""
-        seg = self.map_range(offset, 1)[0]
-        return seg.device, seg.offset
-
-    def _check_range(self, offset: int, length: int) -> None:
-        if offset < 0 or length < 0:
-            raise ValueError(f"invalid range ({offset}, {length})")
 
 
 class StripedLayout(DataLayout):
@@ -297,26 +272,6 @@ class StripedLayout(DataLayout):
     @property
     def name(self) -> str:
         return "striped"
-
-    def map_range(self, offset: int, length: int) -> list[Segment]:
-        self._check_range(offset, length)
-        su, d = self.stripe_unit, self.n_devices
-        segments: list[Segment] = []
-        pos = offset
-        end = offset + length
-        while pos < end:
-            unit = pos // su
-            within = pos % su
-            take = min(su - within, end - pos)
-            segments.append(
-                Segment(
-                    device=unit % d,
-                    offset=(unit // d) * su + within,
-                    length=take,
-                )
-            )
-            pos += take
-        return segments
 
     def device_bytes(self, file_bytes: int) -> list[int]:
         if file_bytes < 0:
@@ -402,26 +357,6 @@ class ClusteredLayout(DataLayout):
             raise ValueError(
                 f"range ends at byte {end}, past the file's {self.total_bytes} bytes"
             )
-
-    def map_range(self, offset: int, length: int) -> list[Segment]:
-        self._check_range(offset, length)
-        self._check_file_end(offset + length)
-        segments: list[Segment] = []
-        pos = offset
-        end = offset + length
-        while pos < end:
-            # bisect skips the zero-length partitions starting at pos
-            p = bisect_right(self._file_starts, pos) - 1
-            take = min(self._file_starts[p + 1], end) - pos
-            segments.append(
-                Segment(
-                    device=p % self.n_devices,
-                    offset=self._dev_base[p] + pos - self._file_starts[p],
-                    length=take,
-                )
-            )
-            pos += take
-        return segments
 
     def device_bytes(self, file_bytes: int) -> list[int]:
         if file_bytes != self.total_bytes:

@@ -74,9 +74,9 @@ class TestByteIdentity:
             recs = f_i.map.records_of(q)
             rows = data[recs]
             pos = 0
-            for run in contiguous_runs(recs):
-                yield f_i.write_records(run.start, rows[pos : pos + run.count])
-                pos += run.count
+            for start, count in contiguous_runs(recs):
+                yield f_i.write_records(start, rows[pos : pos + count])
+                pos += count
 
         env_i.run(env_i.all_of([env_i.process(writer(q)) for q in range(4)]))
 

@@ -11,7 +11,6 @@ from repro.core import (
     InterleavedMap,
     PartitionedMap,
     RecordSpec,
-    Run,
     SequentialMap,
     alternate_view_runs,
     contiguous_runs,
@@ -28,11 +27,11 @@ class TestContiguousRuns:
         assert contiguous_runs(np.array([], dtype=np.int64)) == []
 
     def test_single_run(self):
-        assert contiguous_runs(np.arange(5)) == [Run(0, 5)]
+        assert contiguous_runs(np.arange(5)) == [(0, 5)]
 
     def test_docstring_example(self):
         runs = contiguous_runs(np.array([4, 5, 6, 10, 11, 2]))
-        assert runs == [Run(4, 3), Run(10, 2), Run(2, 1)]
+        assert runs == [(4, 3), (10, 2), (2, 1)]
 
     def test_descending_fragments_fully(self):
         runs = contiguous_runs(np.array([3, 2, 1]))
@@ -42,11 +41,12 @@ class TestContiguousRuns:
     def test_runs_reconstruct_sequence(self, xs):
         seq = np.array(xs, dtype=np.int64)
         runs = contiguous_runs(seq)
-        rebuilt = [r for run in runs for r in range(run.start, run.stop)]
+        rebuilt = [r for start, count in runs for r in range(start, start + count)]
         assert rebuilt == xs
 
     def test_run_stop(self):
-        assert Run(3, 4).stop == 7
+        [(start, count)] = contiguous_runs(np.arange(3, 7))
+        assert start + count == 7
 
 
 class TestAlternateViewRuns:
@@ -60,7 +60,7 @@ class TestAlternateViewRuns:
         for p in range(4):
             runs = alternate_view_runs(is_, p)
             assert len(runs) == 4          # one run per owned block
-            assert all(r.count == 4 for r in runs)
+            assert all(count == 4 for _, count in runs)
 
     def test_is_view_always_more_fragmented_than_ps(self):
         """The degraded-interface cost of consuming a file IS-wise: every
@@ -88,15 +88,15 @@ class TestConversionPlan:
         ps = PartitionedMap(bspec(4), 64, 4)
         plan = conversion_plan(ps, ps)
         assert len(plan) == 1
-        assert plan[0].count == 64
+        assert plan[0][2] == 64
 
     def test_ps_to_is_covers_all_records(self):
         ps = PartitionedMap(bspec(4), 64, 4)
         is_ = InterleavedMap(bspec(4), 64, 4)
         plan = conversion_plan(ps, is_)
-        assert sum(s.count for s in plan) == 64
+        assert sum(count for _, _, count in plan) == 64
         # destination slots covered exactly once, in order
-        dst = sorted((s.dst_start, s.count) for s in plan)
+        dst = sorted((dst_start, count) for _, dst_start, count in plan)
         pos = 0
         for start, count in dst:
             assert start == pos
@@ -108,7 +108,7 @@ class TestConversionPlan:
         plan = conversion_plan(ps, is_)
         # PS physical order == global order; IS scatters blocks, so each
         # step is exactly one block of 4 records.
-        assert all(s.count == 4 for s in plan)
+        assert all(count == 4 for _, _, count in plan)
         assert len(plan) == 16
 
     def test_s_to_ps_is_identity(self):
@@ -159,8 +159,8 @@ class TestConversionPlan:
             [dst.records_of(q) for q in range(p_dst)]
         )
         result = np.empty(n, dtype=np.int64)
-        for step in plan:
-            result[step.dst_start : step.dst_start + step.count] = src_order[
-                step.src_start : step.src_start + step.count
+        for src_start, dst_start, count in plan:
+            result[dst_start : dst_start + count] = src_order[
+                src_start : src_start + count
             ]
         assert np.array_equal(result, dst_order)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.datatype import plan_sieved_reads, plan_sieved_writes
+from repro.datatype import plan_view_read, plan_view_write
 from repro.datatype.views import StridedView
 from repro.ionode.aggregator import plan_rmw
 from repro.sim import Environment
@@ -42,12 +42,12 @@ def device_requests(f):
 class TestPlanRMW:
     def test_packs_close_runs_into_one_window(self):
         [(window, pieces)] = plan_rmw([(0, 4), (8, 4)], sieve_factor=4.0)
-        assert (window.offset, window.nbytes) == (0, 12)
-        assert [(p.offset, p.nbytes) for p in pieces] == [(0, 4), (8, 4)]
+        assert window == (0, 12)
+        assert list(pieces) == [(0, 4), (8, 4)]
 
     def test_factor_one_never_merges(self):
         windows = plan_rmw([(0, 4), (8, 4)], sieve_factor=1.0)
-        assert [(w.offset, w.nbytes) for w, _ in windows] == [(0, 4), (8, 4)]
+        assert [w for w, _ in windows] == [(0, 4), (8, 4)]
         for w, pieces in windows:
             assert len(pieces) == 1 and pieces[0] == w
 
@@ -55,25 +55,23 @@ class TestPlanRMW:
         windows = plan_rmw(
             [(0, 4), (8, 4), (100, 4)], sieve_factor=100.0, sieve_window=32
         )
-        assert [(w.offset, w.nbytes) for w, _ in windows] == [(0, 12), (100, 4)]
+        assert [w for w, _ in windows] == [(0, 12), (100, 4)]
 
     def test_adjacent_runs_coalesce_first(self):
         [(window, pieces)] = plan_rmw([(0, 4), (4, 4)], sieve_factor=1.0)
-        assert (window.offset, window.nbytes) == (0, 8)
+        assert window == (0, 8)
         assert len(pieces) == 1
 
     def test_invalid_factor(self):
         with pytest.raises(ValueError):
             plan_rmw([(0, 4)], sieve_factor=0.5)
 
-    def test_plan_sieved_wrappers_record_units(self):
-        from repro.core.convert import Run
-
-        runs = [Run(0, 2), Run(6, 2)]
-        plan = plan_sieved_reads(runs, 16, sieve_factor=4.0)
-        assert plan.sieved and plan.reads[0].nbytes == 8  # records, not bytes
-        windows = plan_sieved_writes(runs, 16, sieve_factor=4.0)
-        assert windows[0][0].nbytes == 8
+    def test_view_plans_record_units(self):
+        runs = [(0, 2), (6, 2)]
+        plan = plan_view_read(runs, 16, sieve=True, sieve_factor=4.0)
+        assert plan.covering == ((0, 8),)  # records, not bytes
+        plan = plan_view_write(runs, 16, sieve=True, sieve_factor=4.0)
+        assert plan.windows[0][0] == (0, 8)
 
 
 class TestSievedRead:

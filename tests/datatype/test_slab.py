@@ -71,7 +71,7 @@ class TestCompilation:
     def test_full_extent_is_one_contiguous_run(self):
         v = slab_to_view((4, 6), (0, 0), (4, 6))
         assert isinstance(v, ContiguousView)
-        assert v.runs()[0].start == 0 and v.runs()[0].count == 24
+        assert v.runs()[0] == (0, 24)
 
     def test_empty_slab_is_empty_indexed_view(self):
         v = slab_to_view((4, 6), (2, 3), (0, 2))
@@ -88,8 +88,7 @@ class TestCompilation:
 
     def test_rank0_scalar(self):
         v = slab_to_view((), (), (), base=100, scale=8)
-        runs = v.runs()
-        assert runs[0].start == 100 and runs[0].count == 8
+        assert v.runs()[0] == (100, 8)
 
     def test_scale_and_base_validation(self):
         with pytest.raises(OrganizationError, match="scale"):

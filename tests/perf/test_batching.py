@@ -15,6 +15,7 @@ import pytest
 from repro.buffering import BufferCache
 from repro.sim import Environment
 from repro.storage.layout import StripedLayout, plan_batch
+from tests.storage.test_plan_oracle import unit_segments
 
 
 def test_plan_batch_merges_striped_runs():
@@ -22,7 +23,7 @@ def test_plan_batch_merges_striped_runs():
     # Consecutive stripe units hit different devices, but each device's
     # two units ARE device-contiguous: one request per device.
     layout = StripedLayout(4, 8)
-    assert len(layout.map_range(0, 64)) == 8
+    assert len(unit_segments(layout, 0, 64)) == 8
     plan = plan_batch(layout, [(0, 64)], coalesce=True)
     # pieces are (payload position, length, count, stride) groups: device 0
     # carries payload bytes [0, 8) and [32, 40)
@@ -34,9 +35,7 @@ def test_plan_batch_merges_striped_runs():
     ]
     # without coalescing every stripe unit is a request of its own
     units = plan_batch(layout, [(0, 64)], coalesce=False)
-    assert [r[:3] for r in units.requests] == [
-        (s.device, s.offset, s.length) for s in layout.map_range(0, 64)
-    ]
+    assert [r[:3] for r in units.requests] == unit_segments(layout, 0, 64)
 
 
 def test_plan_batch_keeps_discontiguous_runs_apart():

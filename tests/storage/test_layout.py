@@ -12,43 +12,50 @@ from hypothesis import strategies as st
 from repro.storage import (
     ClusteredLayout,
     InterleavedLayout,
-    Segment,
     StripedLayout,
     make_layout,
+    plan_batch,
 )
 
 
+def units(layout, offset, length):
+    """``(device, offset, length)`` of every stripe unit or partition the
+    range touches, in file order: the requests of an uncoalesced plan."""
+    plan = plan_batch(layout, [(offset, length)], coalesce=False)
+    return [(dev, off, n) for dev, off, n, _ in plan.requests]
+
+
 def enumerate_placement(layout, file_bytes):
-    """(device, offset) of every file byte, via map_range of the whole file."""
+    """(device, offset) of every file byte, via the units of the whole file."""
     placement = []
-    for seg in layout.map_range(0, file_bytes):
-        for i in range(seg.length):
-            placement.append((seg.device, seg.offset + i))
+    for dev, off, n in units(layout, 0, file_bytes):
+        for i in range(n):
+            placement.append((dev, off + i))
     return placement
 
 
 class TestStriped:
     def test_small_example(self):
         lay = StripedLayout(n_devices=3, stripe_unit=4)
-        segs = lay.map_range(0, 12)
+        segs = units(lay, 0, 12)
         assert segs == [
-            Segment(0, 0, 4), Segment(1, 0, 4), Segment(2, 0, 4),
+            (0, 0, 4), (1, 0, 4), (2, 0, 4),
         ]
 
     def test_second_round_advances_device_offset(self):
         lay = StripedLayout(n_devices=2, stripe_unit=4)
-        segs = lay.map_range(8, 8)
-        assert segs == [Segment(0, 4, 4), Segment(1, 4, 4)]
+        segs = units(lay, 8, 8)
+        assert segs == [(0, 4, 4), (1, 4, 4)]
 
     def test_unaligned_range(self):
         lay = StripedLayout(n_devices=2, stripe_unit=4)
-        segs = lay.map_range(2, 5)
-        assert segs == [Segment(0, 2, 2), Segment(1, 0, 3)]
+        segs = units(lay, 2, 5)
+        assert segs == [(0, 2, 2), (1, 0, 3)]
 
     def test_single_device_degenerates_to_contiguous(self):
         lay = StripedLayout(n_devices=1, stripe_unit=4)
-        assert lay.map_range(3, 10) == [
-            Segment(0, 3, 1), Segment(0, 4, 4), Segment(0, 8, 4), Segment(0, 12, 1)
+        assert units(lay, 3, 10) == [
+            (0, 3, 1), (0, 4, 4), (0, 8, 4), (0, 12, 1)
         ]
 
     def test_device_bytes_balanced(self):
@@ -59,9 +66,9 @@ class TestStriped:
 
     def test_locate(self):
         lay = StripedLayout(n_devices=2, stripe_unit=4)
-        assert lay.locate(0) == (0, 0)
-        assert lay.locate(4) == (1, 0)
-        assert lay.locate(9) == (0, 5)
+        assert units(lay, 0, 1)[0][:2] == (0, 0)
+        assert units(lay, 4, 1)[0][:2] == (1, 0)
+        assert units(lay, 9, 1)[0][:2] == (0, 5)
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
@@ -69,7 +76,7 @@ class TestStriped:
         with pytest.raises(ValueError):
             StripedLayout(2, 0)
         with pytest.raises(ValueError):
-            StripedLayout(2, 4).map_range(-1, 4)
+            units(StripedLayout(2, 4), -1, 4)
 
     @settings(max_examples=60)
     @given(st.integers(1, 8), st.integers(1, 64), st.integers(0, 500))
@@ -93,9 +100,9 @@ class TestStriped:
         lay = StripedLayout(d, su)
         whole = enumerate_placement(lay, nbytes)
         sub = []
-        for seg in lay.map_range(off, ln):
-            for i in range(seg.length):
-                sub.append((seg.device, seg.offset + i))
+        for dev, o, n in units(lay, off, ln):
+            for i in range(n):
+                sub.append((dev, o + i))
         assert sub == whole[off : off + ln]
 
 
@@ -103,10 +110,10 @@ class TestInterleaved:
     def test_block_on_single_device(self):
         lay = InterleavedLayout(n_devices=3, block_bytes=8)
         for b in range(9):
-            segs = lay.map_range(b * 8, 8)
+            segs = units(lay, b * 8, 8)
             assert len(segs) == 1
-            assert segs[0].device == b % 3
-            assert segs[0].device == lay.device_of_block(b)
+            assert segs[0][0] == b % 3
+            assert segs[0][0] == lay.device_of_block(b)
 
     def test_name(self):
         assert InterleavedLayout(2, 8).name == "interleaved"
@@ -120,21 +127,21 @@ class TestInterleaved:
 class TestClustered:
     def test_partitions_to_distinct_devices(self):
         lay = ClusteredLayout(n_devices=3, partition_bytes=[10, 20, 30])
-        assert lay.map_range(0, 10) == [Segment(0, 0, 10)]
-        assert lay.map_range(10, 20) == [Segment(1, 0, 20)]
-        assert lay.map_range(30, 30) == [Segment(2, 0, 30)]
+        assert units(lay, 0, 10) == [(0, 0, 10)]
+        assert units(lay, 10, 20) == [(1, 0, 20)]
+        assert units(lay, 30, 30) == [(2, 0, 30)]
 
     def test_range_spanning_partitions_splits(self):
         lay = ClusteredLayout(n_devices=3, partition_bytes=[10, 10])
-        segs = lay.map_range(5, 10)
-        assert segs == [Segment(0, 5, 5), Segment(1, 0, 5)]
+        segs = units(lay, 5, 10)
+        assert segs == [(0, 5, 5), (1, 0, 5)]
 
     def test_wraparound_stacks_partitions(self):
         # 4 partitions on 2 devices: p0,p2 on dev0; p1,p3 on dev1
         lay = ClusteredLayout(n_devices=2, partition_bytes=[10, 10, 10, 10])
         assert lay.device_of_partition(2) == 0
-        segs = lay.map_range(20, 10)  # partition 2
-        assert segs == [Segment(0, 10, 10)]  # stacked after partition 0
+        segs = units(lay, 20, 10)  # partition 2
+        assert segs == [(0, 10, 10)]  # stacked after partition 0
 
     def test_device_bytes_requires_exact_size(self):
         lay = ClusteredLayout(n_devices=2, partition_bytes=[10, 20])
@@ -145,12 +152,12 @@ class TestClustered:
     def test_out_of_file_range_rejected(self):
         lay = ClusteredLayout(n_devices=2, partition_bytes=[10, 10])
         with pytest.raises(ValueError):
-            lay.map_range(15, 10)
+            units(lay, 15, 10)
 
     def test_zero_length_partitions_allowed(self):
         lay = ClusteredLayout(n_devices=2, partition_bytes=[10, 0, 10])
-        segs = lay.map_range(0, 20)
-        assert sum(s.length for s in segs) == 20
+        segs = units(lay, 0, 20)
+        assert sum(n for _, _, n in segs) == 20
 
     @settings(max_examples=60)
     @given(

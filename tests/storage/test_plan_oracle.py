@@ -2,11 +2,15 @@
 
 :func:`repro.storage.layout.plan_batch` computes a submission's device
 requests per range with arithmetic on the first and last stripe unit.
-The reference here is what it replaced — ``map_range`` producing one
-:class:`Segment` per unit, then the segment-list merge loop — kept as the
-oracle: for any layout and any list of ranges the request list, *in
-order*, and the payload pieces of every request must be equal.
+The reference here is what it replaced — a per-unit mapping producing one
+``(device, offset, length)`` segment per stripe unit or partition, then
+the segment-list merge loop — kept as the oracle: for any layout and any
+list of ranges the request list, *in order*, and the payload pieces of
+every request must be equal.
 """
+
+from bisect import bisect_right
+from itertools import accumulate
 
 import numpy as np
 from hypothesis import given, settings
@@ -15,34 +19,68 @@ from hypothesis import strategies as st
 from repro.storage.layout import (
     ClusteredLayout,
     InterleavedLayout,
-    Segment,
     StripedLayout,
     plan_batch,
 )
 
 
+def unit_segments(layout, offset, length):
+    """``(device, device_offset, length)`` of every stripe unit or partition
+    that file bytes ``[offset, offset + length)`` touch, in file order,
+    visited one at a time. Striping puts unit ``u`` on device ``u % D`` at
+    ``(u // D) * su``; clustering stacks partition ``p`` on device
+    ``p % D`` after that device's earlier partitions."""
+    if offset < 0 or length < 0:
+        raise ValueError(f"invalid range ({offset}, {length})")
+    pos, end, d = offset, offset + length, layout.n_devices
+    segments = []
+    if isinstance(layout, ClusteredLayout):
+        parts = layout.partition_bytes
+        starts = list(accumulate(parts, initial=0))
+        if end > starts[-1]:
+            raise ValueError(f"range ends at byte {end}, past the file")
+        fill, base = [0] * d, []
+        for p, nbytes in enumerate(parts):
+            base.append(fill[p % d])
+            fill[p % d] += nbytes
+        while pos < end:
+            # bisect skips the zero-length partitions starting at pos
+            p = bisect_right(starts, pos) - 1
+            take = min(starts[p + 1], end) - pos
+            segments.append((p % d, base[p] + pos - starts[p], take))
+            pos += take
+        return segments
+    su = layout.stripe_unit
+    while pos < end:
+        unit, within = divmod(pos, su)
+        take = min(su - within, end - pos)
+        segments.append((unit % d, unit // d * su + within, take))
+        pos += take
+    return segments
+
+
 def reference_plan(layout, ranges, coalesce):
     """``(requests, pieces)`` the old way: every unit visited, segments of
     one device merged when contiguous with that device's latest run."""
-    segments = [seg for offset, n in ranges for seg in layout.map_range(offset, n)]
-    merged: list[Segment] = []
+    segments = [seg for offset, n in ranges for seg in unit_segments(layout, offset, n)]
+    merged: list[tuple[int, int, int]] = []
     scatter: list[list[tuple[int, int]]] = []
     last_on_device: dict[int, int] = {}
     pos = 0
-    for seg in segments:
-        i = last_on_device.get(seg.device) if coalesce else None
+    for dev, off, n in segments:
+        i = last_on_device.get(dev) if coalesce else None
         if i is not None:
-            prev = merged[i]
-            if seg.offset == prev.offset + prev.length:
-                merged[i] = Segment(prev.device, prev.offset, prev.length + seg.length)
-                scatter[i].append((pos, seg.length))
-                pos += seg.length
+            _, prev_off, prev_n = merged[i]
+            if off == prev_off + prev_n:
+                merged[i] = (dev, prev_off, prev_n + n)
+                scatter[i].append((pos, n))
+                pos += n
                 continue
-        merged.append(seg)
-        scatter.append([(pos, seg.length)])
-        last_on_device[seg.device] = len(merged) - 1
-        pos += seg.length
-    return [(m.device, m.offset, m.length) for m in merged], scatter
+        merged.append((dev, off, n))
+        scatter.append([(pos, n)])
+        last_on_device[dev] = len(merged) - 1
+        pos += n
+    return merged, scatter
 
 
 def expand(n, pieces):
