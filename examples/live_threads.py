@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import LiveParallelFileSystem
+from repro.live import tools
 
 
 def main() -> None:
@@ -80,7 +81,13 @@ def main() -> None:
           f"(per-thread counts {counts}), coverage validated")
     tasks.close()
 
-    print(f"catalog: {lfs.names()}")
+    # --- §2's "transparent mechanisms": the generic tools see the same files -
+    print("\n$ python -m repro.live.tools list", root)
+    tools.main(["list", str(root)])
+    print("$ python -m repro.live.tools info", root, "field.dat")
+    tools.main(["info", str(root), "field.dat"])
+    print("$ python -m repro.live.tools map", root, "field.dat")
+    tools.main(["map", str(root), "field.dat"])
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ the partitioning that created them. Four layers:
   and collective I/O.
 * :mod:`~repro.container.verify` — fsck: media scan, live-data-plane
   scan (degraded-mode aware), and the host-file CLI
-  (``python -m repro.container.verify``).
+  (``python -m repro.container``).
 * :mod:`~repro.container.convert` — organization migration with the
   self-description kept honest.
 

@@ -3,7 +3,7 @@
 Everything in this module is arithmetic over ``bytes`` — no engine, no
 file system — so the format can be unit-tested (and fuzzed) in isolation,
 and the same functions serve the simulated writer/reader, the byte-level
-verifier, and the ``python -m repro.container.verify`` CLI.
+verifier, and the ``python -m repro.container`` CLI.
 
 The format is scda-flavoured (Griesbach & Burstedde, PAPERS.md): a fixed
 ASCII-friendly file header followed by typed sections, each with a padded

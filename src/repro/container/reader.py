@@ -15,7 +15,6 @@ checksum; a mismatch raises :class:`~repro.container.codec.ChecksumError`
 
 from __future__ import annotations
 
-import json
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -142,12 +141,6 @@ class ContainerReader:
         """Generator: a block section's bytes."""
         self._extent(section_id, "B")
         return self._read_checked(section_id)
-
-    def read_json(self, section_id: str):
-        """Generator: a block section holding JSON text (space padding
-        tolerated)."""
-        raw = yield from self.read_block(section_id)
-        return json.loads(raw.decode("ascii").rstrip())
 
     def read_array(
         self,

@@ -17,7 +17,7 @@ Three entry points at three layers:
   parity reconstruction, and the report records how much of the scan
   was served degraded.
 
-``python -m repro.container.verify <file>`` runs :func:`scan_bytes`
+``python -m repro.container <file>`` runs :func:`scan_bytes`
 over a host file (e.g. a committed fixture) and exits nonzero when the
 report has findings — CI keeps one good and one corrupt fixture and
 asserts both behaviours.
@@ -404,13 +404,13 @@ def cross_check(pfs) -> ContainerReport:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """``python -m repro.container.verify <file> [...]`` — scan host
+    """``python -m repro.container <file> [...]`` — scan host
     files, print a report, exit 0 only if every file is clean."""
     args = list(sys.argv[1:] if argv is None else argv)
     quiet = "-q" in args
     paths = [a for a in args if a != "-q"]
     if not paths:
-        print("usage: python -m repro.container.verify [-q] <file> [file ...]",
+        print("usage: python -m repro.container [-q] <file> [file ...]",
               file=sys.stderr)
         return 2
     from ..trace.report import container_report
@@ -431,11 +431,3 @@ def main(argv: list[str] | None = None) -> int:
             status = 1
     return status
 
-
-if __name__ == "__main__":  # pragma: no cover
-    # delegate to the canonical module object (the package import above
-    # already created one; running this file's copy would duplicate the
-    # dataclass types)
-    from repro.container.verify import main as _main
-
-    sys.exit(_main())

@@ -187,11 +187,6 @@ class ContainerWriter:
         return self.file.map.n_processes
 
     @property
-    def pending(self) -> list[SectionDecl]:
-        """Declared sections not yet written (self-description excluded)."""
-        return [e.decl for e in self.layout.sections[max(self._next, 1):]]
-
-    @property
     def done(self) -> bool:
         return self._began and self._next >= len(self.layout.sections)
 

@@ -342,8 +342,8 @@ class SelfScheduledMap(OrganizationMap):
     """Type SS (Fig. 1d): the next request gets the next block.
 
     Ownership does not exist statically; the runtime draws tickets from a
-    shared counter (`repro.sim.sync.TicketCounter` in the simulator, an
-    atomic integer in the live backend). The map still provides the block
+    shared counter (guarded by a `repro.sim.sync.SimLock` in the simulator,
+    an atomic integer in the live backend). The map still provides the block
     arithmetic and validates completed schedules: each block handed out
     exactly once, none skipped.
 

@@ -75,12 +75,6 @@ class FileOrganization(enum.Enum):
                         FileOrganization.PDA)
 
     @property
-    def is_dynamic(self) -> bool:
-        """Ownership decided at run time by request order (SS) or not at
-        all (GDA)."""
-        return self in (FileOrganization.SS, FileOrganization.GDA)
-
-    @property
     def default_layout(self) -> str:
         """The implementation §4 suggests for this organization.
 

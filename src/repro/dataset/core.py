@@ -157,10 +157,6 @@ class DatasetBase:
     # -- introspection -----------------------------------------------------
 
     @property
-    def dimensions(self) -> dict[str, int]:
-        return dict(self.schema.dimensions)
-
-    @property
     def variable_names(self) -> list[str]:
         return list(self.schema.variables)
 
@@ -264,12 +260,6 @@ class DatasetBase:
         on the simulated backend)."""
         shape = self.schema.shape(name)
         return self.read_slab(name, (0,) * len(shape), shape, sieve=sieve)
-
-    def write_variable(self, name: str, values, *, sieve: bool = False):
-        """Overwrite the whole variable, a full-extent :meth:`write_slab`
-        (a generator on the simulated backend)."""
-        shape = self.schema.shape(name)
-        return self.write_slab(name, (0,) * len(shape), shape, values, sieve=sieve)
 
     # -- checksum maintenance ----------------------------------------------
 

@@ -100,11 +100,6 @@ class Dataset(DatasetBase):
         )
         return cls(reader, schema)
 
-    def close(self):
-        """Generator placeholder for symmetry with the live backend."""
-        return
-        yield  # pragma: no cover - makes this a generator
-
     # -- independent hyperslab I/O -----------------------------------------
 
     def read_slab(self, name: str, start, count, *, sieve: bool = False):

@@ -23,7 +23,6 @@ from .planner import (
 )
 from .slab import (
     slab_indices,
-    slab_shape,
     slab_size,
     slab_to_view,
     validate_slab,
@@ -47,7 +46,6 @@ __all__ = [
     "DEFAULT_SIEVE_FACTOR",
     "DEFAULT_SIEVE_WINDOW",
     "validate_slab",
-    "slab_shape",
     "slab_size",
     "slab_to_view",
     "slab_indices",

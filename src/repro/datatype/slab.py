@@ -41,7 +41,6 @@ from .views import (
 
 __all__ = [
     "validate_slab",
-    "slab_shape",
     "slab_size",
     "slab_to_view",
     "slab_indices",
@@ -88,11 +87,6 @@ def validate_slab(
                 f"dimension {d}: slab [{s}, {s + c}) outside extent {ext}"
             )
     return start, count
-
-
-def slab_shape(count: Sequence[int]) -> tuple[int, ...]:
-    """The shape of the array a slab selects (its ``count`` tuple)."""
-    return tuple(int(c) for c in count)
 
 
 def slab_size(count: Sequence[int]) -> int:

@@ -121,27 +121,16 @@ class TransientFaultInjector:
                 name=f"transient.{device.name}",
             )
 
-    def limp(
-        self,
-        device: DeviceController,
-        factor: float,
-        duration: float,
-        at: float | None = None,
-    ) -> None:
-        """Slow ``device`` by ``factor``x for ``duration`` simulated seconds."""
+    def limp(self, device: DeviceController, factor: float, duration: float) -> None:
+        """Slow ``device`` by ``factor``x for ``duration`` simulated seconds
+        from now."""
         if factor <= 1.0:
             raise ValueError("limp factor must exceed 1.0")
         if duration <= 0:
             raise ValueError("limp duration must be positive")
-        if at is None:
-            self._start_limp(device, factor, duration)
-        else:
-            if at < self.env.now:
-                raise ValueError("cannot schedule a fault in the past")
-            self.env.process(
-                self._limp_later(device, factor, duration, at - self.env.now),
-                name=f"limp.{device.name}",
-            )
+        device.slow_factor = factor
+        device.slow_until = self.env.now + duration
+        self.failures.append(FailureRecord(device.name, self.env.now, kind="limp"))
 
     def arm_intermittent(
         self,
@@ -174,20 +163,6 @@ class TransientFaultInjector:
         yield self.env.timeout(delay)
         if not device.failed:
             self._grant(device, count)
-
-    def _start_limp(
-        self, device: DeviceController, factor: float, duration: float
-    ) -> None:
-        device.slow_factor = factor
-        device.slow_until = self.env.now + duration
-        self.failures.append(FailureRecord(device.name, self.env.now, kind="limp"))
-
-    def _limp_later(
-        self, device: DeviceController, factor: float, duration: float, delay: float
-    ):
-        yield self.env.timeout(delay)
-        if not device.failed:
-            self._start_limp(device, factor, duration)
 
     def _poisson_glitches(
         self,

@@ -78,10 +78,6 @@ class ShadowPair:
         """Exactly one member is down (still serving, but unmirrored)."""
         return self.primary.failed != self.shadow.failed
 
-    @property
-    def queue_length(self) -> int:
-        return self.primary.queue_length + self.shadow.queue_length
-
     def read(self, offset: int, nbytes: int, tenant: Any = None) -> Event:
         """Read from a surviving member, failing over mid-request if it dies.
 

@@ -1,7 +1,6 @@
 """The parallel file system: catalog, views, conversion, consistency, recovery."""
 
 from .catalog import Catalog, CatalogEntry, FileExistsError_, FileNotFoundError_
-from .checkpoint import CheckpointManager
 from .consistency import BackupManager, BackupSet
 from .convert import alternate_view, convert_file
 from .global_io import GlobalViewHandle
@@ -16,9 +15,7 @@ from .internal_io import (
 from .metadata import FileAttributes
 from .pfs import ParallelFile, ParallelFileSystem
 from .recovery import (
-    DamageReport,
     ProtectionScheme,
-    assess_damage,
     protection_overview,
     verify_file,
 )
@@ -28,7 +25,6 @@ __all__ = [
     "CatalogEntry",
     "FileExistsError_",
     "FileNotFoundError_",
-    "CheckpointManager",
     "BackupManager",
     "BackupSet",
     "alternate_view",
@@ -43,9 +39,7 @@ __all__ = [
     "FileAttributes",
     "ParallelFile",
     "ParallelFileSystem",
-    "DamageReport",
     "ProtectionScheme",
-    "assess_damage",
     "protection_overview",
     "verify_file",
 ]

@@ -25,8 +25,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..storage.layout import plan_batch
-
 if TYPE_CHECKING:  # pragma: no cover
     from .pfs import ParallelFile
 
@@ -34,8 +32,6 @@ __all__ = [
     "ProtectionScheme",
     "protection_overview",
     "verify_file",
-    "DamageReport",
-    "assess_damage",
 ]
 
 
@@ -91,84 +87,6 @@ def protection_overview(n_data: int, parity_group_size: int | None = None) -> li
             loses_recent_writes=False,
         ),
     ]
-
-
-@dataclass(frozen=True)
-class DamageReport:
-    """What one device's failure costs one file.
-
-    §5's premise quantified: "each drive contains a slice of every file"
-    is true for striped layouts (every file 100% affected) but *not* for
-    clustered PS layouts, where only the partitions resident on the failed
-    device are lost — which is why the organizations differ in their
-    recovery options.
-    """
-
-    file: str
-    affected_bytes: int
-    total_bytes: int
-    affected_records: list[tuple[int, int]]  # global (start, count) record runs
-
-    @property
-    def fraction(self) -> float:
-        if self.total_bytes == 0:
-            return 0.0
-        return self.affected_bytes / self.total_bytes
-
-    @property
-    def intact(self) -> bool:
-        return self.affected_bytes == 0
-
-
-def assess_damage(pfs, device_index: int) -> list[DamageReport]:
-    """Per-file damage if device ``device_index`` were lost.
-
-    Walks every catalog entry's layout to find which file byte ranges map
-    to the device, and converts them to global record runs.
-    """
-    if not 0 <= device_index < pfs.volume.n_devices:
-        raise ValueError(f"device {device_index} outside volume")
-    reports = []
-    for name in pfs.catalog.names():
-        entry = pfs.catalog.get(name)
-        attrs = entry.attrs
-        total = attrs.file_bytes
-        affected = 0
-        runs: list[tuple[int, int]] = []
-        if total:
-            rs = attrs.record_size
-            for seg_start, seg_len in _device_ranges(
-                entry.layout, total, device_index
-            ):
-                affected += seg_len
-                lo = seg_start // rs
-                hi = -(-(seg_start + seg_len) // rs)
-                if runs and sum(runs[-1]) >= lo:
-                    start = runs[-1][0]
-                    runs[-1] = (start, max(sum(runs[-1]), hi) - start)
-                else:
-                    runs.append((lo, hi - lo))
-        reports.append(
-            DamageReport(
-                file=name,
-                affected_bytes=affected,
-                total_bytes=total,
-                affected_records=runs,
-            )
-        )
-    return reports
-
-
-def _device_ranges(layout, file_bytes: int, device: int):
-    """Yield (file_offset, length) ranges of the file living on ``device``.
-
-    Without ``coalesce`` every request is one stripe unit or partition and
-    its ``pieces`` is its payload position, here its file offset.
-    """
-    plan = plan_batch(layout, [(0, file_bytes)], coalesce=False)
-    for dev, _, length, file_offset in plan.requests:
-        if dev == device:
-            yield file_offset, length
 
 
 def verify_file(file: "ParallelFile", expected: np.ndarray) -> bool:

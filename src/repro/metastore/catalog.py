@@ -1,8 +1,8 @@
 """Catalog-compatible facade over the sharded metadata service.
 
-:class:`ShardedCatalog` presents the exact interface of
-:class:`repro.fs.catalog.Catalog` (``add`` / ``get`` / ``remove`` /
-``rename`` / ``__contains__`` / ``names`` / ``to_dict`` plus the
+:class:`ShardedCatalog` presents the part of
+:class:`repro.fs.catalog.Catalog` the file system calls (``add`` / ``get``
+/ ``remove`` / ``rename`` / ``__contains__`` / ``entries`` plus the
 ``creates`` / ``deletes`` manageability counters), so
 :meth:`repro.fs.pfs.ParallelFileSystem.attach_metastore` can swap it in
 without touching any caller — every ``pfs.create``/``open``/``delete``
@@ -12,7 +12,7 @@ then routes through the journaled, crash-consistent
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .service import MetadataService
 
@@ -33,15 +33,8 @@ class ShardedCatalog:
         self.creates = creates
         self.deletes = deletes
 
-    def __len__(self) -> int:
-        return len(self.service)
-
     def __contains__(self, name: str) -> bool:
         return name in self.service
-
-    def names(self) -> list[str]:
-        """All file names, sorted."""
-        return self.service.names()
 
     def entries(self) -> Iterator[tuple[str, "CatalogEntry"]]:
         """Iterate ``(name, entry)`` pairs (see :meth:`Catalog.entries`)."""
@@ -65,7 +58,3 @@ class ShardedCatalog:
     def rename(self, old: str, new: str) -> None:
         """Rename a file (neither a create nor a delete in the counters)."""
         self.service.rename(old, new)
-
-    def to_dict(self) -> dict[str, Any]:
-        """Metadata-only snapshot (extents/layouts are runtime objects)."""
-        return {name: e.attrs.to_dict() for name, e in self.service.entries()}

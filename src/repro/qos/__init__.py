@@ -6,7 +6,7 @@ plain FIFO, so one greedy client could monopolize a device or an I/O node
 indefinitely. This package adds the policy layer:
 
 * :class:`QoSClass` / :class:`Tenant` — service contracts (weight,
-  priority, deadline, rate limit) and per-tenant backpressure accounting
+  deadline, rate limit) and per-tenant backpressure accounting
   (blocked at admission vs queued vs in service);
 * :class:`WeightedFairQueue` — virtual-time weighted fair queueing with
   deterministic FIFO tie-breaks, plus EDF and FIFO modes — pluggable into

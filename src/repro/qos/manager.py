@@ -50,7 +50,6 @@ class QoSManager:
         name: str,
         *,
         weight: float = 1.0,
-        priority: float = 0.0,
         deadline: float | None = None,
         rate: float | None = None,
         burst: float | None = None,
@@ -67,7 +66,6 @@ class QoSManager:
             QoSClass(
                 name,
                 weight=weight,
-                priority=priority,
                 deadline=deadline,
                 rate=rate,
                 burst=burst,

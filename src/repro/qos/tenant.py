@@ -1,8 +1,8 @@
 """The tenant model: service classes and per-tenant accounting.
 
-A :class:`QoSClass` is a declarative service contract (weight, priority,
-optional deadline, optional token-bucket rate limit); a :class:`Tenant` is
-one live principal holding that contract plus its backpressure accounting.
+A :class:`QoSClass` is a declarative service contract (weight, optional
+deadline, optional token-bucket rate limit); a :class:`Tenant` is one live
+principal holding that contract plus its backpressure accounting.
 Requests are tagged with their tenant at the ``ParallelFile`` boundary via
 ambient process context (``Process.qos_tenant``), and the device and
 I/O-node layers bill time to the tenant duck-typed — they only ever call
@@ -34,17 +34,14 @@ class QoSClass:
     """A service contract: how one tenant's traffic should be treated.
 
     ``weight`` is the WFQ share (service is proportional to weight under
-    contention); ``priority`` is a coarse class for priority-aware
-    resources (lower is more urgent, matching
-    :class:`~repro.sim.resources.PriorityResource`); ``deadline`` is a
-    relative per-request latency target in simulated seconds (drives EDF
-    ordering and miss detection); ``rate``/``burst`` configure a token
-    bucket in bytes per second / bytes (both or neither).
+    contention); ``deadline`` is a relative per-request latency target in
+    simulated seconds (drives EDF ordering and miss detection);
+    ``rate``/``burst`` configure a token bucket in bytes per second /
+    bytes (both or neither).
     """
 
     name: str
     weight: float = 1.0
-    priority: float = 0.0
     deadline: float | None = None
     rate: float | None = None
     burst: float | None = None

@@ -82,7 +82,3 @@ class ResilienceStats:
         if not self.rebuild_times:
             return math.nan
         return sum(self.rebuild_times) / len(self.rebuild_times)
-
-    @property
-    def mttr_hours(self) -> float:
-        return self.mttr_seconds / 3600.0

@@ -7,7 +7,7 @@ Two complementary oracles for the §5 problem areas:
   and internal-view mismatches (attach via
   ``ParallelFileSystem(..., sanitizer=...)``).
 * :class:`EngineSanitizer` — checks substrate invariants (resource
-  grants, store/container wakeups, buffer-pool balance, event lifecycle)
+  grants, store wakeups, buffer-pool balance, event lifecycle)
   (attach via :func:`attach` or ``Environment(strict=True)``).
 """
 

@@ -11,8 +11,8 @@ experiment built on top of it. The checked invariants:
 * a :class:`~repro.sim.resources.Resource` never grants one request twice,
   never exceeds its capacity, and never leaves a waiter sleeping while a
   slot is free (lost wakeup);
-* :class:`~repro.sim.resources.Store` / ``Container`` dispatch leaves no
-  satisfiable put/get untriggered (lost wakeup);
+* :class:`~repro.sim.resources.Store` dispatch leaves no satisfiable
+  put/get untriggered (lost wakeup);
 * :class:`~repro.buffering.pool.BufferPool` acquire/release stays inside
   ``[0, n_buffers]`` and balances to zero by :meth:`check_balanced`;
 * :class:`~repro.ionode.IONode` request queues never lose a request,
@@ -36,7 +36,7 @@ from ..sim.engine import Environment, Event, SimulationError
 if TYPE_CHECKING:  # pragma: no cover
     from ..buffering.pool import BufferPool
     from ..ionode.node import IONode
-    from ..sim.resources import Container, Resource, Store
+    from ..sim.resources import Resource, Store
 
 __all__ = ["SanitizerError", "Violation", "EngineSanitizer", "attach"]
 
@@ -163,30 +163,6 @@ class EngineSanitizer:
             self._violate(
                 "store-lost-wakeup",
                 "Store has room but left a putter sleeping",
-            )
-
-    def on_container(self, container: "Container") -> None:
-        """Called after ``Container._dispatch`` settles."""
-        self.checks += 1
-        level = container._level
-        if level < 0 or level > container.capacity:
-            self._violate(
-                "container-level",
-                f"Container level {level} outside [0, {container.capacity}]",
-            )
-        pending_puts = [p for p in container._puts if not p.triggered]
-        if pending_puts and level + pending_puts[0].amount <= container.capacity:
-            self._violate(
-                "container-lost-wakeup",
-                f"put of {pending_puts[0].amount} fits at level {level} "
-                "but was left sleeping",
-            )
-        pending_gets = [g for g in container._gets if not g.triggered]
-        if pending_gets and level >= pending_gets[0].amount:
-            self._violate(
-                "container-lost-wakeup",
-                f"get of {pending_gets[0].amount} is covered by level "
-                f"{level} but was left sleeping",
             )
 
     # -- buffer pools ------------------------------------------------------------

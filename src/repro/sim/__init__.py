@@ -16,10 +16,10 @@ from .engine import (
     SimulationError,
     Timeout,
 )
-from .resources import Container, PriorityResource, Resource, Store
+from .resources import Resource, Store
 from .rng import RngStreams
 from .stats import PercentileTally, Tally, TimeWeighted, UtilizationTracker
-from .sync import SimBarrier, SimLock, SimSemaphore, TicketCounter
+from .sync import SimBarrier, SimLock, SimSemaphore
 
 __all__ = [
     "AllOf",
@@ -31,8 +31,6 @@ __all__ = [
     "Process",
     "SimulationError",
     "Timeout",
-    "Container",
-    "PriorityResource",
     "Resource",
     "Store",
     "RngStreams",
@@ -43,5 +41,4 @@ __all__ = [
     "SimBarrier",
     "SimLock",
     "SimSemaphore",
-    "TicketCounter",
 ]

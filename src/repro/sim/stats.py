@@ -59,11 +59,6 @@ class Tally:
             return math.nan
         return self._m2 / (self.count - 1)
 
-    @property
-    def stdev(self) -> float:
-        v = self.variance
-        return math.sqrt(v) if v == v else math.nan
-
     def merge(self, other: "Tally") -> "Tally":
         """Combine two tallies (parallel Welford merge)."""
         out = Tally()

@@ -1,10 +1,10 @@
 """Synchronization primitives for simulated processes.
 
 These model the coordination mechanisms Crockett's parallel programs need:
-mutual exclusion on shared file state (:class:`SimLock`), counting
-semaphores for buffer slots (:class:`SimSemaphore`), phase barriers
-(:class:`SimBarrier`), and the shared ticket counter at the heart of the
-self-scheduled (SS) file organization (:class:`TicketCounter`).
+mutual exclusion on shared file state (:class:`SimLock`, which also guards
+the self-scheduled (SS) organization's shared ticket counter), counting
+semaphores for buffer slots (:class:`SimSemaphore`), and phase barriers
+(:class:`SimBarrier`).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Any
 
 from .engine import Environment, Event, SimulationError
 
-__all__ = ["SimLock", "SimSemaphore", "SimBarrier", "TicketCounter"]
+__all__ = ["SimLock", "SimSemaphore", "SimBarrier"]
 
 
 class SimLock:
@@ -44,10 +44,6 @@ class SimLock:
     @property
     def locked(self) -> bool:
         return self._locked
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
 
     def acquire(self) -> Event:
         """Claim the lock; the returned event triggers once held."""
@@ -143,52 +139,3 @@ class SimBarrier:
             for i, waiter in enumerate(arrived):
                 waiter.succeed(i)
         return ev
-
-
-class TicketCounter:
-    """Shared monotone counter used for self-scheduled (SS) file access.
-
-    Each call to :meth:`next` atomically hands out the next integer. In the
-    simulator, atomicity is modelled by an internal lock with a configurable
-    critical-section cost (``update_cost``): Crockett notes (§4) that SS
-    synchronization must avoid "unduly serializing access"; the cost knob
-    lets benchmark E7 measure exactly that serialization.
-    """
-
-    __slots__ = ("env", "_next", "limit", "update_cost", "_lock")
-
-    def __init__(
-        self,
-        env: Environment,
-        start: int = 0,
-        limit: int | None = None,
-        update_cost: float = 0.0,
-    ):
-        self.env = env
-        self._next = start
-        self.limit = limit
-        self.update_cost = update_cost
-        self._lock = SimLock(env)
-
-    @property
-    def value(self) -> int:
-        """The next ticket that would be issued."""
-        return self._next
-
-    def next(self) -> Generator[Event, Any, int | None]:
-        """Atomically draw the next ticket (``None`` once past ``limit``).
-
-        This is a generator to be driven with ``yield from`` inside a
-        simulated process.
-        """
-        yield self._lock.acquire()
-        try:
-            if self.update_cost > 0:
-                yield self.env.sleep(self.update_cost)
-            if self.limit is not None and self._next >= self.limit:
-                return None
-            ticket = self._next
-            self._next += 1
-            return ticket
-        finally:
-            self._lock.release()

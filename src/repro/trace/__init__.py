@@ -2,11 +2,10 @@
 
 from .events import AccessEvent, NullTraceRecorder, TraceRecorder
 from .gantt import render_device_gantt, render_gantt
-from .figures import render_block_map, render_figure1_panel, render_timeline
+from .figures import render_block_map, render_figure1_panel
 from .report import (
     RunReport,
     conflict_report,
-    device_report,
     device_table,
     invariant_report,
     ionode_report,
@@ -23,10 +22,8 @@ __all__ = [
     "render_gantt",
     "render_block_map",
     "render_figure1_panel",
-    "render_timeline",
     "RunReport",
     "conflict_report",
-    "device_report",
     "device_table",
     "invariant_report",
     "ionode_report",

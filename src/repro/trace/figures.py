@@ -9,13 +9,13 @@ processes::
     | P1 | P2 | P3 | P1 | P2 | P3 |
     +----+----+----+----+----+----+
 
-and :func:`render_figure1` assembles the four panels (a)-(d) from actual
-traces of the implementation, so the figure is *measured*, not drawn.
+and :func:`render_figure1_panel` renders each of the panels (a)-(d) from
+actual traces of the implementation, so the figure is *measured*, not drawn.
 """
 
 from __future__ import annotations
 
-__all__ = ["render_block_map", "render_timeline", "render_figure1_panel"]
+__all__ = ["render_block_map", "render_figure1_panel"]
 
 
 def render_block_map(owners: list[int | None], width: int = 4) -> str:
@@ -30,18 +30,6 @@ def render_block_map(owners: list[int | None], width: int = 4) -> str:
     sep = "+" + "+".join("-" * width for _ in cells) + "+"
     row = "|" + "|".join(cells) + "|"
     return f"{sep}\n{row}\n{sep}"
-
-
-def render_timeline(order: list[tuple[int, int]], width: int = 4) -> str:
-    """Blocks in the order they were accessed, labelled by process.
-
-    ``order`` is ``[(block, process), ...]`` in completion order — used for
-    the self-scheduled panel, where the *temporal* order is the semantics.
-    """
-    header = "access order: " + " ".join(
-        f"b{b}:P{p + 1}" for b, p in order
-    )
-    return header
 
 
 def render_figure1_panel(

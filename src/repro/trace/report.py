@@ -20,7 +20,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "RunReport",
     "throughput_mb_s",
-    "device_report",
     "device_table",
     "ionode_report",
     "qos_report",
@@ -95,32 +94,18 @@ def invariant_report(sanitizer: "EngineSanitizer") -> list[str]:
     return [header] + [f"  {v.row()}" for v in sanitizer.violations]
 
 
-def device_report(env: Environment, devices: list[DeviceController]) -> list[str]:
-    """Per-device utilization / seek / latency rows."""
-    rows = []
-    for d in devices:
-        util = d.utilization.utilization(env.now)
-        rows.append(
-            f"{d.name:<10s} util={util:6.1%} "
-            f"seeks={d.disk.total_seeks:>6d} "
-            f"seek_cyls={d.disk.total_seek_distance:>8d} "
-            f"reqs={d.disk.total_requests:>6d} "
-            f"lat_mean={d.latency.mean * 1e3 if d.latency.count else 0:8.2f} ms"
-        )
-    return rows
-
-
 def device_table(env: Environment, devices: list[DeviceController]) -> list[str]:
     """The full per-device statistics table (header + one row per device).
 
     Surfaces everything a :class:`~repro.devices.controller.
-    DeviceController` tallies during a run: the request-latency
-    distribution (mean / max over submit-to-complete times), busy-fraction
-    utilization, the time-weighted queue length with its peak, and the
-    queue-wait (submit-to-dispatch) percentiles in milliseconds.
+    DeviceController` tallies during a run: requests and the seeks they
+    cost, the request-latency distribution (mean / max over
+    submit-to-complete times), busy-fraction utilization, the
+    time-weighted queue length with its peak, and the queue-wait
+    (submit-to-dispatch) percentiles in milliseconds.
     """
     header = (
-        f"{'device':<10s} {'reqs':>6s} {'util':>7s} "
+        f"{'device':<10s} {'reqs':>6s} {'seeks':>6s} {'util':>7s} "
         f"{'lat_mean':>10s} {'lat_max':>10s} {'q_mean':>7s} {'q_max':>5s} "
         f"{'w_p50':>7s} {'w_p95':>7s} {'w_max':>7s}"
     )
@@ -132,7 +117,8 @@ def device_table(env: Environment, devices: list[DeviceController]) -> list[str]
         q_mean = d.queue_stat.mean(env.now)
         q_mean = 0.0 if math.isnan(q_mean) else q_mean
         rows.append(
-            f"{d.name:<10s} {d.disk.total_requests:>6d} {util:>7.1%} "
+            f"{d.name:<10s} {d.disk.total_requests:>6d} "
+            f"{d.disk.total_seeks:>6d} {util:>7.1%} "
             f"{lat_mean:>8.2f}ms {lat_max:>8.2f}ms "
             f"{q_mean:>7.2f} {d.queue_stat.max:>5.0f} "
             f"{_wait_cells(d.wait_stat)}"

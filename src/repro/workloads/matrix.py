@@ -45,10 +45,6 @@ class WrappedMatrix:
             n_processes=n_processes,
         )
 
-    @property
-    def n_processes(self) -> int:
-        return self.file.map.n_processes
-
     def my_rows(self, process: int) -> np.ndarray:
         """Global row indices owned by ``process`` (wrapped assignment)."""
         return self.file.map.records_of(process)
@@ -73,11 +69,6 @@ class WrappedMatrix:
         h = self.file.internal_view(process)
         data = yield from h.read_next(h.n_local_records)
         return data
-
-    def write_my_rows(self, process: int, rows: np.ndarray):
-        """Generator: write this process's rows, in wrapped order."""
-        h = self.file.internal_view(process)
-        yield from h.write_next(rows)
 
 
 def parallel_row_scale(matrix: WrappedMatrix, process: int, factor: float):

@@ -6,7 +6,7 @@ Run from the repo root::
 
 Produces ``tests/container/fixtures/good.cnt`` (a valid two-section
 container) and ``corrupt.cnt`` (the same bytes with one payload byte
-flipped). CI feeds both to ``python -m repro.container.verify`` and
+flipped). CI feeds both to ``python -m repro.container`` and
 asserts exit 0 / nonzero respectively. The builder is deterministic, so
 regenerating never churns the committed binaries.
 """

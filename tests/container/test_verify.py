@@ -1,5 +1,8 @@
 """The byte-level scanner and the host-file CLI."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -139,6 +142,22 @@ def test_cli_quiet(tmp_path, good, capsys):
     p.write_bytes(good)
     assert verify_main(["-q", str(p)]) == 0
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("fixture, code", [("good.cnt", 0), ("corrupt.cnt", 1)])
+def test_module_cli_runs_warning_free(fixture, code):
+    """``python -m repro.container`` under ``-W error``: exit 1 is a finding
+    printed on stdout, not a crash (a traceback also exits 1)."""
+    src = str(Path(__file__).parents[2] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.container",
+         str(FIXTURES / fixture)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (code, "")
+    assert ("CLEAN" if code == 0 else "1 finding(s)") in proc.stdout
 
 
 def test_committed_fixtures_match_the_builder(good):

@@ -122,3 +122,47 @@ class TestPfsBackedMatrix:
         report = cross_check(pfs)
         assert not report.findings
         assert report.total_bytes > 0
+
+
+class TestPlainCatalogCrossCheck:
+    """``cross_check`` over the plain :class:`~repro.fs.catalog.Catalog`,
+    the other half of its documented input."""
+
+    @staticmethod
+    def _plain_pfs():
+        from repro.fs.catalog import Catalog
+        from repro.sim import Environment
+
+        pfs = build_pfs(Environment())
+        pfs.create("field", "PS", n_records=64, record_size=256, n_processes=4)
+        pfs.create("log", "S", n_records=32, record_size=256, n_processes=1)
+        assert type(pfs.catalog) is Catalog
+        return pfs
+
+    def test_clean(self):
+        report = cross_check(self._plain_pfs())
+        assert not report.findings
+        assert report.total_bytes == 24_576
+
+    def test_double_owner_is_an_overlap(self):
+        pfs = self._plain_pfs()
+        pfs.catalog.get("log").extent = pfs.catalog.get("field").extent
+        kinds = {f.kind for f in cross_check(pfs).findings}
+        assert kinds == {"catalog-extent-overlap"}
+
+    def test_short_extent_is_a_size_mismatch(self):
+        pfs = self._plain_pfs()
+        entry = pfs.catalog.get("log")
+        entry.extent = pfs.volume.allocate(entry.layout, 512)
+        kinds = {f.kind for f in cross_check(pfs).findings}
+        assert kinds == {"catalog-size-mismatch"}
+
+
+def test_sharded_catalog_serves_open_and_exists():
+    """``pfs.open`` and ``pfs.exists`` go through whichever catalog is
+    installed; after ``attach_metastore`` that is the sharded facade."""
+    inj = CrashInjector()
+    pfs = _pfs_with_metastore(inj)
+    assert pfs.exists("seed_a") and not pfs.exists("nope")
+    f = pfs.open("seed_a")
+    assert (f.attrs.name, f.attrs.n_records) == ("seed_a", 16)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.buffering import BufferPool
 from repro.sanitize import EngineSanitizer, SanitizerError, attach
-from repro.sim import Container, Environment, Event, Resource, Store
+from repro.sim import Environment, Event, Resource, Store
 from repro.trace import invariant_report
 
 
@@ -26,7 +26,6 @@ def test_clean_run_records_no_violations():
     env = Environment(strict=True)
     res = Resource(env, capacity=2)
     store = Store(env, capacity=2)
-    box = Container(env, capacity=100, init=0)
     pool = BufferPool(env, n_buffers=2, buffer_bytes=64)
 
     def worker(i):
@@ -37,12 +36,10 @@ def test_clean_run_records_no_violations():
         yield from pool.charge(32)
         pool.release()
         yield store.put(i)
-        yield box.put(10)
 
     def drain():
         for _ in range(4):
             yield store.get()
-            yield box.get(10)
 
     for i in range(4):
         env.process(worker(i))
@@ -101,22 +98,6 @@ def test_store_lost_wakeup_detected():
 
     san.on_store(store)
     assert [v.kind for v in san.violations] == ["store-lost-wakeup"]
-
-
-def test_container_lost_wakeup_detected():
-    env = Environment()
-    san = EngineSanitizer(env)
-    box = Container(env, capacity=10, init=5)
-    get = box.get(2)  # satisfied immediately
-    assert get.triggered
-
-    class SleepingGet:  # shaped like an untriggered ContainerGet
-        amount = 1.0
-        triggered = False
-
-    box._gets.append(SleepingGet())
-    san.on_container(box)
-    assert [v.kind for v in san.violations] == ["container-lost-wakeup"]
 
 
 def test_event_reprocessed_detected():

@@ -1,9 +1,8 @@
-"""Unit tests for simulated resources (Resource, Store, Container)."""
+"""Unit tests for simulated resources (Resource, Store)."""
 
 import pytest
 
-from repro.sim import Container, Environment, PriorityResource, Resource, Store
-from repro.sim.engine import SimulationError
+from repro.sim import Environment, Resource, Store
 
 
 class TestResource:
@@ -89,112 +88,6 @@ class TestResource:
             Resource(Environment(), capacity=0)
 
 
-class TestPriorityResource:
-    def test_lower_priority_value_served_first(self):
-        env = Environment()
-        res = PriorityResource(env, capacity=1)
-        order = []
-
-        def user(name, priority):
-            # All queue behind the initial holder.
-            yield env.timeout(1)
-            with res.request(priority=priority) as req:
-                yield req
-                order.append(name)
-                yield env.timeout(1)
-
-        def holder():
-            with res.request() as req:
-                yield req
-                yield env.timeout(5)
-
-        env.process(holder())
-        env.process(user("low", 10))
-        env.process(user("high", 1))
-        env.process(user("mid", 5))
-        env.run()
-        assert order == ["high", "mid", "low"]
-
-    def test_fifo_within_same_priority(self):
-        env = Environment()
-        res = PriorityResource(env, capacity=1)
-        order = []
-
-        def holder():
-            with res.request() as req:
-                yield req
-                yield env.timeout(5)
-
-        def user(name):
-            yield env.timeout(1)
-            with res.request(priority=3) as req:
-                yield req
-                order.append(name)
-
-        env.process(holder())
-        for n in "xyz":
-            env.process(user(n))
-        env.run()
-        assert order == ["x", "y", "z"]
-
-    def test_fifo_within_priority_survives_cancellation(self):
-        # Regression pin: cancelling a waiter calls heapify() on the
-        # heap, which is free to reorder entries that compare equal. The
-        # (priority, _order) tie-break in Request.__lt__ is what keeps
-        # equal-priority waiters in arrival order through that reshuffle.
-        env = Environment()
-        res = PriorityResource(env, capacity=1)
-        order = []
-
-        def holder():
-            with res.request() as req:
-                yield req
-                yield env.timeout(10)
-
-        def user(name, delay):
-            yield env.timeout(delay)
-            with res.request(priority=3) as req:
-                yield req
-                order.append(name)
-
-        def quitter():
-            yield env.timeout(1.5)  # lands between 'a' and 'b'
-            req = res.request(priority=3)
-            yield env.timeout(3)
-            res.release(req)  # cancel while still queued -> heapify
-
-        env.process(holder())
-        for i, name in enumerate("abcde"):
-            env.process(user(name, 1 + i))
-        env.process(quitter())
-        env.run()
-        assert order == ["a", "b", "c", "d", "e"]
-
-    def test_interleaved_priorities_keep_arrival_order_per_class(self):
-        env = Environment()
-        res = PriorityResource(env, capacity=1)
-        order = []
-
-        def holder():
-            with res.request() as req:
-                yield req
-                yield env.timeout(10)
-
-        def user(name, priority, delay):
-            yield env.timeout(delay)
-            with res.request(priority=priority) as req:
-                yield req
-                order.append(name)
-
-        env.process(holder())
-        # arrivals alternate between two priority classes
-        arrivals = [("h1", 1), ("l1", 5), ("h2", 1), ("l2", 5), ("h3", 1)]
-        for i, (name, prio) in enumerate(arrivals):
-            env.process(user(name, prio, 1 + i))
-        env.run()
-        assert order == ["h1", "h2", "h3", "l1", "l2"]
-
-
 class TestStore:
     def test_put_get_fifo(self):
         env = Environment()
@@ -270,57 +163,6 @@ class TestStore:
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             Store(Environment(), capacity=0)
-
-
-class TestContainer:
-    def test_get_blocks_until_level(self):
-        env = Environment()
-        tank = Container(env, capacity=100, init=0)
-        log = []
-
-        def consumer():
-            yield tank.get(30)
-            log.append(("got", env.now, tank.level))
-
-        def producer():
-            yield env.timeout(2)
-            yield tank.put(50)
-
-        env.process(consumer())
-        env.process(producer())
-        env.run()
-        assert log == [("got", 2, 20.0)]
-
-    def test_put_blocks_at_capacity(self):
-        env = Environment()
-        tank = Container(env, capacity=10, init=8)
-        log = []
-
-        def producer():
-            yield tank.put(5)
-            log.append(("put", env.now))
-
-        def consumer():
-            yield env.timeout(3)
-            yield tank.get(4)
-
-        env.process(producer())
-        env.process(consumer())
-        env.run()
-        assert log == [("put", 3)]
-        assert tank.level == 9.0
-
-    def test_oversized_request_rejected(self):
-        env = Environment()
-        tank = Container(env, capacity=10)
-        with pytest.raises(SimulationError):
-            tank.get(11)
-        with pytest.raises(SimulationError):
-            tank.put(11)
-
-    def test_init_bounds(self):
-        with pytest.raises(ValueError):
-            Container(Environment(), capacity=5, init=6)
 
 
 class TestDoubleRelease:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, SimBarrier, SimLock, SimSemaphore, TicketCounter
+from repro.sim import Environment, SimBarrier, SimLock, SimSemaphore
 from repro.sim.engine import SimulationError
 
 
@@ -173,50 +173,3 @@ class TestSimBarrier:
     def test_invalid_parties(self):
         with pytest.raises(ValueError):
             SimBarrier(Environment(), parties=0)
-
-
-class TestTicketCounter:
-    def test_tickets_unique_and_complete(self):
-        env = Environment()
-        counter = TicketCounter(env, limit=20)
-        drawn = []
-
-        def proc():
-            while True:
-                t = yield from counter.next()
-                if t is None:
-                    return
-                drawn.append(t)
-                yield env.timeout(1)
-
-        for _ in range(4):
-            env.process(proc())
-        env.run()
-        assert sorted(drawn) == list(range(20))
-
-    def test_update_cost_serializes(self):
-        env = Environment()
-        counter = TicketCounter(env, limit=10, update_cost=2.0)
-
-        def proc():
-            while True:
-                t = yield from counter.next()
-                if t is None:
-                    return
-
-        for _ in range(5):
-            env.process(proc())
-        env.run()
-        # 10 tickets + 5 exhausted probes, each costing 2.0, fully serialized.
-        assert env.now == 30.0
-
-    def test_unlimited_counter(self):
-        env = Environment()
-        counter = TicketCounter(env)
-
-        def proc():
-            a = yield from counter.next()
-            b = yield from counter.next()
-            return (a, b)
-
-        assert env.run(env.process(proc())) == (0, 1)
