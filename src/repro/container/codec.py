@@ -353,7 +353,10 @@ def decode_section_header(buf: bytes) -> SectionHeader:
     count = _dec_int(buf[34:46], "count")
     elem_size = _dec_int(buf[46:54], "elem_size")
     crc = _dec_crc(buf[54:62], "section")
-    decl = SectionDecl(kind.decode("ascii"), section_id, count, elem_size)
+    try:
+        decl = SectionDecl(kind.decode("ascii"), section_id, count, elem_size)
+    except ValueError as exc:
+        raise ContainerFormatError(f"section header invalid: {exc}") from None
     return SectionHeader(decl=decl, crc=crc)
 
 

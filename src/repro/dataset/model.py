@@ -201,11 +201,11 @@ class DatasetSchema:
 
     @classmethod
     def from_json(cls, raw: str | bytes) -> "DatasetSchema":
-        if isinstance(raw, (bytes, bytearray)):
-            raw = bytes(raw).decode("utf-8")
         try:
+            if isinstance(raw, (bytes, bytearray)):
+                raw = bytes(raw).decode("utf-8")
             doc = json.loads(raw)
-        except ValueError as exc:
+        except ValueError as exc:  # UnicodeDecodeError is one too
             raise OrganizationError(f"unparseable dataset schema: {exc}") from None
         if not isinstance(doc, dict):
             raise OrganizationError("dataset schema must be a JSON object")
@@ -224,7 +224,7 @@ class DatasetSchema:
                 variables,
                 dict(doc.get("attrs", {})),
             )
-        except (KeyError, TypeError, AttributeError) as exc:
+        except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
             raise OrganizationError(
                 f"malformed dataset schema: {exc!r}"
             ) from None

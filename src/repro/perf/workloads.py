@@ -8,9 +8,8 @@ handle type. The determinism regression tests
 Everything here is deterministic by construction — no RNG, no wall-clock
 reads — so two runs of the same workload on the same configuration must
 produce the same event order, final clock, device statistics, and media
-bytes. :func:`digest` folds all of those into one hash; the fast engine
-loop and extent-batched submission are required to leave it unchanged
-relative to the hooked loop and per-block paths (see ``docs/PERF.md``).
+bytes. :func:`digest` folds all of those into one hash; an attached
+sanitizer must leave it unchanged (see ``docs/PERF.md``).
 """
 
 from __future__ import annotations
@@ -252,7 +251,7 @@ def digest(
     reordering or extra/missing event changes the hash), per-device
     statistics, and the media bytes of every workload file. Two runs that
     agree on this digest produced byte-identical simulated results —
-    the fast/hooked and batched/per-block equivalence contract.
+    the plain/sanitized equivalence contract.
     """
     h = hashlib.sha256()
     h.update(repr((float(env.now), env._eid, env.steps)).encode())

@@ -94,7 +94,11 @@ class EngineSanitizer:
     # -- engine hooks ----------------------------------------------------------
 
     def on_step(self, event: Event) -> None:
-        """Called by ``Environment.step`` for every popped event."""
+        """Called by :meth:`Environment.run` for every popped event.
+
+        ``run`` reads the sanitizer once when it starts, so one attached
+        between runs sees every event of the next run on.
+        """
         self.checks += 1
         if event._processed:
             self._violate(
@@ -104,7 +108,7 @@ class EngineSanitizer:
         if event.callbacks is None:
             self._violate(
                 "event-callbacks-consumed",
-                f"{event!r} reached step() with its callbacks already taken",
+                f"{event!r} was popped with its callbacks already taken",
             )
         if not event.triggered:
             self._violate(
@@ -350,7 +354,6 @@ def attach(env: Environment, raise_on_violation: bool = False) -> EngineSanitize
     if sanitizer is None:
         sanitizer = EngineSanitizer(env, raise_on_violation)
         env._sanitizer = sanitizer
-        env._hooks_attached()
     else:
         sanitizer.raise_on_violation = raise_on_violation
     return sanitizer

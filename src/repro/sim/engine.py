@@ -14,18 +14,11 @@ Determinism contract: given the same program and the same RNG seeds, a
 simulation run produces the same event order and the same final clock.
 Ties in scheduled time are broken by insertion order (FIFO).
 
-Fast mode: an :class:`Environment` runs its event loop through one inlined
-fast loop whenever no sanitizer is attached (``fast=None``, the default,
-auto-detects; ``fast=False`` forces the hooked ``step()`` loop). The fast
-loop is observationally identical to the hooked loop — same event order,
-same clock, same values — it only removes per-event hook checks,
-method-call overhead, and event allocations (via the
-:meth:`Environment.sleep` and process-initialize pools). Attaching a
-sanitizer (``repro.sanitize.attach`` or ``strict=True``) always switches
-the environment to the hooked loop.
-
 The future-event set is a plain ``heapq`` list of ``(when, eid, event)``
-entries; both loops pop it in ``(when, eid)`` order.
+entries, pushed only by :meth:`Environment._schedule` and drained by the one
+loop in :meth:`Environment.run` in ``(when, eid)`` order. An attached
+sanitizer (``repro.sanitize.attach`` or ``strict=True``) sees every popped
+event; it only observes, so it changes no order, clock or value.
 """
 
 from __future__ import annotations
@@ -71,7 +64,7 @@ class Event:
     wait for events by yielding them.
     """
 
-    __slots__ = ("env", "callbacks", "_value", "_ok", "_processed", "_defused", "_poolable")
+    __slots__ = ("env", "callbacks", "_value", "_ok", "_processed", "_defused")
 
     _PENDING = object()
 
@@ -83,9 +76,6 @@ class Event:
         self._ok: bool | None = None
         self._processed = False
         self._defused = False
-        #: recycled by the fast loop after processing (see
-        #: :meth:`Environment.sleep` for the do-not-retain contract)
-        self._poolable = False
 
     @property
     def triggered(self) -> bool:
@@ -148,18 +138,9 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires after a fixed simulated delay.
+    """An event that fires after a fixed simulated delay."""
 
-    ``_tight`` is the trampoline-flattening fast path: when a process's
-    *only* wait target is this timeout (the common ``yield env.sleep(d)``
-    leaf-process shape), the process parks itself in the slot instead of
-    appending its resume callback — the event loop then resumes it with one
-    direct call, skipping bound-method allocation and callback-list
-    iteration. Timing-transparent: the tight wake runs exactly where the
-    callback would have (first, in append order).
-    """
-
-    __slots__ = ("delay", "_tight")
+    __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         if delay < 0 or delay != delay:  # rejects negatives and NaN
@@ -170,14 +151,12 @@ class Timeout(Event):
         self._ok = True
         self._processed = False
         self._defused = False
-        self._poolable = False
-        self._tight: Process | None = None
         self.delay = delay
         env._schedule(self, delay)
 
 
 class Initialize(Event):
-    """Internal: the start slot of a new process or op (pooled in fast mode)."""
+    """Internal: the start slot of a new process or op."""
 
     __slots__ = ()
 
@@ -188,7 +167,6 @@ class Initialize(Event):
         self._ok = True
         self._processed = False
         self._defused = False
-        self._poolable = env._fast
         env._schedule(self)
 
 
@@ -216,7 +194,6 @@ class Process(Event):
         self._ok = None
         self._processed = False
         self._defused = False
-        self._poolable = False
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         # Ambient QoS context: child processes are always created from
@@ -229,7 +206,7 @@ class Process(Event):
         #: bound method per append, ~1 per event on process-heavy runs)
         self._resume_cb = self._resume
         #: the event this process is currently waiting on
-        self._target: Event | None = env._start(self._resume_cb)
+        self._target: Event | None = Initialize(env, self._resume_cb)
 
     @property
     def is_alive(self) -> bool:
@@ -250,9 +227,7 @@ class Process(Event):
         if target is not None:
             # Stop waiting on the old target (it may already be triggered —
             # e.g. a Timeout is born triggered — but not yet processed).
-            if type(target) is Timeout and target._tight is self:
-                target._tight = None
-            elif target.callbacks is not None:
+            if target.callbacks is not None:
                 try:
                     target.callbacks.remove(self._resume_cb)
                 except ValueError:
@@ -312,16 +287,8 @@ class Process(Event):
 
             callbacks = next_event.callbacks
             if callbacks is not None:
-                # Not yet processed: wait for it. A sole-waiter Timeout takes
-                # the tight slot (see Timeout docstring) — same wake order.
-                if (
-                    not callbacks
-                    and type(next_event) is Timeout
-                    and next_event._tight is None
-                ):
-                    next_event._tight = self
-                else:
-                    callbacks.append(self._resume_cb)
+                # Not yet processed: wait for it.
+                callbacks.append(self._resume_cb)
                 self._target = next_event
                 env._active = None
                 return
@@ -346,7 +313,7 @@ class Op(Event):
         Event.__init__(self, env)
         self._source = source
         self._finish = finish
-        env._start(self._wait if isinstance(source, Event) else self._begin)
+        Initialize(env, self._wait if isinstance(source, Event) else self._begin)
 
     def _wait(self, _start: Event) -> None:
         source = self._source
@@ -468,40 +435,21 @@ class AnyOf(Condition):
         return self._n_done >= 1
 
 
-#: upper bound on recycled objects kept per environment, per pool
-_TIMEOUT_POOL_CAP = 256
-_INIT_POOL_CAP = 256
-
-
 class Environment:
     """The simulation clock and event queue.
 
-    ``fast`` selects the event-loop flavour: ``None`` (default) runs the
-    inlined fast loop until a sanitizer is attached, ``False`` always runs
-    the hooked ``step()`` loop (what sanitizers require, and the reference
-    side of the fast==hooked tests). Both produce byte-identical simulated
-    results.
+    ``strict=True`` attaches an :class:`~repro.sanitize.EngineSanitizer`
+    that raises on the first invariant violation.
     """
 
-    def __init__(
-        self,
-        initial_time: float = 0.0,
-        strict: bool = False,
-        fast: bool | None = None,
-    ):
+    def __init__(self, initial_time: float = 0.0, strict: bool = False):
         self._now = float(initial_time)
         #: the future-event set: a heapq list of ``(when, eid, event)``
         self._queue: list[tuple[float, int, Event]] = []
         self._eid = 0
         self._active: Process | None = None
         #: events processed so far
-        self._steps = 0
-        #: fast-loop eligibility; cleared when a sanitizer attaches
-        self._fast = fast is not False
-        #: recycled poolable Timeouts (see :meth:`sleep`)
-        self._timeout_pool: list[Timeout] = []
-        #: recycled process-Initialize events
-        self._init_pool: list[Initialize] = []
+        self.steps = 0
         #: attached EngineSanitizer, if any (see ``repro.sanitize``)
         self._sanitizer: Any = None
         if strict:
@@ -513,24 +461,6 @@ class Environment:
     def sanitizer(self) -> Any:
         """The attached :class:`~repro.sanitize.EngineSanitizer`, if any."""
         return self._sanitizer
-
-    @property
-    def fast_mode(self) -> bool:
-        """True when :meth:`run` will use the inlined fast loop."""
-        return self._fast and self._sanitizer is None
-
-    @property
-    def steps(self) -> int:
-        """Events processed so far (both loop flavours count)."""
-        return self._steps
-
-    def _hooks_attached(self) -> None:
-        """A sanitizer attached: fall back to the hooked loop.
-
-        Takes effect at the next :meth:`run`/:meth:`step` call; a fast loop
-        already in flight finishes its current ``run`` without hooks.
-        """
-        self._fast = False
 
     @property
     def now(self) -> float:
@@ -553,40 +483,13 @@ class Environment:
         return Timeout(self, delay, value)
 
     def sleep(self, delay: float) -> Timeout:
-        """A pooled :class:`Timeout` for internal hot paths.
+        """``timeout(delay)`` without a value.
 
-        Contract: the caller must ``yield`` the returned event exactly once
-        and must NOT retain a reference to it afterwards — in fast mode the
-        object is recycled the moment it is processed, so ``.value`` /
-        ``.processed`` reads after the yield observe a *different* sleep.
-        Pooling is timing-transparent: a pooled timeout consumes the same
-        schedule slot (eid) as a fresh one, so event order is unchanged.
-        Outside fast mode this is exactly ``timeout(delay)``.
+        The wait :class:`~repro.qos.bucket.TokenBucket` yields: the live
+        server's wall clock offers the same method, so one bucket runs in
+        simulated and in real time.
         """
-        # Validate here, above every branch, so a bad delay is rejected
-        # whether or not the pool is warm and whether or not the env is
-        # fast. NaN must be caught too: a NaN `when` is incomparable and
-        # corrupts the heap ordering invariant.
-        if delay < 0 or delay != delay:
-            raise ValueError(f"negative or NaN delay {delay}")
-        if not self._fast:
-            return Timeout(self, delay)
-        pool = self._timeout_pool
-        if not pool:
-            t = Timeout(self, delay)
-            t._poolable = True
-            return t
-        t = pool.pop()
-        t.delay = delay
-        t._value = None
-        t._processed = False
-        t._defused = False
-        t._poolable = True
-        # _schedule, inlined: sleep is the single hottest schedule site
-        # (one per simulated wait) and the method call is measurable.
-        self._eid += 1
-        heappush(self._queue, (self._now + delay, self._eid, t))
-        return t
+        return Timeout(self, delay)
 
     def process(
         self,
@@ -618,44 +521,9 @@ class Environment:
         self._eid += 1
         heappush(self._queue, (self._now + delay, self._eid, event))
 
-    def _start(self, callback: Callable[[Event], None]) -> Event:
-        """Schedule ``callback`` now in a start slot (pooled in fast mode)."""
-        pool = self._init_pool
-        if pool and self._fast:
-            init = pool.pop()
-            init.callbacks.append(callback)
-            init._processed = False
-            init._poolable = True
-            self._schedule(init)
-            return init
-        return Initialize(self, callback)
-
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if none."""
         return self._queue[0][0] if self._queue else float("inf")
-
-    def step(self) -> None:
-        """Process the single next event (the hooked path)."""
-        try:
-            when, _, event = heappop(self._queue)
-        except IndexError:
-            raise SimulationError("step() on empty event queue") from None
-        self._now = when
-        self._steps += 1
-        if self._sanitizer is not None:
-            self._sanitizer.on_step(event)
-        callbacks = event.callbacks
-        event.callbacks = None
-        event._processed = True
-        if type(event) is Timeout and event._tight is not None:
-            proc = event._tight
-            event._tight = None
-            proc._resume(event)
-        for cb in callbacks:
-            cb(event)
-        if event._ok is False and not event._defused:
-            exc = event._value
-            raise exc
 
     def run(self, until: float | Event | None = None) -> Any:
         """Run the simulation.
@@ -677,14 +545,23 @@ class Environment:
                 raise ValueError(
                     f"until={horizon} is in the past (now={self._now})"
                 )
-        if self._fast and self._sanitizer is None:
-            self._run_fast(horizon, stop)
-        else:
-            queue = self._queue
-            while queue and (stop is None or not stop._processed):
-                if horizon is not None and queue[0][0] > horizon:
-                    break
-                self.step()
+        queue = self._queue
+        sanitizer = self._sanitizer
+        while queue and (stop is None or not stop._processed):
+            if horizon is not None and queue[0][0] > horizon:
+                break
+            when, _, event = heappop(queue)
+            self._now = when
+            self.steps += 1
+            if sanitizer is not None:
+                sanitizer.on_step(event)
+            callbacks = event.callbacks
+            event.callbacks = None
+            event._processed = True
+            for cb in callbacks:
+                cb(event)
+            if event._ok is False and not event._defused:
+                raise event._value
         if stop is not None:
             if not stop._processed:
                 raise SimulationError(
@@ -696,58 +573,3 @@ class Environment:
         if horizon is not None:
             self._now = horizon
         return None
-
-    def _run_fast(self, horizon: float | None, stop: Event | None) -> None:
-        """The inlined fast event loop (no per-event hook checks).
-
-        Runs until the queue drains, its head lies past ``horizon`` (when
-        given), or ``stop`` (when given) has been processed. Observationally
-        identical to the hooked ``step()`` loop: it pops the same entries in
-        the same order, runs the same callbacks, and raises the same errors.
-        It exists so the hot path pays no method call, no sanitizer test,
-        and no Timeout/Initialize allocation per event (see the pools).
-        """
-        queue = self._queue
-        t_pool = self._timeout_pool
-        i_pool = self._init_pool
-        Timeout_ = Timeout
-        steps = self._steps
-        try:
-            while queue and (stop is None or not stop._processed):
-                if horizon is not None and queue[0][0] > horizon:
-                    return
-                when, _, event = heappop(queue)
-                self._now = when
-                steps += 1
-                callbacks = event.callbacks
-                event.callbacks = None
-                event._processed = True
-                if type(event) is Timeout_:
-                    # Timeouts are born triggered-ok, so they can never
-                    # fail: skip the failure check on this branch.
-                    proc = event._tight
-                    if proc is not None:
-                        event._tight = None
-                        proc._resume(event)
-                    if callbacks:
-                        for cb in callbacks:
-                            cb(event)
-                    if event._poolable:
-                        event._poolable = False
-                        if len(t_pool) < _TIMEOUT_POOL_CAP:
-                            callbacks.clear()
-                            event.callbacks = callbacks
-                            t_pool.append(event)
-                else:
-                    for cb in callbacks:
-                        cb(event)
-                    if event._ok is False and not event._defused:
-                        raise event._value
-                    if event._poolable:  # only Initialize, on this branch
-                        event._poolable = False
-                        if len(i_pool) < _INIT_POOL_CAP:
-                            callbacks.clear()
-                            event.callbacks = callbacks
-                            i_pool.append(event)
-        finally:
-            self._steps = steps

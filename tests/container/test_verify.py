@@ -6,10 +6,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.container import scan_bytes
 from repro.container.codec import (
     FILE_HEADER_BYTES,
+    MAGIC,
     SECTION_HEADER_BYTES,
 )
 from repro.container.verify import main as verify_main
@@ -72,6 +75,21 @@ def test_damaged_section_header_stops_the_walk(good):
     buf[FILE_HEADER_BYTES] = ord("Q")  # first section's kind byte
     rep = scan_bytes(bytes(buf))
     assert kinds(rep) == ["bad-section-header"]
+    assert not rep.sections
+
+
+@pytest.mark.parametrize("at, data, detail", [
+    # in the first section's id field, 0xff decodes to U+FFFD (3 bytes)
+    # and pushes the id past 31 bytes
+    (159, b"\xff", "longer than 31 bytes"),
+    (FILE_HEADER_BYTES + 2, b" " * 32, "non-empty"),
+], ids=["id-too-long", "id-blank"])
+def test_section_header_the_declaration_rejects_is_a_finding(good, at, data, detail):
+    buf = bytearray(good)
+    buf[at:at + len(data)] = data
+    rep = scan_bytes(bytes(buf))
+    assert kinds(rep) == ["bad-section-header"]
+    assert detail in rep.findings[0].detail
     assert not rep.sections
 
 
@@ -158,6 +176,34 @@ def test_module_cli_runs_warning_free(fixture, code):
     )
     assert (proc.returncode, proc.stderr) == (code, "")
     assert ("CLEAN" if code == 0 else "1 finding(s)") in proc.stdout
+
+
+# -- hostile input: findings, never a raise ------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    fixture=st.sampled_from(["good.cnt", "corrupt.cnt"]),
+    writes=st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(0, 255)),
+                    min_size=1, max_size=8),
+    cut=st.none() | st.integers(0, 1 << 16),
+)
+def test_scan_bytes_reports_on_mutated_fixtures(fixture, writes, cut):
+    buf = bytearray((FIXTURES / fixture).read_bytes())
+    for at, byte in writes:
+        buf[at % len(buf)] = byte
+    if cut is not None:
+        del buf[cut % len(buf):]
+    rep = scan_bytes(bytes(buf))
+    assert rep.total_bytes == len(buf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(body=st.binary(max_size=512), magic=st.booleans())
+def test_scan_bytes_reports_on_arbitrary_bytes(body, magic):
+    buf = (MAGIC if magic else b"") + body
+    rep = scan_bytes(buf)
+    assert rep.total_bytes == len(buf)
 
 
 def test_committed_fixtures_match_the_builder(good):

@@ -1,8 +1,12 @@
 """fsck coverage for the dataset self-description section: the four
 ``dataset-*`` finding kinds and their interaction with checksum checks."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.container.codec import (
     block_section,
@@ -127,6 +131,15 @@ class TestBadSchema:
         )
         assert kinds(report) == [KIND_DATASET_SCHEMA]
 
+    @pytest.mark.parametrize("payload", [
+        b"\xff\xfe not utf-8",
+        b'{"dimensions": {"x": "a"}}',
+        b'{"dimensions": {"x": 1e400}}',
+    ], ids=["not-utf8", "extent-not-int", "extent-infinite"])
+    def test_valid_crc_hostile_schema_is_bad_schema(self, payload):
+        report = scan_bytes(raw_container([("repro/dataset", payload)]))
+        assert kinds(report) == [KIND_DATASET_SCHEMA]
+
     def test_corrupt_payload_is_checksum_not_schema(self, lfs, schema):
         buf = dataset_bytes(lfs, schema)
         off = bytes(buf).find(b'{"attrs"')  # schema payload start
@@ -143,3 +156,22 @@ class TestBadSchema:
         )
         rows = report.to_sanitize_findings()
         assert any(KIND_DATASET_MISSING in str(r) for r in rows)
+
+
+SCHEMA_KEYS = st.sampled_from(["dimensions", "variables", "attrs", "dtype", "dims", "x", "v"])
+JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(SCHEMA_KEYS | st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=st.binary(min_size=1, max_size=256)
+       | JSON_DOCS.map(lambda doc: json.dumps(doc).encode()))
+def test_scan_bytes_reports_on_any_checksummed_schema(payload):
+    """A schema payload with a valid checksum is parsed: whatever it holds,
+    the scan ends in findings, never a raise."""
+    buf = raw_container([("repro/dataset", payload)])
+    assert scan_bytes(buf).total_bytes == len(buf)

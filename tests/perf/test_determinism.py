@@ -1,11 +1,11 @@
-"""Golden event-trace digests: the fast paths must not move the simulation.
+"""Golden event-trace digests: refactors must not move the simulation.
 
 For every organization, on every stack (bare, full, resilient, shadow), under both
 submission modes (per-block, extent-batched), the outcome digest —
 final clock, event/step counters, device statistics, media bytes — must
-be identical between the hooked engine loop (``fast=False``) and
-the fast loop, **and** equal to the golden value committed in
-``tests/baselines/engine_digests.json``.
+be identical between a plain environment with a no-op trace recorder and
+a strict (sanitized) one with a collecting recorder, **and** equal to the
+golden value committed in ``tests/baselines/engine_digests.json``.
 
 The golden file pins the simulation across refactors: any change to
 event ordering, device timing, or stored bytes shows up as a digest
@@ -15,8 +15,8 @@ request sizes, hence timing) — each (stack, submission) cell has its own
 golden value.
 
 This test also runs under ``--sanitize``: the suite-wide sanitizer hook
-forces every environment onto the hooked loop, and because the sanitizer
-only observes, the digests must still match the golden values.
+attaches to the plain side too, and because the sanitizer only observes,
+the digests must still match the golden values.
 
 Regenerate after an intentional timing change::
 
@@ -65,17 +65,17 @@ def _config() -> WorkloadConfig:
     return WorkloadConfig(n_records=480)
 
 
-def _build(stack: str, batched: bool, fast: bool):
-    env = Environment(fast=None if fast else False)
-    recorder = NullTraceRecorder() if fast else TraceRecorder()
+def _build(stack: str, batched: bool, strict: bool):
+    env = Environment(strict=strict)
+    recorder = TraceRecorder() if strict else NullTraceRecorder()
     pfs = build_parallel_fs(
         env, N_DEVICES, recorder=recorder, batch_io=batched, **STACK_KWARGS[stack]()
     )
     return env, pfs
 
 
-def _digest(stack: str, submission: str, org: str, fast: bool) -> str:
-    env, pfs = _build(stack, submission == "batched", fast)
+def _digest(stack: str, submission: str, org: str, strict: bool) -> str:
+    env, pfs = _build(stack, submission == "batched", strict)
     f = run_org(env, pfs, org, _config())
     env.run()
     return digest(env, pfs, [f])
@@ -87,7 +87,7 @@ def _compute_all() -> dict:
         for submission in SUBMISSIONS:
             cell = out.setdefault(f"{stack}/{submission}", {})
             for org in ORGS:
-                cell[org] = _digest(stack, submission, org, fast=True)
+                cell[org] = _digest(stack, submission, org, strict=False)
     return out
 
 
@@ -105,12 +105,12 @@ def golden():
 @pytest.mark.parametrize("org", ORGS)
 def test_digest_matches_golden_both_engines(golden, stack, submission, org):
     want = golden[f"{stack}/{submission}"][org]
-    got_fast = _digest(stack, submission, org, fast=True)
-    got_normal = _digest(stack, submission, org, fast=False)
-    assert got_fast == got_normal, (
-        f"fast and hooked loops diverged: {stack}/{submission} {org}"
+    got_plain = _digest(stack, submission, org, strict=False)
+    got_strict = _digest(stack, submission, org, strict=True)
+    assert got_plain == got_strict, (
+        f"plain and strict environments diverged: {stack}/{submission} {org}"
     )
-    assert got_fast == want, (
+    assert got_plain == want, (
         f"simulation outcome changed vs golden: {stack}/{submission} {org} "
         f"(regenerate the baseline only for an intentional timing change)"
     )

@@ -1,8 +1,12 @@
 """Unit tests for the discrete-event engine."""
 
+import math
+
 import pytest
 
+from repro.sanitize import attach
 from repro.sim import Environment, Interrupt, SimulationError
+from repro.sim.resources import Resource
 
 
 def test_clock_starts_at_zero():
@@ -29,32 +33,13 @@ def test_timeout_rejects_negative_delay():
 
 
 def test_sleep_rejects_negative_and_nan_delay():
-    # regression: the check must sit above every branch of the pooled
-    # fast path — a bad delay is rejected with a warm pool, a cold pool,
-    # and outside fast mode alike (it used to slip through the
-    # warm-pool branch straight into the schedule)
     env = Environment()
     with pytest.raises(ValueError):
         env.sleep(-0.5)
     with pytest.raises(ValueError):
         env.sleep(float("nan"))
-
-    def proc():  # warm the pool: sleep once, recycle on processing
-        yield env.sleep(0.1)
-
-    env.run(env.process(proc()))
-    if env.fast_mode:  # under --sanitize the hooked loop never pools
-        assert env._timeout_pool, "pool should be warm"
     with pytest.raises(ValueError):
-        env.sleep(-0.5)
-    with pytest.raises(ValueError):
-        env.sleep(float("nan"))
-
-    slow = Environment(fast=False)
-    with pytest.raises(ValueError):
-        slow.sleep(-1e-9)
-    with pytest.raises(ValueError):
-        slow.sleep(float("nan"))
+        env.sleep(-1e-9)
 
 
 def test_sequential_timeouts_accumulate():
@@ -296,15 +281,14 @@ def test_yield_non_event_is_error():
         env.run()
 
 
-def test_peek_and_step():
+def test_peek_reports_the_next_event_time():
     env = Environment()
+    assert env.peek() == float("inf")
     env.timeout(7)
     assert env.peek() == 7
-    env.step()
+    env.run(until=7)
     assert env.now == 7
     assert env.peek() == float("inf")
-    with pytest.raises(SimulationError):
-        env.step()
 
 
 def test_active_process_tracked():
@@ -415,3 +399,286 @@ def test_yield_non_event_failure_joinable_by_parent():
 
     msg = env.run(env.process(parent()))
     assert msg is not None and "non-event" in msg
+
+
+# -- the event loop: one expectation, with and without a sanitizer ----------
+#
+# Each case pins the order log, env.now, env.steps and env.peek() to the
+# same literal values on a plain and on a strict (sanitized) environment:
+# the sanitizer only observes, so it cannot move where run() stops.
+
+plain_and_strict = pytest.mark.parametrize(
+    "strict", [False, True], ids=["plain", "strict"]
+)
+
+
+def _state(env):
+    return env.now, env.steps, env.peek()
+
+
+def _mixed_program(env, log):
+    """Timeouts, sleeps, a resource, joins — a little of everything."""
+    res = Resource(env, capacity=1)
+
+    def worker(i):
+        yield env.timeout(i * 0.5)
+        with res.request() as req:
+            yield req
+            log.append(("got", i, env.now))
+            yield env.sleep(1.0)
+        yield env.sleep(0.25)
+        log.append(("done", i, env.now))
+        return i * 10
+
+    def root():
+        procs = [env.process(worker(i)) for i in range(4)]
+        first = yield env.any_of(procs)
+        log.append(("first", sorted(first.values()), env.now))
+        got = yield env.all_of(procs)
+        log.append(("all", sorted(got.values()), env.now))
+
+    return env.process(root())
+
+
+def test_sanitizer_does_not_change_the_schedule():
+    runs = []
+    for strict in (False, True):
+        env = Environment(strict=strict)
+        log = []
+        env.run(_mixed_program(env, log))
+        runs.append((log, env.now, env.steps, env._eid))
+    assert runs[0] == runs[1]
+    assert runs[0][2] > 0
+
+
+def test_sanitizer_attached_between_runs_checks_the_next_run():
+    env = Environment()
+
+    def prog():
+        yield env.timeout(1.0)
+        yield env.timeout(1.0)
+
+    env.process(prog())
+    env.run(until=1.0)
+    sanitizer = attach(env)
+    before = sanitizer.checks
+    env.run()
+    assert env.now == 2.0
+    # the second timeout and the process completion
+    assert sanitizer.checks - before == 2
+
+
+@plain_and_strict
+def test_event_scheduled_at_infinity_is_processed(strict):
+    env = Environment(strict=strict)
+    log = []
+
+    def prog():
+        yield env.timeout(1.0)
+        log.append(env.now)
+        yield env.timeout(math.inf)
+        log.append(env.now)
+
+    env.process(prog())
+    env.run()
+    assert log == [1.0, math.inf]
+    # Initialize, two timeouts, the Process completion; nothing left queued
+    assert _state(env) == (math.inf, 4, math.inf)
+
+
+@plain_and_strict
+def test_run_until_event_leaves_same_instant_successors_queued(strict):
+    env = Environment(strict=strict)
+    log = []
+
+    def leader():
+        yield env.timeout(2.0)
+        log.append("leader")
+        return "payload"
+
+    def follower(target):
+        yield target
+        log.append("follower")
+        yield env.timeout(0)
+        log.append("follower-later")
+
+    target = env.process(leader())
+    env.process(follower(target))
+    assert env.run(until=target) == "payload"
+    # the target's callbacks ran (follower resumed) and run() stopped there:
+    # the zero-delay timeout the follower just scheduled is still queued
+    assert log == ["leader", "follower"]
+    assert _state(env) == (2.0, 4, 2.0)
+    env.run()
+    assert log == ["leader", "follower", "follower-later"]
+    assert _state(env) == (2.0, 6, math.inf)
+
+
+@plain_and_strict
+def test_run_until_time_processes_events_at_the_horizon(strict):
+    env = Environment(strict=strict)
+    log = []
+
+    def prog():
+        for _ in range(3):
+            yield env.timeout(1.0)
+            log.append(env.now)
+
+    env.process(prog())
+    env.run(until=2.0)
+    assert log == [1.0, 2.0]
+    assert _state(env) == (2.0, 3, 3.0)
+    env.run(until=2.5)  # nothing in (2.0, 2.5]: only the clock moves
+    assert log == [1.0, 2.0]
+    assert _state(env) == (2.5, 3, 3.0)
+
+
+@plain_and_strict
+def test_queue_draining_before_stop_event_is_an_error(strict):
+    env = Environment(strict=strict)
+    never = env.event()
+
+    def prog():
+        yield env.timeout(1.0)
+
+    env.process(prog())
+    with pytest.raises(SimulationError, match="drained"):
+        env.run(until=never)
+    assert _state(env) == (1.0, 3, math.inf)
+
+
+@plain_and_strict
+def test_undefused_failure_reraises_out_of_run(strict):
+    env = Environment(strict=strict)
+
+    def bad():
+        yield env.timeout(1.0)
+        raise ValueError("boom")
+
+    env.process(bad())
+    env.timeout(5.0)
+    with pytest.raises(ValueError, match="boom"):
+        env.run()
+    # the failed Process event counted as a step; the later timeout stays
+    assert _state(env) == (1.0, 3, 5.0)
+
+
+@plain_and_strict
+def test_failed_event_is_thrown_into_its_waiter(strict):
+    env = Environment(strict=strict)
+
+    def prog():
+        ev = env.event()
+        ev.fail(SimulationError("boom"))
+        with pytest.raises(SimulationError):
+            yield ev
+
+    env.run(env.process(prog()))
+
+
+@plain_and_strict
+def test_stop_event_already_processed_returns_immediately(strict):
+    env = Environment(strict=strict)
+
+    def prog():
+        yield env.timeout(1.0)
+        return "payload"
+
+    done = env.process(prog())
+    failed = env.event()
+    failed.fail(KeyError("gone"))
+    failed.defuse()
+    env.run()
+    env.timeout(5.0)
+    before = _state(env)
+    assert before == (1.0, 4, 6.0)
+    assert env.run(until=done) == "payload"
+    with pytest.raises(KeyError, match="gone"):
+        env.run(until=failed)
+    assert _state(env) == before  # no event was popped
+
+
+@plain_and_strict
+def test_interrupt_during_sleep(strict):
+    env = Environment(strict=strict)
+    log = []
+
+    def sleeper():
+        try:
+            yield env.sleep(10.0)
+        except Interrupt as i:
+            log.append(("interrupted", i.cause, env.now))
+        yield env.sleep(1.0)
+        log.append(("woke", env.now))
+
+    def interrupter(target):
+        yield env.timeout(3.0)
+        target.interrupt("enough")
+
+    p = env.process(sleeper())
+    env.process(interrupter(p))
+    env.run()
+    assert log == [("interrupted", "enough", 3.0), ("woke", 4.0)]
+    assert env.now == 10.0  # the abandoned timeout still fires
+
+
+@plain_and_strict
+def test_steps_counts_every_processed_event(strict):
+    env = Environment(strict=strict)
+    seen = []
+
+    def prog():
+        for _ in range(5):
+            yield env.timeout(1.0)
+            seen.append(env.steps)
+
+    env.run(env.process(prog()))
+    # counted as they happen: Initialize, then one per timeout
+    assert seen == [2, 3, 4, 5, 6]
+    # 1 Initialize + 5 timeouts + the Process completion event
+    assert env.steps == 7
+
+
+def test_retained_sleep_keeps_its_own_state():
+    env = Environment()
+    seen = []
+
+    def prog():
+        a = env.sleep(1)
+        yield a
+        yield env.timeout(0)
+        b = env.sleep(2)
+        seen.append((a is not b, a.processed))
+        yield b
+
+    env.run(env.process(prog()))
+    assert seen == [(True, True)]
+    assert env.now == 3
+
+
+class CountingEnvironment(Environment):
+    """Counts the events pushed through ``_schedule``."""
+
+    def __init__(self):
+        super().__init__()
+        self.scheduled = 0
+
+    def _schedule(self, event, delay=0.0):
+        self.scheduled += 1
+        super()._schedule(event, delay)
+
+
+def test_schedule_is_the_only_push_site():
+    env = CountingEnvironment()
+
+    def child(i):
+        yield env.sleep(i)
+
+    def prog():
+        for _ in range(6):
+            yield env.sleep(1)
+        yield env.all_of([env.process(child(i)) for i in range(2)])
+
+    env.run(env.process(prog()))
+    assert env.peek() == math.inf
+    assert env.scheduled == env.steps == 15
