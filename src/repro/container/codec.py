@@ -94,6 +94,8 @@ __all__ = [
     "plan_layout",
     "walk_toc",
     "write_section",
+    "read_at",
+    "write_at",
     "verify_payload",
     "read_section",
     "encode_attrs_payload",
@@ -433,9 +435,10 @@ def plan_layout(decls: Iterable[SectionDecl]) -> ContainerLayout:
 # -- sans-I/O plans --------------------------------------------------------------
 #
 # Generators of I/O *intents*, so one definition serves every backend: each
-# yields ``("read", offset, nbytes)`` (sent back the bytes read) or
-# ``("write", offset, data)``; ``repro.container.writer.run_plan`` does the
-# I/O in simulated time, plain calls do it for the live dataset.
+# yields ``("read", offset, nbytes)`` (sent back the records read) or
+# ``("write", offset, data)`` over the container's 1-byte records, and each
+# backend's one plan driver (``ParallelFile.run_plan`` in simulated time,
+# ``LiveParallelFile.run_plan`` with plain calls) does the I/O.
 
 
 def walk_toc(total_bytes: int):
@@ -447,17 +450,18 @@ def walk_toc(total_bytes: int):
     Raises :class:`ContainerFormatError` on a header or payload running
     past the end of the file, or a section id that appears twice.
     """
-    header = decode_file_header((yield "read", 0, FILE_HEADER_BYTES))
+    header = decode_file_header((yield from read_at(0, FILE_HEADER_BYTES)))
     toc: dict[str, SectionExtent] = {}
     crcs: dict[str, int] = {}
     off = FILE_HEADER_BYTES
-    for i in range(header.section_count):
+    # a hostile count is cut to the section headers the file could hold
+    for i in range(min(header.section_count, total_bytes // SECTION_HEADER_BYTES)):
         if off + SECTION_HEADER_BYTES > total_bytes:
             raise ContainerFormatError(
                 f"section {i}: header at {off} runs past end of file "
                 f"({total_bytes} bytes)"
             )
-        shdr = decode_section_header((yield "read", off, SECTION_HEADER_BYTES))
+        shdr = decode_section_header((yield from read_at(off, SECTION_HEADER_BYTES)))
         sid = shdr.decl.section_id
         ext = SectionExtent(shdr.decl, off)
         if ext.end > total_bytes:
@@ -497,10 +501,20 @@ def write_section(ext: SectionExtent, payload: bytes | None):
     return crc
 
 
+def read_at(offset: int, nbytes: int):
+    """Generator plan: the ``nbytes`` bytes at ``offset`` (one read intent)."""
+    return bytes((yield "read", offset, nbytes))
+
+
+def write_at(offset: int, data: bytes):
+    """Generator plan: ``data`` at ``offset`` (one write intent)."""
+    yield "write", offset, data
+
+
 def read_section(ext: SectionExtent, crc: int):
     """Generator plan: the checksum-verified payload bytes of one section
     (one read intent; none for an empty payload)."""
-    payload = (yield "read", ext.payload_off, ext.payload_len) if ext.payload_len else b""
+    payload = (yield from read_at(ext.payload_off, ext.payload_len)) if ext.payload_len else b""
     return verify_payload(ext, crc, payload)
 
 

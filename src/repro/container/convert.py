@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-import numpy as np
-
 from ..core.organizations import FileOrganization
 from ..fs.convert import convert_file
 from .codec import (
@@ -30,6 +28,7 @@ from .codec import (
     encode_attrs_payload,
     encode_section_header,
     section_crc,
+    write_at,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -87,5 +86,4 @@ def _rewrite_attrs(dst: "ParallelFile"):
     payload = encode_attrs_payload(dst.attrs.to_dict())
     crc = section_crc(payload, decl.count, decl.elem_size)
     header = encode_section_header(decl, crc)
-    buf = np.frombuffer(header + payload, dtype=np.uint8).reshape(-1, 1)
-    yield dst.write_records(FILE_HEADER_BYTES, buf)
+    yield from dst.run_plan(write_at(FILE_HEADER_BYTES, header + payload))

@@ -30,7 +30,7 @@ from .codec import (
     verify_payload,
     walk_toc,
 )
-from .writer import fan_out, payload_indices, run_plan
+from .writer import fan_out, payload_indices
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..fs.pfs import ParallelFile, ParallelFileSystem
@@ -73,9 +73,9 @@ class ContainerReader:
         if readers < 1:
             raise ValueError("readers must be >= 1")
         file = pfs.open(name, n_processes=readers)
-        header, toc, crcs = yield from run_plan(file, walk_toc(file.n_records))
-        attrs = yield from run_plan(
-            file, read_section(toc[ATTRS_SECTION_ID], crcs[ATTRS_SECTION_ID])
+        header, toc, crcs = yield from file.run_plan(walk_toc(file.n_records))
+        attrs = yield from file.run_plan(
+            read_section(toc[ATTRS_SECTION_ID], crcs[ATTRS_SECTION_ID])
         )
         return cls(file, header, toc, crcs, decode_attrs_payload(attrs))
 
@@ -128,8 +128,8 @@ class ContainerReader:
     def _read_checked(self, section_id: str):
         """Generator: one section's checksum-verified payload bytes, read
         serially."""
-        return run_plan(
-            self.file, read_section(self.toc[section_id], self.crcs[section_id])
+        return self.file.run_plan(
+            read_section(self.toc[section_id], self.crcs[section_id])
         )
 
     def read_inline(self, section_id: str):

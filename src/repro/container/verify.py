@@ -48,6 +48,7 @@ from .codec import (
     _dec_int,
     decode_section_header,
     pad_bytes,
+    read_at,
     section_crc,
 )
 
@@ -184,7 +185,8 @@ def scan_bytes(buf: bytes, name: str = "<bytes>") -> ContainerReport:
 
     # -- section walk
     off = FILE_HEADER_BYTES
-    for i in range(section_count):
+    # a hostile count is cut to the section headers the buffer could hold
+    for i in range(min(section_count, len(buf) // SECTION_HEADER_BYTES)):
         if off + SECTION_HEADER_BYTES > len(buf):
             _note(report, KIND_TRUNCATED, "", off,
                   f"section {i}: header runs past end of file")
@@ -302,7 +304,7 @@ def scan_container(file: "ParallelFile") -> ContainerReport:
 def fsck(file: "ParallelFile", chunk_records: int = 1 << 16):
     """Generator: scan the container through the live data plane.
 
-    Reads the whole file with ordinary ``read_records`` calls in
+    Reads the whole file with ordinary record reads in
     ``chunk_records`` chunks — through I/O nodes, QoS, and the
     resilience layer if attached — then runs the same structural scan as
     :func:`scan_bytes`. When a resilience layer is attached, the report's
@@ -312,14 +314,10 @@ def fsck(file: "ParallelFile", chunk_records: int = 1 << 16):
     """
     rv = getattr(file.pfs, "resilience", None)
     before = rv.stats.counters() if rv is not None else None
-    chunks: list[bytes] = []
-    total = file.n_records
-    off = 0
-    while off < total:
+    total, chunks = file.n_records, []
+    for off in range(0, total, chunk_records):
         n = min(chunk_records, total - off)
-        rows = yield file.read_records(off, n)
-        chunks.append(np.ascontiguousarray(rows, dtype=np.uint8).tobytes())
-        off += n
+        chunks.append((yield from file.run_plan(read_at(off, n))))
     report = scan_bytes(b"".join(chunks), name=file.name)
     if before is not None:
         after = rv.stats.counters()

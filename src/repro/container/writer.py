@@ -47,6 +47,7 @@ from .codec import (
     pad_bytes,
     plan_layout,
     section_crc,
+    write_at,
     write_section,
 )
 
@@ -60,7 +61,6 @@ __all__ = [
     "byte_rows",
     "fan_out",
     "payload_indices",
-    "run_plan",
 ]
 
 
@@ -91,31 +91,6 @@ def byte_rows(raw: bytes | np.ndarray) -> np.ndarray:
         else np.ascontiguousarray(raw, dtype=np.uint8).reshape(-1)
     )
     return arr.reshape(-1, 1)
-
-
-def run_plan(file: "ParallelFile", plan):
-    """Generator: execute a sans-I/O container plan on a simulated file.
-
-    ``plan`` yields ``("read", offset, nbytes)`` intents, each answered
-    with the bytes read, and ``("write", offset, data)`` intents over the
-    container's 1-byte records (:func:`~repro.container.codec.walk_toc`,
-    :func:`~repro.container.codec.read_section`, a dataset's sync plan).
-    Returns the plan's value. When an I/O fails, the plan is closed before
-    the error propagates, so its cleanup runs first.
-    """
-    reply = None
-    try:
-        while True:
-            op, offset, arg = plan.send(reply)
-            if op == "read":
-                rows = yield file.read_records(offset, arg)
-                reply = rows.tobytes()
-            else:
-                reply = yield file.write_records(offset, byte_rows(arg))
-    except StopIteration as done:
-        return done.value
-    finally:
-        plan.close()
 
 
 class ContainerWriter:
@@ -199,7 +174,7 @@ class ContainerWriter:
         header = encode_file_header(
             self.user_string, len(self.layout.sections)
         )
-        yield self.file.write_records(0, byte_rows(header))
+        yield from self.file.run_plan(write_at(0, header))
         self._began = True
         payload = encode_attrs_payload(self.file.attrs.to_dict())
         yield from self._write_serial(self.layout.sections[0], payload)
@@ -222,7 +197,7 @@ class ContainerWriter:
 
     def _write_serial(self, ext: SectionExtent, payload: bytes):
         """Generator: header + payload + pad, one writer."""
-        return run_plan(self.file, write_section(ext, payload))
+        return self.file.run_plan(write_section(ext, payload))
 
     def write_inline(self, section_id: str, payload: bytes):
         """Generator: write an inline section (<= 32 bytes, space-padded)."""
@@ -284,17 +259,18 @@ class ContainerWriter:
                 f"{ext.decl.count} x {ext.decl.elem_size} = "
                 f"{ext.payload_len} bytes, got {raw.size}"
             )
-        crc = section_crc(raw.tobytes(), ext.decl.count, ext.decl.elem_size)
-        yield self.file.write_records(
-            ext.header_off, byte_rows(encode_section_header(ext.decl, crc))
-        )
-        if raw.size:
+        if self.n_writers == 1 or mode == "serial" or not raw.size:
+            yield from self._write_serial(ext, raw.tobytes())
+        else:
+            crc = section_crc(raw.tobytes(), ext.decl.count, ext.decl.elem_size)
+            header = encode_section_header(ext.decl, crc)
+            yield from self.file.run_plan(write_at(ext.header_off, header))
             yield from self._write_payload(
                 ext, raw, mode, exchange_rate, exchange_latency
             )
-        yield self.file.write_records(
-            ext.pad_off, byte_rows(pad_bytes(ext.payload_len))
-        )
+            yield from self.file.run_plan(
+                write_at(ext.pad_off, pad_bytes(ext.payload_len))
+            )
         self._next += 1
 
     def _write_payload(
@@ -307,9 +283,6 @@ class ContainerWriter:
     ):
         off, nbytes = ext.payload_off, ext.payload_len
         p = self.n_writers
-        if p == 1 or mode == "serial":
-            yield self.file.write_records(off, raw.reshape(-1, 1))
-            return
         if mode == "view":
             from ..datatype import ContiguousView
 

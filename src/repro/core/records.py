@@ -52,8 +52,16 @@ class RecordSpec:
 
     # -- codec -------------------------------------------------------------
 
-    def encode(self, values: np.ndarray) -> np.ndarray:
-        """Pack an ``(n, items_per_record)`` array into flat uint8 bytes."""
+    def encode(self, values: np.ndarray | bytes) -> np.ndarray:
+        """Pack an ``(n, items_per_record)`` array into flat uint8 bytes
+        (raw ``bytes`` pass through as whole records, as in :meth:`decode`)."""
+        if isinstance(values, (bytes, bytearray)):
+            if len(values) % self.record_size != 0:
+                raise ValueError(
+                    f"{len(values)} bytes is not a whole number of "
+                    f"{self.record_size}-byte records"
+                )
+            return np.frombuffer(values, dtype=np.uint8)
         arr = np.ascontiguousarray(values, dtype=self._np_dtype)
         received = arr.shape
         if arr.ndim == 1:

@@ -43,6 +43,7 @@ from ..container.codec import (
     array_section,
     block_section,
     encode_section_header,
+    read_at,
     read_section,
     section_crc,
 )
@@ -288,7 +289,7 @@ class DatasetBase:
             for name in names:
                 ext = self._var_extent(name)
                 payload = (
-                    (yield "read", ext.payload_off, ext.payload_len)
+                    (yield from read_at(ext.payload_off, ext.payload_len))
                     if ext.payload_len
                     else b""
                 )

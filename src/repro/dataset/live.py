@@ -23,7 +23,7 @@ from ..container.codec import (
     walk_toc,
     write_section,
 )
-from ..container.writer import byte_rows, container_decls
+from ..container.writer import container_decls
 from ..datatype.slab import slab_size
 from .core import (
     DATASET_SECTION_ID,
@@ -39,23 +39,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..live.backend import LiveParallelFile, LiveParallelFileSystem
 
 __all__ = ["LiveDataset"]
-
-
-def _run_plan(file: "LiveParallelFile", plan):
-    """Execute a sans-I/O container plan with plain calls: the live twin
-    of :func:`repro.container.reader.run_plan`."""
-    reply = None
-    try:
-        while True:
-            op, offset, arg = plan.send(reply)
-            if op == "read":
-                reply = file.read_records(offset, arg).tobytes()
-            else:
-                reply = file.write_records(offset, byte_rows(arg))
-    except StopIteration as done:
-        return done.value
-    finally:
-        plan.close()
 
 
 class LiveDataset(DatasetBase):
@@ -92,9 +75,7 @@ class LiveDataset(DatasetBase):
             dtype="uint8", **org_params,
         )
         try:
-            file.write_records(
-                0, byte_rows(encode_file_header(user_string, len(layout.sections)))
-            )
+            file.write_records(0, encode_file_header(user_string, len(layout.sections)))
             crcs = {}
             for ext in layout.sections:
                 sid = ext.decl.section_id
@@ -106,7 +87,7 @@ class LiveDataset(DatasetBase):
                     # a variable without initial data stays zero: the file
                     # is preallocated
                     payload = initial.get(sid[len(VAR_PREFIX):])
-                crcs[sid] = _run_plan(file, write_section(ext, payload))
+                crcs[sid] = file.run_plan(write_section(ext, payload))
             toc = {ext.decl.section_id: ext for ext in layout.sections}
             return cls(file, schema, toc, crcs)
         except BaseException:
@@ -124,8 +105,8 @@ class LiveDataset(DatasetBase):
         """Open an existing dataset (schema section crc-verified)."""
         file = lfs.open(name, n_processes)
         try:
-            _, toc, crcs = _run_plan(file, walk_toc(file.n_records))
-            return cls(file, _run_plan(file, schema_plan(toc, crcs, name)), toc, crcs)
+            _, toc, crcs = file.run_plan(walk_toc(file.n_records))
+            return cls(file, file.run_plan(schema_plan(toc, crcs, name)), toc, crcs)
         except BaseException:
             file.close()
             raise
@@ -166,4 +147,4 @@ class LiveDataset(DatasetBase):
         """Recompute and rewrite stale variable checksums (see
         :meth:`~repro.dataset.core.DatasetBase._sync_plan`). Returns the
         variable names synced."""
-        return _run_plan(self.file, self._sync_plan())
+        return self.file.run_plan(self._sync_plan())

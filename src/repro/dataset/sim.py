@@ -19,7 +19,7 @@ import numpy as np
 
 from ..collective.twophase import CollectiveIO
 from ..container.reader import ContainerReader
-from ..container.writer import ContainerWriter, run_plan
+from ..container.writer import ContainerWriter
 from ..core.errors import OrganizationError
 from ..datatype.slab import slab_size, validate_slab
 from .core import (
@@ -95,8 +95,8 @@ class Dataset(DatasetBase):
     def open(cls, pfs: "ParallelFileSystem", name: str, *, processes: int = 1):
         """Generator: open an existing dataset (schema crc-verified)."""
         reader = yield from ContainerReader.open(pfs, name, readers=processes)
-        schema = yield from run_plan(
-            reader.file, schema_plan(reader.toc, reader.crcs, name)
+        schema = yield from reader.file.run_plan(
+            schema_plan(reader.toc, reader.crcs, name)
         )
         return cls(reader, schema)
 
@@ -212,4 +212,4 @@ class Dataset(DatasetBase):
         """Generator: recompute and rewrite stale variable checksums (see
         :meth:`~repro.dataset.core.DatasetBase._sync_plan`). Returns the
         variable names synced."""
-        return run_plan(self.file, self._sync_plan())
+        return self.file.run_plan(self._sync_plan())

@@ -20,6 +20,8 @@ from .planner import (
     check_view_runs,
     plan_view_read,
     plan_view_write,
+    sieved_read,
+    sieved_write,
 )
 from .slab import (
     slab_indices,
@@ -54,4 +56,6 @@ __all__ = [
     "ViewWritePlan",
     "plan_view_read",
     "plan_view_write",
+    "sieved_read",
+    "sieved_write",
 ]

@@ -1,23 +1,20 @@
 """The shared request planner: one slab-lowering core for both backends.
 
-Before this module, the executable half of the datatype layer lived only
-on the simulator's :class:`~repro.fs.pfs.ParallelFile` — view flattening,
-covering-extent read planning, scatter, and read-modify-write window
-packing were welded to simulated processes. The live backend
-(``repro.live``) and the dataset layer (``repro.dataset``) need the same
-decisions against real file descriptors, so the planning now lives here
-as pure functions over ``(start, count)`` record runs:
+The simulator (``repro.fs``), the live backend (``repro.live``) and the
+dataset layer (``repro.dataset``) take their view I/O decisions from
+these pure functions over ``(start, count)`` record runs:
 
 * :func:`check_view_runs` — a view's runs, bounds-checked against a
   file's record count;
 * :func:`plan_view_read` — decide the access mode (empty / contiguous /
-  list I/O / sieved) and, for sieving, the covering extents plus the
-  scatter map back to view order;
-* :func:`plan_view_write` — the write-side dual: mode plus RMW windows,
-  each with its overlay recipe and the view-order row offsets;
+  list I/O / sieved) and, for sieving, the covering extents;
+* :func:`plan_view_write` — the write-side dual: mode plus RMW windows
+  and the pieces each one overlays;
 * :func:`prepare_view_read` / :func:`prepare_view_write` — the check and
   plan (for writes, the value count check too) that both backends'
-  ``read_view``/``write_view`` run before their I/O.
+  ``read_view``/``write_view`` run before their I/O;
+* :func:`sieved_read` / :func:`sieved_write` — the sieved modes as
+  sans-I/O generator plans, like :func:`repro.container.codec.walk_toc`.
 
 The sieve arithmetic is the I/O-node aggregator's
 (:mod:`repro.ionode.aggregator`): the ``plan_reads`` / ``plan_rmw`` logic
@@ -26,13 +23,20 @@ applies unchanged to one client's *noncontiguous pattern*, counted in
 records instead of bytes. Only ``sieve_window`` stays byte-denominated
 (it bounds a real buffer) and is converted with the record size.
 
-Executors differ only in *how* they move bytes: the simulator yields
-device processes, the live backend calls ``os.pread``/``os.pwrite``.
-Neither re-derives a single planning decision — that is the invariant
-the dataset identity tests pin (sim and live media bytes agree because
-both executed the same plan). An RMW window rewrites *hole* records it
-only read, so both executors serialize windows through a per-file sieve
-lock.
+A plan yields I/O *intents*, each sent back its reply:
+
+* ``("read", start, count)`` — the ``count`` records at ``start``;
+* ``("gather", runs)`` — the runs' records, concatenated;
+* ``("write", start, rows)`` — the record count written;
+* ``("rmw", start, count, patch)`` — the record count: the window's
+  records are read and ``patch(buf)`` written back under the file's
+  sieve lock, because an RMW window rewrites *hole* records it only read.
+
+Each backend has one driver that answers these intents for every plan
+(sieve, container and dataset): ``ParallelFile.run_plan`` in simulated
+time, ``LiveParallelFile.run_plan`` with ``os.pread``/``os.pwrite``.
+Neither re-derives a planning decision — both run the same generator,
+which is what the backend parity and dataset identity tests pin.
 """
 
 from __future__ import annotations
@@ -58,6 +62,8 @@ __all__ = [
     "plan_view_write",
     "prepare_view_read",
     "prepare_view_write",
+    "sieved_read",
+    "sieved_write",
 ]
 
 #: access modes shared by the read and write plans
@@ -94,9 +100,7 @@ class ViewReadPlan:
     """How to read a view: the mode, and the sieve geometry if any.
 
     ``covering`` holds the covering extents of a sieved read as
-    ``(start, count)`` record runs. The executor reads each covering
-    extent, then calls :meth:`scatter` to assemble the wanted records in
-    view order.
+    ``(start, count)`` record runs (see :func:`sieved_read`).
     """
 
     mode: str
@@ -107,31 +111,6 @@ class ViewReadPlan:
     def n_view_records(self) -> int:
         return sum(c for _, c in self.runs)
 
-    def split(self, cat: np.ndarray) -> list[np.ndarray]:
-        """Slice one concatenated covering-extent read back into
-        per-extent record arrays (list-I/O executors return the
-        extents' records concatenated in submission order)."""
-        out, pos = [], 0
-        for _, n in self.covering:
-            out.append(cat[pos : pos + n])
-            pos += n
-        return out
-
-    def scatter(self, datas: Sequence[np.ndarray]) -> np.ndarray:
-        """View-order record rows out of the covering extents' records."""
-        first = datas[0]
-        out = np.empty(
-            (self.n_view_records,) + first.shape[1:], dtype=first.dtype
-        )
-        ci = pos = 0
-        for start, count in self.runs:
-            while start >= sum(self.covering[ci]):
-                ci += 1
-            rel = start - self.covering[ci][0]
-            out[pos : pos + count] = datas[ci][rel : rel + count]
-            pos += count
-        return out
-
 
 @dataclass(frozen=True)
 class ViewWritePlan:
@@ -139,8 +118,7 @@ class ViewWritePlan:
 
     ``windows`` is a tuple of ``(window, pieces)`` pairs of
     ``(start, count)`` record runs (see
-    :func:`repro.ionode.aggregator.plan_rmw`); ``row_of`` maps each run's
-    first record to its row position in the view-order payload.
+    :func:`repro.ionode.aggregator.plan_rmw` and :func:`sieved_write`).
     """
 
     mode: str
@@ -151,35 +129,58 @@ class ViewWritePlan:
     def n_view_records(self) -> int:
         return sum(c for _, c in self.runs)
 
-    @property
-    def row_of(self) -> dict[int, int]:
-        """Row position of each run's records in the view-order payload."""
-        out, pos = {}, 0
-        for start, count in self.runs:
-            out[start] = pos
-            pos += count
-        return out
 
-    @staticmethod
-    def is_whole_window(window, pieces) -> bool:
-        """True when the pieces cover the window exactly — a pure
-        overwrite needing no read-modify-write (and no lock)."""
-        return len(pieces) == 1 and pieces[0] == window
+def sieved_read(plan: ViewReadPlan):
+    """Generator plan: a sieved view read; returns the view's records in
+    view order.
 
-    def overlay(self, window, pieces, buf: np.ndarray, decoded: np.ndarray) -> np.ndarray:
-        """A copy of the window's records with the wanted rows applied.
+    One covering extent is one ``read`` intent, several are one ``gather``;
+    the wanted runs are then sliced out of the covering records.
+    """
+    covering = plan.covering
+    if len(covering) == 1:
+        start, count = covering[0]
+        cat = yield "read", start, count
+    else:
+        cat = yield "gather", covering
+    out = np.empty((plan.n_view_records,) + cat.shape[1:], dtype=cat.dtype)
+    ci = base = pos = 0
+    for start, count in plan.runs:
+        while start >= sum(covering[ci]):
+            base += covering[ci][1]
+            ci += 1
+        at = base + start - covering[ci][0]
+        out[pos : pos + count] = cat[at : at + count]
+        pos += count
+    return out
 
-        ``buf`` holds the window's current records, ``decoded`` the full
-        view-order payload; the executor writes the returned array back
-        as one transfer.
-        """
-        row_of = self.row_of
-        out = np.array(buf, copy=True)
-        for start, count in pieces:
-            rel = start - window[0]
-            row = row_of[start]
-            out[rel : rel + count] = decoded[row : row + count]
-        return out
+
+def sieved_write(plan: ViewWritePlan, rows: np.ndarray):
+    """Generator plan: a sieved view write of ``rows`` (view order);
+    returns the view's record count.
+
+    A window its pieces cover exactly is a plain ``write``; any other
+    window is an ``rmw`` whose patch overlays the pieces' rows on a copy
+    of the window's current records, leaving the holes as read.
+    """
+    row_of, pos = {}, 0
+    for start, count in plan.runs:
+        row_of[start] = pos
+        pos += count
+    for (first, count), pieces in plan.windows:
+        if len(pieces) == 1 and pieces[0] == (first, count):
+            yield "write", first, rows[row_of[first] : row_of[first] + count]
+            continue
+
+        def patch(buf: np.ndarray, first=first, pieces=pieces) -> np.ndarray:
+            out = np.array(buf, copy=True)
+            for start, n in pieces:
+                row = row_of[start]
+                out[start - first : start - first + n] = rows[row : row + n]
+            return out
+
+        yield "rmw", first, count, patch
+    return plan.n_view_records
 
 
 def plan_view_read(

@@ -10,8 +10,8 @@ Benchmark E12 counts catalog entries as its manageability metric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Iterator
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Iterator
 
 # Re-homed into repro.core.errors (the metastore and pfs layers share
 # one exception vocabulary); imported here as back-compat aliases.
@@ -19,6 +19,9 @@ from ..core.errors import FileExistsError_, FileNotFoundError_
 from ..storage.layout import DataLayout
 from ..storage.volume import Extent
 from .metadata import FileAttributes
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..sim.sync import SimLock
 
 __all__ = ["Catalog", "CatalogEntry", "FileExistsError_", "FileNotFoundError_"]
 
@@ -28,6 +31,8 @@ class CatalogEntry:
     attrs: FileAttributes
     extent: Extent
     layout: DataLayout
+    #: the file's sieve lock, shared by every open (``ParallelFile.run_plan``)
+    sieve_lock: SimLock | None = field(default=None, compare=False, repr=False)
 
 
 class Catalog:

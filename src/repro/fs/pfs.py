@@ -28,6 +28,7 @@ from ..core.mapping import OrganizationMap
 from ..core.organizations import FileCategory, FileOrganization
 from ..ionode.aggregator import DEFAULT_SIEVE_FACTOR, DEFAULT_SIEVE_WINDOW
 from ..sim.engine import Environment, Event
+from ..sim.sync import SimLock
 from ..storage.layout import (
     ClusteredLayout,
     DataLayout,
@@ -262,7 +263,7 @@ class ParallelFile(RecordFile):
         multiple of the wanted payload) and ``sieve_window`` (span at most
         that many bytes).
         """
-        from ..datatype.planner import prepare_view_read
+        from ..datatype.planner import prepare_view_read, sieved_read
 
         plan = prepare_view_read(
             self._view_or_default(view), self.n_records,
@@ -274,7 +275,7 @@ class ParallelFile(RecordFile):
             return self.env.join(list, lambda _: self.attrs.record_spec.decode(b""))
         if plan.mode == "sieved":
             return self.env.process(
-                self._read_sieved(plan), name=f"{self.name}.sieveread"
+                self.run_plan(sieved_read(plan)), name=f"{self.name}.sieveread"
             )
         if plan.mode == "contiguous":
             return self.read_records(*runs[0])
@@ -300,7 +301,7 @@ class ParallelFile(RecordFile):
         window is an application conflict exactly like any overlapping
         write (the access sanitizer's territory).
         """
-        from ..datatype.planner import prepare_view_write
+        from ..datatype.planner import prepare_view_write, sieved_write
 
         plan, decoded = prepare_view_write(
             self._view_or_default(view), self.n_records, self.attrs.record_spec,
@@ -311,7 +312,8 @@ class ParallelFile(RecordFile):
             return self.env.join(list, lambda _: 0)
         if plan.mode == "sieved":
             return self.env.process(
-                self._write_sieved(plan, decoded), name=f"{self.name}.sievewrite"
+                self.run_plan(sieved_write(plan, decoded)),
+                name=f"{self.name}.sievewrite",
             )
         if plan.mode == "contiguous":
             op = self.write_records(runs[0][0], decoded)
@@ -319,43 +321,42 @@ class ParallelFile(RecordFile):
             op = self.write_gather(runs, decoded)
         return self.env.then(op, lambda _: total)
 
-    def _read_sieved(self, plan):
-        covering = plan.covering
-        if len(covering) == 1:
-            datas = [(yield self.read_records(*covering[0]))]
-        else:
-            datas = plan.split((yield self.read_gather(covering)))
-        return plan.scatter(datas)
+    # -- the plan driver --------------------------------------------------------
 
-    def _sieve_lock(self):
-        # one lock per catalog entry, so every open of the file (and every
-        # handle) serializes RMW windows against the same lock
-        lock = getattr(self.entry, "sieve_lock", None)
-        if lock is None:
-            from ..sim.sync import SimLock
+    def run_plan(self, plan):
+        """Generator: carry out a sans-I/O plan (a sieved view read or
+        write, a container or dataset plan; intents in
+        :mod:`repro.datatype.planner`) in simulated time; returns its value.
 
-            lock = self.entry.sieve_lock = SimLock(self.env)
-        return lock
-
-    def _write_sieved(self, plan, decoded):
-        row_of = plan.row_of
-        lock = self._sieve_lock()
-        for window, pieces in plan.windows:
-            start, count = window
-            if plan.is_whole_window(window, pieces):
-                row = row_of[start]
-                yield self.write_records(start, decoded[row : row + count])
-                continue
-            # read-modify-write: atomic with respect to other sieved writers
-            yield lock.acquire()
-            try:
-                buf = yield self.read_records(start, count)
-                yield self.write_records(
-                    start, plan.overlay(window, pieces, buf, decoded)
-                )
-            finally:
-                lock.release()
-        return plan.n_view_records
+        An ``rmw`` holds the catalog entry's sieve lock, which every open of
+        the file shares. A failed I/O closes the plan before it propagates.
+        """
+        reply = None
+        try:
+            while True:
+                match plan.send(reply):
+                    case ("read", start, count):
+                        reply = yield self.read_records(start, count)
+                    case ("gather", runs):
+                        reply = yield self.read_gather(runs)
+                    case ("write", start, rows):
+                        nbytes = yield self.write_records(start, rows)
+                        reply = nbytes // self.attrs.record_size
+                    case ("rmw", start, count, patch):
+                        lock = self.entry.sieve_lock
+                        yield lock.acquire()
+                        try:
+                            buf = yield self.read_records(start, count)
+                            yield self.write_records(start, patch(buf))
+                        finally:
+                            lock.release()
+                        reply = count
+                    case intent:
+                        raise ValueError(f"unknown plan intent {intent!r}")
+        except StopIteration as done:
+            return done.value
+        finally:
+            plan.close()
 
     # -- tracing ----------------------------------------------------------------
 
@@ -705,7 +706,7 @@ class ParallelFileSystem:
         data_layout = self._build_layout(attrs.layout, n_dev, attrs, org_map, stripe_unit)
         attrs.layout_params = self._layout_params(data_layout)
         extent = self.volume.allocate(data_layout, attrs.file_bytes)
-        entry = CatalogEntry(attrs=attrs, extent=extent, layout=data_layout)
+        entry = CatalogEntry(attrs, extent, data_layout, sieve_lock=SimLock(self.env))
         self.catalog.add(entry)
         return ParallelFile(self, entry, org_map)
 

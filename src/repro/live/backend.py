@@ -140,7 +140,7 @@ class LiveParallelFile(RecordFile):
         :meth:`~repro.fs.pfs.ParallelFile.read_view` consumes; only the
         byte movement differs (``os.pread`` here, device processes there).
         """
-        from ..datatype.planner import prepare_view_read
+        from ..datatype.planner import prepare_view_read, sieved_read
 
         plan = prepare_view_read(
             view, self.n_records, self.attrs.record_spec.record_size,
@@ -149,7 +149,7 @@ class LiveParallelFile(RecordFile):
         if plan.mode == "empty":
             return self.attrs.record_spec.decode(b"")
         if plan.mode == "sieved":
-            return plan.scatter([self.read_records(*c) for c in plan.covering])
+            return self.run_plan(sieved_read(plan))
         pieces = [self.read_records(*r) for r in plan.runs]
         return np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
 
@@ -162,39 +162,52 @@ class LiveParallelFile(RecordFile):
         sieve_factor: float = DEFAULT_SIEVE_FACTOR,
         sieve_window: int = DEFAULT_SIEVE_WINDOW,
     ) -> int:
-        """Write ``values`` (rows in view order) to the view's records.
-
-        Sieved read-modify-write windows serialize on this open file's
-        ``_sieve_lock``, so threads sharing one :class:`LiveParallelFile`
-        never tear each other's hole bytes (independent opens of the same
-        host file are independent lock domains — like separate client
-        processes in the paper's model).
-        """
-        from ..datatype.planner import prepare_view_write
+        """Write ``values`` (rows in view order) to the view's records;
+        sieved RMW windows serialize on the sieve lock (:meth:`run_plan`)."""
+        from ..datatype.planner import prepare_view_write, sieved_write
 
         plan, decoded = prepare_view_write(
             view, self.n_records, self.attrs.record_spec, values,
             sieve=sieve, sieve_factor=sieve_factor, sieve_window=sieve_window,
         )
-        if plan.mode != "sieved":
-            pos = 0
-            for start, count in plan.runs:
-                self.write_records(start, decoded[pos : pos + count])
-                pos += count
-            return plan.n_view_records
-        row_of = plan.row_of
-        for window, pieces in plan.windows:
-            start, count = window
-            if plan.is_whole_window(window, pieces):
-                row = row_of[start]
-                self.write_records(start, decoded[row : row + count])
-                continue
-            with self._sieve_lock:
-                buf = self.read_records(start, count)
-                self.write_records(
-                    start, plan.overlay(window, pieces, buf, decoded)
-                )
+        if plan.mode == "sieved":
+            return self.run_plan(sieved_write(plan, decoded))
+        pos = 0
+        for start, count in plan.runs:
+            self.write_records(start, decoded[pos : pos + count])
+            pos += count
         return plan.n_view_records
+
+    # -- the plan driver --------------------------------------------------------
+
+    def run_plan(self, plan):
+        """Carry out a sans-I/O plan with plain calls; returns its value.
+
+        The live twin of :meth:`repro.fs.pfs.ParallelFile.run_plan`. An
+        ``rmw`` holds this open file's sieve lock, so threads sharing it
+        never tear each other's hole bytes (separate opens of one host file
+        are separate lock domains, like separate client processes).
+        """
+        reply = None
+        try:
+            while True:
+                match plan.send(reply):
+                    case ("read", start, count):
+                        reply = self.read_records(start, count)
+                    case ("gather", runs):
+                        reply = np.concatenate([self.read_records(*r) for r in runs])
+                    case ("write", start, rows):
+                        reply = self.write_records(start, rows)
+                    case ("rmw", start, count, patch):
+                        with self._sieve_lock:
+                            buf = self.read_records(start, count)
+                            reply = self.write_records(start, patch(buf))
+                    case intent:
+                        raise ValueError(f"unknown plan intent {intent!r}")
+        except StopIteration as done:
+            return done.value
+        finally:
+            plan.close()
 
 
 class LiveParallelFileSystem:

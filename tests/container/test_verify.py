@@ -14,6 +14,9 @@ from repro.container.codec import (
     FILE_HEADER_BYTES,
     MAGIC,
     SECTION_HEADER_BYTES,
+    ContainerFormatError,
+    encode_file_header,
+    walk_toc,
 )
 from repro.container.verify import main as verify_main
 
@@ -110,6 +113,21 @@ def test_truncated_file(good):
     assert "truncated" in kinds(rep)
     rep = scan_bytes(good[:40])
     assert kinds(rep) == ["truncated"]
+
+
+def test_hostile_section_count_is_one_truncated_finding(good):
+    """A header claiming 999,999,999,999 sections over a few KB: the walk
+    is bounded by what the buffer can hold (one section header per
+    SECTION_HEADER_BYTES), not by the claim, and ends in one finding."""
+    buf = encode_file_header("hostile", 999_999_999_999) + good[FILE_HEADER_BYTES:]
+    rep = scan_bytes(buf)
+    assert kinds(rep) == ["truncated"]
+    assert len(rep.sections) == 2
+    plan, reply = walk_toc(len(buf)), None
+    with pytest.raises(ContainerFormatError, match="past end of file"):
+        while True:
+            _, off, n = plan.send(reply)
+            reply = buf[off : off + n]
 
 
 def test_trailing_bytes(good):

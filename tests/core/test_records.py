@@ -62,6 +62,19 @@ class TestCodec:
         with pytest.raises(ValueError):
             spec.decode(b"\x00" * 6)
 
+    def test_bytes_encode_as_whole_records(self):
+        spec = RecordSpec(4, dtype="int32")
+        raw = spec.encode(b"\x01\x02\x03\x04\x05\x06\x07\x08")
+        assert raw.dtype == np.uint8
+        assert raw.tobytes() == b"\x01\x02\x03\x04\x05\x06\x07\x08"
+        assert spec.decode(raw).shape == (2, 1)
+        assert spec.encode(bytearray(b"\x00" * 4)).size == 4
+
+    def test_partial_record_rejected_on_encode(self):
+        spec = RecordSpec(4)
+        with pytest.raises(ValueError, match="whole number"):
+            spec.encode(b"\x00" * 6)
+
     @given(
         st.integers(1, 16),
         st.integers(0, 50),

@@ -13,11 +13,36 @@ from repro.datatype import (
     check_view_runs,
     plan_view_read,
     plan_view_write,
+    sieved_read,
+    sieved_write,
 )
 
 
 def runs_of(view):
     return view.flatten()
+
+
+def drive(plan, media):
+    """Run a sieve plan over the in-memory record array ``media``;
+    returns the plan's value and the intent names it yielded."""
+    reply, ops = None, []
+    try:
+        while True:
+            intent = plan.send(reply)
+            ops.append(intent[0])
+            match intent:
+                case ("read", start, count):
+                    reply = media[start : start + count].copy()
+                case ("gather", runs):
+                    reply = np.concatenate([media[s : s + c] for s, c in runs])
+                case ("write", start, rows):
+                    media[start : start + len(rows)] = rows
+                    reply = len(rows)
+                case ("rmw", start, count, patch):
+                    media[start : start + count] = patch(media[start : start + count].copy())
+                    reply = count
+    except StopIteration as done:
+        return done.value, ops
 
 
 class TestCheckViewRuns:
@@ -58,10 +83,9 @@ class TestReadPlan:
         runs = runs_of(StridedView(0, 3, 2, 4))  # records 0,1 4,5 8,9
         plan = plan_view_read(runs, 1, sieve=True)
         assert plan.mode == "sieved"
-        # fabricate the covering reads from a known media image
+        # serve the covering reads from a known media image
         media = np.arange(12, dtype=np.int64).reshape(-1, 1) * 10
-        cat = np.concatenate([media[s:s + c] for s, c in plan.covering])
-        out = plan.scatter(plan.split(cat))
+        out, _ = drive(sieved_read(plan), media)
         want = media[[0, 1, 4, 5, 8, 9]]
         assert np.array_equal(out, want)
 
@@ -78,18 +102,21 @@ class TestWritePlan:
 
     def test_row_of_is_view_order(self):
         runs = runs_of(StridedView(2, 3, 2, 5))  # 2,3 7,8 12,13
-        plan = plan_view_write(runs)
-        assert plan.row_of == {2: 0, 7: 2, 12: 4}
+        plan = plan_view_write(runs, sieve=True, sieve_factor=1.0)
+        rows = np.arange(6).reshape(-1, 1)
+        writes = [(start, int(r[0, 0])) for _, start, r in sieved_write(plan, rows)]
+        assert writes == [(2, 0), (7, 2), (12, 4)]
 
     def test_overlay_patches_only_the_pieces(self):
         runs = runs_of(StridedView(0, 2, 2, 4))  # records 0,1 4,5
         plan = plan_view_write(runs, 1, sieve=True)
         assert plan.mode == "sieved"
         (window, pieces), = plan.windows
-        assert not plan.is_whole_window(window, pieces)
-        buf = np.full((window[1], 1), -1, dtype=np.int64)
         decoded = np.arange(4, dtype=np.int64).reshape(-1, 1) + 100
-        out = plan.overlay(window, pieces, buf, decoded)
+        (op, start, count, patch), = sieved_write(plan, decoded)
+        assert (op, start, count) == ("rmw", *window)
+        buf = np.full((window[1], 1), -1, dtype=np.int64)
+        out = patch(buf)
         # wanted rows replaced, hole rows (2,3) untouched
         assert out[0, 0] == 100 and out[1, 0] == 101
         assert out[2, 0] == -1 and out[3, 0] == -1
@@ -98,12 +125,14 @@ class TestWritePlan:
         assert np.all(buf == -1)
 
     def test_whole_window_fast_path(self):
-        # two adjacent runs coalesce into one fully-covered window
-        runs = runs_of(IndexedView(((0, 4), (4, 4))))
-        plan = plan_view_write(runs, 1, sieve=True)
-        if plan.mode == "sieved":
-            for window, pieces in plan.windows:
-                assert plan.is_whole_window(window, pieces)
+        # two adjacent runs coalesce into one fully-covered window: a
+        # plain write, no read-modify-write
+        plan = plan_view_write([(0, 4), (4, 4)], 1, sieve=True)
+        assert plan.mode == "sieved"
+        media = np.zeros((8, 1), dtype=np.int64)
+        rows = np.arange(8, dtype=np.int64).reshape(-1, 1) + 1
+        assert drive(sieved_write(plan, rows), media) == (8, ["write"])
+        assert np.array_equal(media, rows)
 
 
 def start_count(run):
@@ -172,8 +201,8 @@ class TestSievePlanProperties:
                 start, count, flat, view.indices(), factor, window_records
             )
         assert seen == flat
-        cat = np.concatenate([media[s : s + c] for s, c in extents])
-        assert np.array_equal(plan.scatter(plan.split(cat)), media[view.indices()])
+        out, _ = drive(sieved_read(plan), media)
+        assert np.array_equal(out, media[view.indices()])
 
     @given(sieve_cases())
     @settings(max_examples=200, deadline=None)
@@ -191,7 +220,7 @@ class TestSievePlanProperties:
             return
         flat = [start_count(r) for r in view.flatten()]
         window_records = max(1, window // record_size)
-        got, seen = media.copy(), []
+        seen = []
         for win, pieces in plan.windows:
             start, count = start_count(win)
             inside = self.check_extent(
@@ -199,10 +228,9 @@ class TestSievePlanProperties:
             )
             assert [start_count(p) for p in pieces] == inside
             seen += inside
-            got[start : start + count] = plan.overlay(
-                win, pieces, got[start : start + count], rows
-            )
         assert seen == flat
+        got = media.copy()
+        assert drive(sieved_write(plan, rows), got)[0] == len(view)
         want = media.copy()
         want[view.indices()] = rows
         assert np.array_equal(got, want)

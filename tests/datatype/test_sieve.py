@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.datatype import plan_view_read, plan_view_write
+from repro.devices import DeviceFailedError
 from repro.datatype.views import StridedView
 from repro.ionode.aggregator import plan_rmw
 from repro.sim import Environment
@@ -172,3 +173,51 @@ class TestSievedWrite:
         assert np.array_equal(out[a_view.indices()], a_new)
         assert np.array_equal(out[b_view.indices()], b_new)
         assert np.array_equal(out[region:], data[region:])
+
+    def test_sieved_writers_on_two_opens_share_the_lock(self):
+        """The sieve lock belongs to the catalog entry, not the open file:
+        two opens of one file serialize their RMW windows against it."""
+        env = Environment()
+        f = make_file(env, n=64)
+        data = np.zeros((64, 2))
+        seed(env, f, data)
+        a_file, b_file = f.pfs.open("sv"), f.pfs.open("sv")
+        a_view = StridedView(0, 16, 1, 2)   # 0, 2, 4, ...
+        b_view = StridedView(1, 16, 1, 2)   # 1, 3, 5, ...
+        a_new = np.full((16, 2), 1.0)
+        b_new = np.full((16, 2), 2.0)
+
+        def writer(file, view, rows):
+            n = yield file.write_view(rows, view, sieve=True, sieve_factor=8.0)
+            return n
+
+        env.run(
+            env.all_of(
+                [
+                    env.process(writer(a_file, a_view, a_new)),
+                    env.process(writer(b_file, b_view, b_new)),
+                ]
+            )
+        )
+        assert a_file.entry.sieve_lock is b_file.entry.sieve_lock
+        assert a_file.entry.sieve_lock.contended_acquires > 0
+        out = read_back(env, f)
+        assert np.array_equal(out[a_view.indices()], a_new)
+        assert np.array_equal(out[b_view.indices()], b_new)
+        assert np.array_equal(out[32:], data[32:])
+
+    def test_failed_window_read_raises_and_frees_the_lock(self):
+        env = Environment()
+        f = make_file(env, n=64)
+        seed(env, f, np.zeros((64, 2)))
+        f.volume.devices[0].fail()   # a plain volume: no redundancy
+
+        def proc():
+            with pytest.raises(DeviceFailedError):
+                yield f.write_view(
+                    np.ones((16, 2)), StridedView(0, 16, 1, 2),
+                    sieve=True, sieve_factor=8.0,
+                )
+            return f.entry.sieve_lock.locked
+
+        assert env.run(env.process(proc())) is False

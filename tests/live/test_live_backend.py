@@ -1,11 +1,14 @@
 """Unit tests for the live (real files + threads) backend."""
 
+import os
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.core import ExhaustedError, OrganizationError, OwnershipError
+from repro.datatype import StridedView
 from repro.live import LiveParallelFileSystem
 
 
@@ -296,4 +299,52 @@ class TestLiveDirectAccess:
             f.internal_view(0)
         h = f.internal_view(1)
         assert not h.eof
+        f.close()
+
+
+class TestLiveSievedWrites:
+    def test_threads_sharing_one_file_keep_both_writers_records(self, lfs):
+        """Interleaved even/odd sieved writers share every RMW window; the
+        open file's sieve lock keeps one writer's write-back from restoring
+        stale hole records over the other's."""
+        f = lfs.create("sv", "IS", n_records=64, record_size=16,
+                       dtype="float64", records_per_block=4, n_processes=4)
+        views = [StridedView(q, 16, 1, 2) for q in (0, 1)]
+        rows = [np.full((16, 2), q + 1.0) for q in (0, 1)]
+        read = f.read_records
+
+        def slow_read(start, count):
+            # widen the gap between a window's read and its write-back, so
+            # without the lock both writers read before either writes back
+            out = read(start, count)
+            time.sleep(0.02)
+            return out
+
+        f.read_records = slow_read
+        go = threading.Barrier(2)
+
+        def writer(q):
+            go.wait(timeout=10)
+            f.write_view(rows[q], views[q], sieve=True, sieve_factor=8.0)
+
+        threads = [threading.Thread(target=writer, args=(q,)) for q in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+            assert not t.is_alive()
+        out = f.global_view().read()
+        for view, want in zip(views, rows):
+            assert np.array_equal(out[view.indices()], want)
+        assert not out[32:].any()
+        f.close()
+
+    def test_short_window_read_raises_and_frees_the_lock(self, lfs):
+        f = lfs.create("sv", "IS", n_records=64, record_size=16,
+                       dtype="float64", records_per_block=4, n_processes=4)
+        os.truncate(f.path, 8 * 16)   # the window reads past the host file
+        with pytest.raises(IOError, match="short read"):
+            f.write_view(np.ones((16, 2)), StridedView(0, 16, 1, 2),
+                         sieve=True, sieve_factor=8.0)
+        assert not f._sieve_lock.locked()
         f.close()
