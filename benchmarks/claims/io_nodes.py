@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from repro import Environment, build_parallel_fs
+from repro import Environment, IONodeConfig, build_parallel_fs
 from repro.devices import DiskGeometry
 
 from .common import fill, run_all
@@ -40,16 +40,15 @@ def run_is_scan(blocks_per_proc: int, io_nodes: int | None, cache_blocks: int = 
                 passes: int = 1):
     """P clients scan their IS stripes ``passes`` times; returns metrics."""
     env = Environment()
-    pfs = build_parallel_fs(env, D, geometry=GEO)
-    cluster = None
-    if io_nodes:
-        cluster = pfs.attach_io_nodes(
-            io_nodes,
-            cache_blocks=cache_blocks,
-            cache_block_bytes=GEO.block_size,
-            queue_depth=P,
-            batch_limit=P,
-        )
+    config = IONodeConfig(
+        nodes=io_nodes,
+        cache_blocks=cache_blocks,
+        cache_block_bytes=GEO.block_size,
+        queue_depth=P,
+        batch_limit=P,
+    ) if io_nodes else None
+    pfs = build_parallel_fs(env, D, geometry=GEO, io_nodes=config)
+    cluster = pfs.io_cluster
     n_records = P * blocks_per_proc * RPB
     f = pfs.create(
         "scan", "IS", n_records=n_records, record_size=RECORD,

@@ -12,7 +12,7 @@ Run:  python examples/io_node_cluster.py
 
 import numpy as np
 
-from repro import Environment, build_parallel_fs
+from repro import Environment, IONodeConfig, build_parallel_fs
 from repro.trace import device_table, ionode_report
 
 N_DEVICES = 4
@@ -25,15 +25,14 @@ RECORDS_PER_BLOCK = 12
 def scan(io_nodes: int | None, passes: int = 1):
     """All processes scan their IS stripes; returns (pfs, cluster, reqs)."""
     env = Environment()
-    pfs = build_parallel_fs(env, n_devices=N_DEVICES)
-    cluster = None
-    if io_nodes:
-        # queue_depth bounds each node's inbox (admission control);
-        # cache_blocks turns on the shared server-side block cache
-        cluster = pfs.attach_io_nodes(
-            io_nodes, queue_depth=N_PROCESSES, batch_limit=N_PROCESSES,
-            cache_blocks=256, cache_block_bytes=4096,
-        )
+    # queue_depth bounds each node's inbox (admission control);
+    # cache_blocks turns on the shared server-side block cache
+    config = IONodeConfig(
+        nodes=io_nodes, queue_depth=N_PROCESSES, batch_limit=N_PROCESSES,
+        cache_blocks=256, cache_block_bytes=4096,
+    ) if io_nodes else None
+    pfs = build_parallel_fs(env, n_devices=N_DEVICES, io_nodes=config)
+    cluster = pfs.io_cluster
     f = pfs.create(
         "mesh.dat", "IS",
         n_records=N_RECORDS, record_size=RECORD_SIZE,

@@ -29,7 +29,7 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-versus-measured record.
 """
 
-from .baselines import FilePerProcessDataset, build_parallel_fs, single_device_fs
+from .baselines import FilePerProcessDataset
 from .collective import CollectiveIO, balanced_indices
 from .container import (
     ContainerReader,
@@ -64,11 +64,19 @@ from .fs import (
     ParallelFileSystem,
     SSSession,
     alternate_view,
+    build_parallel_fs,
     convert_file,
     protection_overview,
     verify_file,
 )
-from .ionode import Interconnect, IONode, IONodeCluster, MediatedVolume, ServerCache
+from .ionode import (
+    Interconnect,
+    IONode,
+    IONodeCluster,
+    IONodeConfig,
+    MediatedVolume,
+    ServerCache,
+)
 from .live import LiveParallelFileSystem
 from .metastore import (
     MetadataClient,
@@ -101,7 +109,6 @@ __version__ = "1.0.0"
 __all__ = [
     "FilePerProcessDataset",
     "build_parallel_fs",
-    "single_device_fs",
     "CollectiveIO",
     "balanced_indices",
     "ContainerReader",
@@ -136,6 +143,7 @@ __all__ = [
     "Interconnect",
     "IONode",
     "IONodeCluster",
+    "IONodeConfig",
     "MediatedVolume",
     "ServerCache",
     "LiveParallelFileSystem",

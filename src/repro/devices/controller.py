@@ -281,7 +281,7 @@ class DeviceController:
         # The per-request service loop, run once per device for the whole
         # simulation. ``env._now`` replaces the ``now`` property and the
         # stable collaborators are bound once — ``self.policy`` is NOT
-        # (attach_qos swaps it in after construction).
+        # (the stack builder swaps in a QoS policy after construction).
         env = self.env
         pending = self._pending
         disk = self.disk

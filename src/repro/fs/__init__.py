@@ -1,4 +1,5 @@
-"""The parallel file system: catalog, views, conversion, consistency, recovery."""
+"""The parallel file system: stack builder, catalog, views, conversion,
+consistency, recovery."""
 
 from .catalog import Catalog, CatalogEntry, FileExistsError_, FileNotFoundError_
 from .consistency import BackupManager, BackupSet
@@ -19,6 +20,7 @@ from .recovery import (
     protection_overview,
     verify_file,
 )
+from .stack import build_parallel_fs
 
 __all__ = [
     "Catalog",
@@ -42,4 +44,5 @@ __all__ = [
     "ProtectionScheme",
     "protection_overview",
     "verify_file",
+    "build_parallel_fs",
 ]

@@ -102,7 +102,7 @@ class PartitionHandle(PartitionCore):
         if count <= 0:
             return self.file.attrs.record_spec.decode(b"")
         file = self.file
-        if len(runs) > 1 and file.pfs.batch_io:
+        if len(runs) > 1 and file.pfs.volume.coalesce:
             # list I/O: all runs down the data plane as one submission
             data = yield file.read_gather(runs)
             for start, n in runs:
@@ -127,7 +127,7 @@ class PartitionHandle(PartitionCore):
             # one run: the caller's values go down as they are
             yield file.write_records(runs[0][0], values)
             trace_span(file, self.process, "write", *runs[0])
-        elif runs and file.pfs.batch_io:
+        elif runs and file.pfs.volume.coalesce:
             yield file.write_gather(runs, values)
             for start, n in runs:
                 trace_span(file, self.process, "write", start, n)
@@ -294,13 +294,13 @@ class DirectHandle(DirectCore):
     def flush(self):
         """Generator: write back any cached dirty blocks.
 
-        With extent batching on (``pfs.batch_io``), the whole dirty set
+        With extent batching on (``pfs.volume.coalesce``), the whole dirty set
         goes down as one :meth:`~repro.fs.pfs.ParallelFile.write_gather`
         submission instead of one write per block.
         """
         if self.cache is not None:
             self.cache.writeback_many = (
-                self._writeback_gather if self.file.pfs.batch_io else None
+                self._writeback_gather if self.file.pfs.volume.coalesce else None
             )
             yield from self.cache.flush()
 

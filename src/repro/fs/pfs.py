@@ -45,7 +45,7 @@ from .metadata import FileAttributes
 if TYPE_CHECKING:  # pragma: no cover
     from ..datatype.views import FileView
     from ..ionode.routing import IONodeCluster, MediatedVolume
-    from ..qos import QoSConfig, QoSManager
+    from ..qos import QoSManager
     from ..resilience import ResilientVolume
     from ..sanitize.access import AccessConflictDetector
 
@@ -401,9 +401,13 @@ class ParallelFileSystem:
         volume: Volume,
         recorder: TraceRecorder | None = None,
         sanitizer: "AccessConflictDetector | None" = None,
-        io_nodes: "IONodeCluster | int | None" = None,
-        qos: "QoSConfig | QoSManager | None" = None,
+        *,
+        io_cluster: "IONodeCluster | None" = None,
+        resilience: "ResilientVolume | None" = None,
+        qos: "QoSManager | None" = None,
     ):
+        """Wrap an assembled stack; :func:`~repro.fs.stack.build_parallel_fs`
+        builds the layers, in their one order, and passes them here."""
         self.env = env
         self.volume = volume
         self.catalog = Catalog()
@@ -415,21 +419,21 @@ class ParallelFileSystem:
         self._tracing = False
         self._update_tracing()
         #: the cluster serving this file system, when server-mediated
-        self.io_cluster: "IONodeCluster | None" = None
-        #: where file data traffic goes: the volume, the I/O nodes, or the
-        #: resilience layer stacked over either
-        self.data_plane: "Volume | MediatedVolume | ResilientVolume" = volume
-        #: the resilience layer, when attached (see :meth:`attach_resilience`)
-        self.resilience: "ResilientVolume | None" = None
+        self.io_cluster = io_cluster
+        #: the resilience layer, when the stack has one
+        self.resilience = resilience
+        #: the QoS manager, when the stack has one
+        self.qos = qos
         #: the sharded metadata service, when attached
         #: (see :meth:`attach_metastore`)
         self.metastore = None
-        #: the QoS manager, when attached (see :meth:`attach_qos`)
-        self.qos: "QoSManager | None" = None
-        if io_nodes is not None:
-            self.attach_io_nodes(io_nodes)
-        if qos is not None:
-            self.attach_qos(qos)
+        #: where file data traffic goes: the volume, the I/O nodes, or the
+        #: resilience layer stacked over either
+        self.data_plane: "Volume | MediatedVolume | ResilientVolume" = volume
+        if resilience is not None:
+            self.data_plane = resilience
+        elif io_cluster is not None:
+            self.data_plane = io_cluster.mediate(volume)
 
     # -- tracing hooks ---------------------------------------------------------
 
@@ -459,135 +463,6 @@ class ParallelFileSystem:
             rec is not None and not getattr(rec, "is_noop", False)
         ) or self._sanitizer is not None
 
-    # -- extent-batched submission ----------------------------------------------
-
-    @property
-    def batch_io(self) -> bool:
-        """Is extent-batched (list-I/O) submission on? See :meth:`set_batching`."""
-        return self.volume.coalesce
-
-    def set_batching(self, enabled: bool) -> None:
-        """Turn extent-batched (list-I/O) submission on or off.
-
-        When on, multi-run handle transfers go through
-        :meth:`ParallelFile.read_gather` / ``write_gather`` as one
-        submission, and every plane in the data path merges
-        device-contiguous segments into single multi-block device
-        requests: they all plan with the volume's one ``coalesce`` flag.
-        Off by default: batching preserves the simulated *results* but
-        changes request sizes and therefore timing — see ``docs/PERF.md``
-        for the per-organization rules.
-        """
-        self.volume.coalesce = enabled
-
-    # -- opt-in layers -----------------------------------------------------------
-
-    def _check_attach_order(self, layer: str) -> None:
-        """Layers stack in one order: io_nodes, then resilience, then qos.
-
-        The resilience layer is built over the I/O nodes present when it
-        attaches, and QoS schedules the node inboxes present when it
-        attaches, so a layer attached after one that comes later in the
-        order would be left out of the data path.
-        """
-        attached = {
-            "io_nodes": self.io_cluster,
-            "resilience": self.resilience,
-            "qos": self.qos,
-        }
-        order = list(attached)
-        for later in order[order.index(layer) + 1 :]:
-            if attached[later] is not None:
-                raise RuntimeError(
-                    f"cannot attach {layer} after {later}: the attach order "
-                    "is io_nodes, then resilience, then qos"
-                )
-
-    # -- I/O-node opt-in -------------------------------------------------------
-
-    def attach_io_nodes(
-        self, io_nodes: "IONodeCluster | int", **cluster_kwargs: Any
-    ) -> "IONodeCluster":
-        """Route all file data traffic through dedicated I/O nodes (§4).
-
-        ``io_nodes`` is an existing :class:`~repro.ionode.IONodeCluster`
-        or a node count to build one over the volume's devices;
-        ``cluster_kwargs`` (``queue_depth``, ``cache_blocks``, ``policy``,
-        ...) are forwarded to the builder in that case. Files opened
-        before or after attach both follow the new data plane. Attach
-        before the resilience and QoS layers. Returns the cluster in use.
-        """
-        from ..ionode.routing import IONodeCluster, MediatedVolume
-
-        self._check_attach_order("io_nodes")
-        cluster = (
-            IONodeCluster.build(self.env, self.volume.devices, io_nodes, **cluster_kwargs)
-            if isinstance(io_nodes, int)
-            else io_nodes
-        )
-        self.io_cluster = cluster
-        self.data_plane = MediatedVolume(self.volume, cluster)
-        return cluster
-
-    # -- resilience opt-in -----------------------------------------------------
-
-    def attach_resilience(
-        self,
-        config: Any = None,
-        *,
-        group: Any = None,
-        spares: list[Any] | None = None,
-        rng: Any = None,
-    ) -> Any:
-        """Stack the online resilience layer over the data plane.
-
-        ``config`` is a :class:`~repro.resilience.ResilienceConfig` (a
-        default one is built when omitted); ``group`` an optional
-        :class:`~repro.storage.parity.ParityGroup` over the volume's
-        devices (the degraded-read reconstruction source); ``spares`` idle
-        :class:`~repro.devices.DeviceController` drives for the hot-spare
-        rebuilder. Attach I/O nodes *before* calling this (and QoS after),
-        so the layer runs over the server-mediated plane and can manage
-        node failover. Returns the :class:`~repro.resilience.ResilientVolume`
-        now serving as the data plane (also at ``self.resilience``).
-        """
-        from ..devices.shadow import ShadowPair
-        from ..resilience import (
-            FailoverManager,
-            HotSpareRebuilder,
-            ResilienceConfig,
-            ResilientVolume,
-        )
-
-        self._check_attach_order("resilience")
-        config = config or ResilienceConfig()
-        rv = ResilientVolume(self.volume, self.io_cluster, group=group, config=config, rng=rng)
-        if spares:
-            rv.rebuilder = HotSpareRebuilder(
-                rv,
-                spares,
-                chunk_bytes=config.rebuild_chunk,
-                throttle=config.rebuild_throttle,
-            )
-        if self.io_cluster is not None and config.failover:
-            # registers itself as the cluster's failover manager, which
-            # every client request to the nodes feeds
-            FailoverManager(
-                self.env,
-                self.io_cluster,
-                rv.stats,
-                breaker_threshold=config.breaker_threshold,
-                breaker_cooldown=config.breaker_cooldown,
-            )
-        # shadow pairs report their first degradation so auto-rebuild can
-        # kick in even though the pair never surfaces a DeviceFailedError
-        for idx, dev in enumerate(self.volume.devices):
-            if isinstance(dev, ShadowPair):
-                dev.on_degraded = (lambda i=idx: rv._note_failure(i))
-        self.resilience = rv
-        self.data_plane = rv
-        return rv
-
     # -- sharded metadata opt-in -------------------------------------------------
 
     def attach_metastore(self, shards: int = 4, injector: Any = None) -> Any:
@@ -599,11 +474,10 @@ class ParallelFileSystem:
         drop-in :class:`~repro.metastore.ShardedCatalog` facade — so
         ``create``/``open``/``delete``/``rename`` gain write-ahead
         intent journaling, crash recovery, and lease epochs without any
-        caller changing. When a resilience layer with node failover is
-        attached (now or later via :meth:`attach_resilience`), call
-        ``self.metastore.bind_failover(rv.failover)`` to re-home shards
-        on node death. ``injector`` is the crash-point hook used by the
-        robustness harness. Returns the service (also at
+        caller changing. When the stack has a node-failover manager
+        (I/O nodes under a resilience layer), the service binds to it, so
+        shards are re-homed on node death. ``injector`` is the crash-point
+        hook used by the robustness harness. Returns the service (also at
         ``self.metastore``).
         """
         from ..metastore import MetadataService, ShardedCatalog
@@ -621,51 +495,9 @@ class ParallelFileSystem:
         )
         if self._sanitizer is not None:
             service.sanitizer = self._sanitizer
+        if self.io_cluster is not None and self.io_cluster.failover is not None:
+            service.bind_failover(self.io_cluster.failover)
         return service
-
-    # -- QoS opt-in -------------------------------------------------------------
-
-    def attach_qos(self, config: "QoSConfig | QoSManager | None" = None) -> "QoSManager":
-        """Thread the multi-tenant QoS layer through every queue point.
-
-        ``config`` is a :class:`~repro.qos.QoSConfig` (a default one is
-        built when omitted) or an existing :class:`~repro.qos.QoSManager`
-        to share across file systems. Installs a tenant-aware scheduler
-        on every device controller (both members of a
-        :class:`~repro.devices.ShadowPair`) and on every I/O-node inbox,
-        and gates client operations through per-tenant token buckets.
-        Attach last, after ``attach_io_nodes`` / ``attach_resilience``, so
-        the nodes exist to be scheduled; failover replay preserves tenant
-        tags. Returns the manager (also at ``self.qos``).
-        """
-        from ..devices.shadow import ShadowPair
-        from ..qos import QoSDevicePolicy, QoSManager
-
-        self._check_attach_order("qos")
-        manager = (
-            config
-            if isinstance(config, QoSManager)
-            else QoSManager(self.env, config)
-        )
-        if manager.env is not self.env:
-            raise ValueError("QoS manager belongs to a different Environment")
-        cfg = manager.config
-        if cfg.device_scheduling:
-            for dev in self.volume.devices:
-                members = (
-                    [dev.primary, dev.shadow]
-                    if isinstance(dev, ShadowPair)
-                    else [dev]
-                )
-                for ctrl in members:
-                    ctrl.policy = QoSDevicePolicy(
-                        manager.make_scheduler(ctrl.name), manager.resolve
-                    )
-        if cfg.node_scheduling and self.io_cluster is not None:
-            for node in self.io_cluster.nodes:
-                node.enable_qos(manager)
-        self.qos = manager
-        return manager
 
     # -- lifecycle ------------------------------------------------------------
 

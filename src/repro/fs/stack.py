@@ -1,0 +1,133 @@
+"""The stack builder: the only code that assembles a simulated file system.
+
+Layers go together bottom up in one fixed order. Each is built over the
+ones below it, and simulated processes take event ids as they are built,
+so the order is part of every pinned schedule:
+
+1. the data drives, then (shadow protection) their mirror members;
+2. the volume;
+3. the I/O-node cluster;
+4. the parity drive, then the hot spares;
+5. the resilience layer, its rebuilder, the node-failover manager and
+   the shadow-pair hooks;
+6. QoS scheduling on the data drives and the node inboxes;
+7. the batching flag, ``volume.coalesce``.
+"""
+
+from __future__ import annotations
+
+from ..devices.controller import DeviceController
+from ..devices.disk import WREN_1989, DiskGeometry, DiskModel, DiskTiming
+from ..devices.scheduling import make_policy
+from ..devices.shadow import ShadowPair
+from ..ionode.config import IONodeConfig
+from ..ionode.routing import IONodeCluster
+from ..qos import QoSConfig, QoSDevicePolicy, QoSManager
+from ..resilience import (
+    FailoverManager,
+    HotSpareRebuilder,
+    ResilienceConfig,
+    ResilientVolume,
+)
+from ..sim.engine import Environment
+from ..storage.parity import ParityGroup
+from ..storage.volume import Volume
+from ..trace.events import TraceRecorder
+from .pfs import ParallelFileSystem
+
+__all__ = ["build_parallel_fs"]
+
+
+def build_parallel_fs(
+    env: Environment,
+    n_devices: int,
+    timing: DiskTiming = WREN_1989,
+    geometry: DiskGeometry | None = None,
+    recorder: TraceRecorder | None = None,
+    scheduling: str | None = None,
+    io_nodes: IONodeConfig | int | None = None,
+    resilience: ResilienceConfig | None = None,
+    qos: QoSConfig | None = None,
+    batch_io: bool = False,
+) -> ParallelFileSystem:
+    """A file system over ``n_devices`` identical drives.
+
+    ``scheduling`` names the drives' queue policy (FCFS when omitted).
+    ``io_nodes`` (an :class:`~repro.ionode.IONodeConfig`, or ``n`` for
+    ``IONodeConfig(nodes=n)``) routes file data through I/O nodes.
+    ``resilience`` (a :class:`~repro.resilience.ResilienceConfig`) stacks
+    the resilience layer over the volume or the nodes: ``"parity"``
+    protection adds a check drive, ``"shadow"`` mirrors every drive into a
+    :class:`~repro.devices.ShadowPair`, and ``spares`` idle drives feed the
+    hot-spare rebuilder. ``qos`` (a :class:`~repro.qos.QoSConfig`)
+    schedules every data drive (both members of a pair) and node inbox
+    by tenant. ``batch_io`` sets ``volume.coalesce``, the extent-batching
+    flag every plane plans with (see ``docs/PERF.md``).
+    """
+    geo = geometry or DiskGeometry()
+
+    def make_disk(name: str) -> DeviceController:
+        return DeviceController(
+            env,
+            DiskModel(geo, timing),
+            name=name,
+            policy=make_policy(scheduling) if scheduling else None,
+        )
+
+    devices: list = [make_disk(f"disk{i}") for i in range(n_devices)]
+    if resilience is not None and resilience.protection == "shadow":
+        devices = [
+            ShadowPair(env, dev, make_disk(f"{dev.name}s")) for dev in devices
+        ]
+    volume = Volume(env, devices)
+
+    if isinstance(io_nodes, int):
+        io_nodes = IONodeConfig(nodes=io_nodes)
+    cluster = None if io_nodes is None else IONodeCluster.build(env, devices, io_nodes)
+
+    rv = None
+    if resilience is not None:
+        group = None
+        if resilience.protection == "parity":
+            group = ParityGroup(
+                env, devices, make_disk("parity"),
+                mode=resilience.parity_mode, parity_unit=resilience.parity_unit,
+            )
+        spares = [make_disk(f"spare{k}") for k in range(resilience.spares)]
+        rv = ResilientVolume(volume, cluster, group=group, config=resilience)
+        if spares:
+            rv.rebuilder = HotSpareRebuilder(
+                rv, spares,
+                chunk_bytes=resilience.rebuild_chunk,
+                throttle=resilience.rebuild_throttle,
+            )
+        if cluster is not None:
+            # registers itself as the cluster's failover manager
+            FailoverManager(
+                env, cluster, rv.stats,
+                breaker_threshold=resilience.breaker_threshold,
+                breaker_cooldown=resilience.breaker_cooldown,
+            )
+        # shadow pairs report their first degradation so auto-rebuild can
+        # kick in even though the pair never surfaces a DeviceFailedError
+        for idx, dev in enumerate(devices):
+            if isinstance(dev, ShadowPair):
+                dev.on_degraded = (lambda i=idx: rv._note_failure(i))
+
+    manager = None
+    if qos is not None:
+        manager = QoSManager(env, qos)
+        for dev in devices:
+            pair = isinstance(dev, ShadowPair)
+            for ctrl in [dev.primary, dev.shadow] if pair else [dev]:
+                ctrl.policy = QoSDevicePolicy(
+                    manager.make_scheduler(ctrl.name), manager.resolve
+                )
+        if cluster is not None:
+            for node in cluster.nodes:
+                node.enable_qos(manager)
+
+    volume.coalesce = batch_io
+    return ParallelFileSystem(
+        env, volume, recorder=recorder, io_cluster=cluster, resilience=rv, qos=manager
+    )

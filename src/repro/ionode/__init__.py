@@ -14,7 +14,8 @@ simulated client/server architecture:
   mapping a volume's device set onto nodes;
 * :class:`MediatedVolume` — the standard volume surface with data traffic
   routed through the cluster, which is what
-  ``ParallelFileSystem(..., io_nodes=...)`` installs.
+  ``build_parallel_fs(..., io_nodes=...)`` installs;
+* :class:`IONodeConfig` — the one knob object for the tier.
 
 Every file organization (S/PS/IS/SS/GDA/PDA) runs unchanged over either
 path; the ``x6_io_nodes`` claim in ``benchmarks/claims/`` measures the
@@ -23,6 +24,7 @@ trade.
 
 from .aggregator import ReadPlan, coalesce, plan_reads, plan_writes
 from .cache import ServerCache
+from .config import IONodeConfig
 from .interconnect import Interconnect
 from .node import IONode, NodeRequest
 from .routing import DeviceRouter, IONodeCluster, MediatedVolume
@@ -33,6 +35,7 @@ __all__ = [
     "plan_reads",
     "plan_writes",
     "ServerCache",
+    "IONodeConfig",
     "Interconnect",
     "IONode",
     "NodeRequest",

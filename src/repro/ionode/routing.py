@@ -5,8 +5,7 @@ assigns each device of a volume to exactly one :class:`~repro.ionode.
 node.IONode`; a :class:`MediatedVolume` speaks the data-plane protocol
 of :class:`~repro.storage.volume.Volume`, so :class:`~repro.fs.pfs.ParallelFile`
 can run server-mediated without any change to the organizations above it
-(the opt-in ``io_nodes=`` path of :class:`~repro.fs.pfs.
-ParallelFileSystem`).
+(the ``io_nodes=`` layer of :func:`~repro.fs.stack.build_parallel_fs`).
 
 A file-level transfer maps to device segments exactly as in the direct
 path; segments are then grouped per owning node and shipped as one
@@ -24,6 +23,7 @@ import numpy as np
 from ..devices.controller import TransientIOError, as_payload
 from ..sim.engine import Environment, Process
 from ..storage.layout import plan_batch
+from .config import IONodeConfig
 from .interconnect import Interconnect
 from .node import IONode
 
@@ -89,14 +89,13 @@ class IONodeCluster:
         env: Environment,
         nodes: list[IONode],
         router: DeviceRouter,
-        interconnect: Interconnect | None = None,
     ):
         if len(nodes) != router.n_nodes:
             raise ValueError("router/node count mismatch")
         self.env = env
         self.nodes = list(nodes)
         self.router = router
-        self.interconnect = interconnect or Interconnect()
+        self.interconnect = Interconnect()
         #: the node-failover manager whose circuit breakers every client
         #: request feeds (a :class:`~repro.resilience.FailoverManager`
         #: registers itself here); None when no manager is attached
@@ -104,31 +103,32 @@ class IONodeCluster:
 
     @classmethod
     def build(
-        cls,
-        env: Environment,
-        devices: list[Any],
-        n_nodes: int,
-        *,
-        interconnect: Interconnect | None = None,
-        policy: str = "contiguous",
-        **node_kwargs: Any,
+        cls, env: Environment, devices: list[Any], config: IONodeConfig
     ) -> "IONodeCluster":
-        """Build ``n_nodes`` nodes over ``devices`` (a volume's controllers).
-
-        ``node_kwargs`` (``queue_depth``, ``batch_limit``, ``sieve``,
-        ``cache_blocks``, ...) are forwarded to every :class:`IONode`.
-        """
-        router = DeviceRouter(len(devices), n_nodes, policy)
+        """Build ``config.nodes`` nodes over ``devices`` (a volume's
+        controllers), routed by ``config.policy``, each serving with the
+        config's queue, batching, sieving and cache settings."""
+        router = DeviceRouter(len(devices), config.nodes, config.policy)
         nodes = [
             IONode(
                 env,
                 f"ion{i}",
                 {d: devices[d] for d in router.devices_of(i)},
-                **node_kwargs,
+                queue_depth=config.queue_depth,
+                batch_limit=config.batch_limit,
+                sieve=config.sieve,
+                sieve_factor=config.sieve_factor,
+                sieve_window=config.sieve_window,
+                cache_blocks=config.cache_blocks,
+                cache_block_bytes=config.cache_block_bytes,
             )
-            for i in range(n_nodes)
+            for i in range(config.nodes)
         ]
-        return cls(env, nodes, router, interconnect)
+        return cls(env, nodes, router)
+
+    def mediate(self, volume: "Volume") -> "MediatedVolume":
+        """The data plane routing ``volume``'s traffic through this cluster."""
+        return MediatedVolume(volume, self)
 
     def node_of(self, device: int) -> IONode:
         """The node serving ``device``."""

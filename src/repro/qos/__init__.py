@@ -17,9 +17,9 @@ indefinitely. This package adds the policy layer:
   wired to the engine sanitizer for starvation / over-rate /
   deadline-miss detection.
 
-Opt in via ``build_parallel_fs(..., qos=QoSConfig(...))`` or
-``ParallelFileSystem.attach_qos``; composes with ``io_nodes=`` and
-``resilience=`` (see ``docs/QOS.md`` for the composition rules).
+Opt in via ``build_parallel_fs(..., qos=QoSConfig(...))``; composes with
+``io_nodes=`` and ``resilience=`` (see ``docs/QOS.md`` for the
+composition rules).
 """
 
 from .bucket import TokenBucket

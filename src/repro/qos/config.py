@@ -1,8 +1,8 @@
 """Configuration for the multi-tenant QoS subsystem.
 
 One frozen dataclass, mirroring :class:`~repro.resilience.ResilienceConfig`:
-construct it once, hand it to ``build_parallel_fs(..., qos=...)`` or
-``ParallelFileSystem.attach_qos``, and every knob is validated up front.
+construct it once, hand it to ``build_parallel_fs(..., qos=...)``, and
+every knob is validated up front.
 """
 
 from __future__ import annotations
@@ -26,17 +26,14 @@ class QoSConfig:
     ``starvation_threshold`` is how many later-arriving requests may be
     served past a waiting one before the sanitizer flags starvation.
     ``strict_deadlines`` escalates deadline misses from per-tenant
-    counters to sanitizer violations. ``device_scheduling`` /
-    ``node_scheduling`` choose which layers get the scheduler (per-tenant
-    accounting and admission throttling happen regardless).
+    counters to sanitizer violations. The scheduler goes on every data
+    drive and every I/O-node inbox of the stack.
     """
 
     scheduler: str = "wfq"
     default_weight: float = 1.0
     starvation_threshold: int = 128
     strict_deadlines: bool = False
-    device_scheduling: bool = True
-    node_scheduling: bool = True
 
     def __post_init__(self) -> None:
         if self.scheduler not in _SCHEDULERS:

@@ -28,6 +28,9 @@ class ResilienceConfig:
     ``rebuild_throttle`` paces the hot-spare rebuild: after each copied
     chunk the rebuilder idles ``throttle × chunk_time``, trading MTTR for
     foreground bandwidth (0 = rebuild flat out).
+
+    Over I/O nodes the layer always gets a node-failover manager;
+    ``breaker_threshold`` / ``breaker_cooldown`` tune its circuit breakers.
     """
 
     protection: str | None = "parity"
@@ -38,7 +41,6 @@ class ResilienceConfig:
     rebuild_chunk: int = 1 << 16
     rebuild_throttle: float = 0.0
     auto_rebuild: bool = False
-    failover: bool = True
     breaker_threshold: int = 3
     breaker_cooldown: float = 1.0
     seed: int = 0

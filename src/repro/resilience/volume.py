@@ -36,7 +36,6 @@ from typing import TYPE_CHECKING, Any, Callable
 import numpy as np
 
 from ..devices.controller import DeviceFailedError, as_payload
-from ..ionode.routing import MediatedVolume
 from ..sim.engine import Event, Process
 from ..sim.resources import Resource
 from ..sim.rng import RngStreams
@@ -48,7 +47,7 @@ from .retry import RetryPolicy, retrying
 from .stats import ResilienceStats
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..ionode.routing import IONodeCluster
+    from ..ionode.routing import IONodeCluster, MediatedVolume
     from ..storage.layout import DataLayout, ExtentPlan
     from ..storage.volume import Extent, Volume
     from .failover import FailoverManager
@@ -67,7 +66,6 @@ class ResilientVolume:
         *,
         group: ParityGroup | None = None,
         config: ResilienceConfig | None = None,
-        rng: RngStreams | None = None,
     ):
         self.volume = volume
         self.env = volume.env
@@ -75,7 +73,7 @@ class ResilientVolume:
         self.cluster = cluster
         #: the plane healthy traffic goes down: the volume, or the nodes
         self.inner: "Volume | MediatedVolume" = (
-            volume if cluster is None else MediatedVolume(volume, cluster)
+            volume if cluster is None else cluster.mediate(volume)
         )
         self.config = config or ResilienceConfig()
         self.policy: RetryPolicy | None = self.config.retry
@@ -89,12 +87,12 @@ class ResilientVolume:
                     "parity group must be built over the volume's devices, "
                     "in volume order"
                 )
-        self.rng = rng or RngStreams(self.config.seed)
+        self.rng = RngStreams(self.config.seed)
         self.stats = ResilienceStats()
         self.journal = WriteJournal()
         #: device index -> time the layer first observed it failed
         self.failed_at: dict[int, float] = {}
-        #: attached background rebuilder (set by ``attach_resilience``)
+        #: attached background rebuilder (set by ``build_parallel_fs``)
         self.rebuilder: "HotSpareRebuilder | None" = None
         #: per-parity-unit serialization (absolute unit index -> lock)
         self._unit_locks: dict[int, Resource] = {}

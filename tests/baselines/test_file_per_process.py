@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.baselines import FilePerProcessDataset, build_parallel_fs, single_device_fs
+from repro import build_parallel_fs
+from repro.baselines import FilePerProcessDataset
 from repro.sim import Environment
 
 
@@ -86,7 +87,7 @@ def test_partition_validates_shape(env, pfs):
 
 
 def test_single_device_fs_builder(env):
-    pfs1 = single_device_fs(env)
+    pfs1 = build_parallel_fs(env, 1)
     assert pfs1.volume.n_devices == 1
     f = pfs1.create("x", "S", n_records=4, record_size=8)
     assert f.layout.n_devices == 1

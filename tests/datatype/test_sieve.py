@@ -13,8 +13,7 @@ from tests.fs.conftest import build_pfs
 
 def make_file(env, n=256, rpb=4, p=4, batch=False):
     pfs = build_pfs(env)
-    if batch:
-        pfs.set_batching(True)
+    pfs.volume.coalesce = batch
     return pfs.create(
         "sv", "IS", n_records=n, record_size=16, dtype="float64",
         records_per_block=rpb, n_processes=p,

@@ -106,8 +106,7 @@ class TestReadWriteView:
     def test_read_view_matches_fancy_index(self, batch, sieve):
         env = Environment()
         pfs = build_pfs(env)
-        if batch:
-            pfs.set_batching(True)
+        pfs.volume.coalesce = batch
         f = pfs.create(
             "vf", "IS", n_records=128, record_size=16, dtype="float64",
             records_per_block=2, n_processes=4,

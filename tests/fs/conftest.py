@@ -3,7 +3,7 @@
 import pytest
 
 from repro.devices import WREN_1989, DeviceController, DiskGeometry, DiskModel
-from repro.fs import ParallelFileSystem
+from repro.fs import ParallelFileSystem, build_parallel_fs
 from repro.sim import Environment
 from repro.storage import Volume
 from repro.trace import TraceRecorder
@@ -17,6 +17,16 @@ def env():
 @pytest.fixture
 def recorder():
     return TraceRecorder()
+
+
+#: the small drive every fs-level test runs on
+GEO = DiskGeometry(block_size=512, blocks_per_cylinder=8, cylinders=128)
+
+
+def build_stack(env, n_devices=4, **layers):
+    """``build_parallel_fs`` on the test geometry, with the ``layers``
+    (``io_nodes=``, ``resilience=``, ``qos=``, ``batch_io=``) it takes."""
+    return build_parallel_fs(env, n_devices, geometry=GEO, **layers)
 
 
 def build_pfs(env, n_devices=4, recorder=None, cylinders=128):

@@ -66,7 +66,7 @@ class TestAlternateView:
         batching off, one gather/scatter with it on."""
         from repro.core import BlockSpec, InterleavedMap, RecordSpec
 
-        pfs.set_batching(batch)
+        pfs.volume.coalesce = batch
         f, data = make_ps_file(pfs, env)
         is_map = InterleavedMap(BlockSpec(RecordSpec(16, "float64"), 4), 48, 4)
         new = records(48, seed=9)

@@ -17,7 +17,6 @@ from repro import (
     alternate_view,
     build_parallel_fs,
     convert_file,
-    single_device_fs,
     verify_file,
 )
 from repro.buffering import BufferPool
@@ -280,6 +279,6 @@ class TestSingleVsParallelDeviceBaseline:
             env.run(env.process(go()))
             return env.now
 
-        t1 = run(lambda env: single_device_fs(env))
+        t1 = run(lambda env: build_parallel_fs(env, 1))
         t4 = run(lambda env: build_parallel_fs(env, 4))
         assert t4 < t1

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from repro.fs import ParallelFileSystem, alternate_view
+from repro.ionode import IONodeConfig
 from repro.sanitize import AccessConflictDetector, attach
 from repro.sim import Environment
 from repro.trace import device_table, ionode_report
 
-from ..fs.conftest import build_pfs
+from ..fs.conftest import build_stack
 
 ORGS = ["S", "PS", "IS", "SS", "GDA", "PDA"]
 
@@ -48,11 +49,13 @@ def run_workload(pfs: ParallelFileSystem, org: str) -> np.ndarray:
 @pytest.mark.parametrize("org", ORGS)
 def test_mediated_bytes_match_direct(org):
     direct_env = Environment()
-    direct = run_workload(build_pfs(direct_env), org)
+    direct = run_workload(build_stack(direct_env), org)
 
     mediated_env = Environment()
-    pfs = build_pfs(mediated_env)
-    pfs.attach_io_nodes(2, cache_blocks=32, cache_block_bytes=512)
+    pfs = build_stack(
+        mediated_env,
+        io_nodes=IONodeConfig(nodes=2, cache_blocks=32, cache_block_bytes=512),
+    )
     mediated = run_workload(pfs, org)
 
     assert np.array_equal(direct, mediated)
@@ -67,8 +70,7 @@ def test_concurrent_internal_views_through_nodes(org, policy):
     """Every process reads its own partition back through the node path."""
     env = Environment()
     sanitizer = attach(env)
-    pfs = build_pfs(env)
-    pfs.attach_io_nodes(2, policy=policy, queue_depth=4)
+    pfs = build_stack(env, io_nodes=IONodeConfig(nodes=2, policy=policy, queue_depth=4))
     f = pfs.create(
         f"file_{org}",
         org,
@@ -106,8 +108,12 @@ def test_concurrent_direct_access_through_nodes(org):
     """Direct-access organizations: disjoint records, many clients at once."""
     env = Environment()
     sanitizer = attach(env)
-    pfs = build_pfs(env)
-    pfs.attach_io_nodes(2, queue_depth=4, cache_blocks=16, cache_block_bytes=512)
+    pfs = build_stack(
+        env,
+        io_nodes=IONodeConfig(
+            nodes=2, queue_depth=4, cache_blocks=16, cache_block_bytes=512
+        ),
+    )
     f = pfs.create(
         f"file_{org}",
         org,
@@ -147,33 +153,6 @@ def test_concurrent_direct_access_through_nodes(org):
     pfs.io_cluster.assert_drained()
 
 
-def test_io_nodes_after_resilience_is_rejected():
-    """Attached after it, the nodes would be left out of the resilience
-    layer's data path: a parity-protected read with a dead device raised
-    DeviceFailedError instead of reconstructing."""
-    from repro.resilience import ResilienceConfig
-
-    env = Environment()
-    pfs = build_pfs(env)
-    pfs.attach_resilience(ResilienceConfig(protection=None, spares=0))
-    with pytest.raises(RuntimeError, match="io_nodes, then resilience, then qos"):
-        pfs.attach_io_nodes(2)
-    assert pfs.io_cluster is None
-
-
-def test_io_nodes_after_qos_is_rejected():
-    """Attached after it, the new nodes got plain FIFO inboxes instead of
-    tenant-scheduled ones."""
-    from repro.qos import QoSConfig
-
-    env = Environment()
-    pfs = build_pfs(env)
-    pfs.attach_qos(QoSConfig())
-    with pytest.raises(RuntimeError, match="io_nodes, then resilience, then qos"):
-        pfs.attach_io_nodes(2)
-    assert pfs.io_cluster is None
-
-
 def test_ps_written_is_read_mismatch_through_node():
     """The §5 organization-mismatch scenario survives server mediation:
     the access sanitizer still sees the stray accesses when every byte is
@@ -181,9 +160,8 @@ def test_ps_written_is_read_mismatch_through_node():
     env = Environment()
     engine_san = attach(env)
     detector = AccessConflictDetector()
-    pfs = build_pfs(env)
+    pfs = build_stack(env, io_nodes=2)
     pfs.sanitizer = detector
-    pfs.attach_io_nodes(2)
     f = pfs.create(
         "ps",
         "PS",
@@ -207,8 +185,10 @@ def test_ps_written_is_read_mismatch_through_node():
 
 def test_reports_render_for_mediated_run():
     env = Environment()
-    pfs = build_pfs(env)
-    cluster = pfs.attach_io_nodes(2, cache_blocks=16, cache_block_bytes=512)
+    pfs = build_stack(
+        env, io_nodes=IONodeConfig(nodes=2, cache_blocks=16, cache_block_bytes=512)
+    )
+    cluster = pfs.io_cluster
     run_workload(pfs, "IS")
     dev_rows = device_table(env, pfs.volume.devices)
     node_rows = ionode_report(env, cluster)

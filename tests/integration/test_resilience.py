@@ -148,7 +148,7 @@ def test_node_crash_and_transient_errors_with_device_kill():
     san = attach(env)
     pfs = build(env, "parity", io_nodes=2)
     rv = pfs.resilience
-    assert rv.failover is not None  # wired by attach_resilience
+    assert rv.failover is not None  # wired by build_parallel_fs
     injector = NodeFaultInjector(env, rv.failover)
     faults = TransientFaultInjector(env, RngStreams(11))
     f = make_file(pfs, "IS")

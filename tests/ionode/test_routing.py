@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.devices import WREN_1989, DeviceController, DiskGeometry, DiskModel
-from repro.ionode import DeviceRouter, Interconnect, IONodeCluster, MediatedVolume
+from repro.ionode import (
+    DeviceRouter,
+    Interconnect,
+    IONodeCluster,
+    IONodeConfig,
+    MediatedVolume,
+)
 from repro.sim import Environment
 from repro.storage import Volume
 
@@ -55,7 +61,7 @@ def test_every_device_owned_by_exactly_one_node():
 def test_cluster_build_partitions_devices():
     env = Environment()
     vol = make_volume(env, 4)
-    cluster = IONodeCluster.build(env, vol.devices, 2)
+    cluster = IONodeCluster.build(env, vol.devices, IONodeConfig(nodes=2))
     assert len(cluster.nodes) == 2
     assert set(cluster.nodes[0].devices) == {0, 1}
     assert set(cluster.nodes[1].devices) == {2, 3}
@@ -66,7 +72,7 @@ def test_cluster_node_count_mismatch_rejected():
     env = Environment()
     vol = make_volume(env, 4)
     router = DeviceRouter(4, 2)
-    nodes = IONodeCluster.build(env, vol.devices, 1).nodes
+    nodes = IONodeCluster.build(env, vol.devices, IONodeConfig(nodes=1)).nodes
     with pytest.raises(ValueError):
         IONodeCluster(env, nodes, router)
 
@@ -74,7 +80,9 @@ def test_cluster_node_count_mismatch_rejected():
 def test_cluster_forwards_node_kwargs():
     env = Environment()
     vol = make_volume(env, 2)
-    cluster = IONodeCluster.build(env, vol.devices, 2, cache_blocks=8, queue_depth=3)
+    cluster = IONodeCluster.build(
+        env, vol.devices, IONodeConfig(nodes=2, cache_blocks=8, queue_depth=3)
+    )
     assert all(n.cache is not None for n in cluster.nodes)
     assert all(n.queue_depth == 3 for n in cluster.nodes)
 
@@ -86,7 +94,7 @@ def test_mediated_volume_width_mismatch_rejected():
     env = Environment()
     vol = make_volume(env, 4)
     narrow = make_volume(env, 2)
-    cluster = IONodeCluster.build(env, narrow.devices, 1)
+    cluster = IONodeCluster.build(env, narrow.devices, IONodeConfig(nodes=1))
     with pytest.raises(ValueError):
         MediatedVolume(vol, cluster)
 
@@ -94,7 +102,9 @@ def test_mediated_volume_width_mismatch_rejected():
 def test_mediated_volume_delegates_management_plane():
     env = Environment()
     vol = make_volume(env, 4)
-    mv = MediatedVolume(vol, IONodeCluster.build(env, vol.devices, 2))
+    mv = MediatedVolume(
+        vol, IONodeCluster.build(env, vol.devices, IONodeConfig(nodes=2))
+    )
     assert mv.env is env
     assert mv.volume is vol  # allocation and inspection stay on the volume
 
@@ -105,7 +115,7 @@ def test_poke_invalidates_node_cache():
     env = Environment()
     vol = make_volume(env, 2)
     cluster = IONodeCluster.build(
-        env, vol.devices, 1, cache_blocks=8, cache_block_bytes=512
+        env, vol.devices, IONodeConfig(nodes=1, cache_blocks=8, cache_block_bytes=512)
     )
     mv = MediatedVolume(vol, cluster)
     layout = StripedLayout(2, 512)

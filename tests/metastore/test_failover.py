@@ -4,15 +4,15 @@ import pytest
 
 from repro.metastore import MetadataClient, MetadataService
 from repro.metastore.harness import make_entry
-from repro.resilience import FailoverManager
+from repro.resilience import FailoverManager, ResilienceConfig
 from repro.sim import Environment
 
-from ..fs.conftest import build_pfs
+from ..fs.conftest import build_stack
 
 
 def make_stack(env, n_nodes=2, n_shards=4):
-    pfs = build_pfs(env)
-    cluster = pfs.attach_io_nodes(n_nodes)
+    pfs = build_stack(env, io_nodes=n_nodes)
+    cluster = pfs.io_cluster
     manager = FailoverManager(env, cluster)
     svc = MetadataService(n_shards=n_shards)
     for i in range(8):
@@ -71,10 +71,24 @@ class TestShardFailover:
 
     def test_unbound_service_is_untouched_by_node_death(self):
         env = Environment()
-        pfs = build_pfs(env)
-        cluster = pfs.attach_io_nodes(2)
-        manager = FailoverManager(env, cluster)
+        pfs = build_stack(env, io_nodes=2)
+        manager = FailoverManager(env, pfs.io_cluster)
         svc = MetadataService(n_shards=2)
         svc.create("a", make_entry("a"))
         manager.fail_node(0)
         assert svc.shard_failovers == 0
+
+    def test_attach_metastore_binds_the_stack_failover(self):
+        """On a stack with a node-failover manager, ``attach_metastore``
+        binds the service to it: a node death re-homes the shards without
+        a manual ``bind_failover``."""
+        env = Environment()
+        pfs = build_stack(
+            env, io_nodes=2, resilience=ResilienceConfig(protection=None, spares=0)
+        )
+        svc = pfs.attach_metastore(shards=4)
+        for i in range(4):
+            pfs.create(f"f{i}", "S", n_records=8, record_size=16)
+        pfs.io_cluster.failover.fail_node(0)
+        assert svc.shard_failovers > 0
+        assert svc.check_invariants() == []

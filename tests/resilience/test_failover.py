@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.ionode import IONodeConfig
 from repro.resilience import CircuitBreaker, FailoverManager, NodeFaultInjector
 from repro.resilience.stats import ResilienceStats
 from repro.sim import Environment
 
-from ..fs.conftest import build_pfs
+from ..fs.conftest import build_stack
 
 
 def advance(env, dt):
@@ -17,10 +18,11 @@ def advance(env, dt):
     env.run(env.process(wait()))
 
 
-def make_cluster(env, n_nodes=2, **kw):
-    pfs = build_pfs(env)
-    cluster = pfs.attach_io_nodes(n_nodes, **kw)
-    return pfs, cluster
+def make_cluster(env, n_nodes=2, resilience=None, **kw):
+    pfs = build_stack(
+        env, io_nodes=IONodeConfig(nodes=n_nodes, **kw), resilience=resilience
+    )
+    return pfs, pfs.io_cluster
 
 
 # -- circuit breaker --------------------------------------------------------
@@ -201,10 +203,17 @@ def test_glitches_interleaved_with_successes_never_quarantine():
     from repro.storage import StripedLayout
 
     env = Environment()
-    pfs, cluster = make_cluster(env, n_nodes=2)
-    rv = pfs.attach_resilience(
-        ResilienceConfig(breaker_threshold=2, retry=RetryPolicy(max_attempts=1))
+    pfs, cluster = make_cluster(
+        env,
+        n_nodes=2,
+        resilience=ResilienceConfig(
+            protection=None,
+            spares=0,
+            breaker_threshold=2,
+            retry=RetryPolicy(max_attempts=1),
+        ),
     )
+    rv = pfs.resilience
     layout = StripedLayout(4, 512)
     extent = pfs.volume.allocate(layout, 2048)
     dev0 = pfs.volume.devices[0]
@@ -234,8 +243,10 @@ def test_client_request_crossing_a_failover_lands_at_the_new_owner():
     from repro.resilience import ResilienceConfig
 
     env = Environment()
-    pfs, cluster = make_cluster(env, n_nodes=2)
-    rv = pfs.attach_resilience(ResilienceConfig())
+    pfs, cluster = make_cluster(
+        env, n_nodes=2, resilience=ResilienceConfig(protection=None, spares=0)
+    )
+    rv = pfs.resilience
     mv = rv.inner
     pfs.volume.devices[0].poke(0, b"\x7e" * 64)
     got = []
@@ -260,8 +271,10 @@ def test_node_op_crossing_a_failover_lands_at_the_new_owner():
     from repro.resilience import ResilienceConfig
 
     env = Environment()
-    pfs, cluster = make_cluster(env, n_nodes=2)
-    rv = pfs.attach_resilience(ResilienceConfig())
+    pfs, cluster = make_cluster(
+        env, n_nodes=2, resilience=ResilienceConfig(protection=None, spares=0)
+    )
+    rv = pfs.resilience
     pfs.volume.devices[0].poke(0, b"\x5c" * 32)
     got = []
 

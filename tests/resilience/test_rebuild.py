@@ -36,7 +36,7 @@ def fill(dev, seed):
     return data
 
 
-def make_parity_rv(env, n=3, mode="rmw", **rv_kw):
+def make_parity_rv(env, n=3, mode="rmw"):
     """Volume + consistent parity group + resilient wrapper."""
     devices = [make_disk(env, f"d{i}") for i in range(n)]
     parity = make_disk(env, "par")
@@ -48,7 +48,7 @@ def make_parity_rv(env, n=3, mode="rmw", **rv_kw):
     volume = Volume(env, devices)
     group = ParityGroup(env, devices, parity, mode=mode, parity_unit=4096)
     cfg = ResilienceConfig(parity_mode=mode, spares=0)
-    rv = ResilientVolume(volume, group=group, config=cfg, **rv_kw)
+    rv = ResilientVolume(volume, group=group, config=cfg)
     return rv, devices, contents
 
 

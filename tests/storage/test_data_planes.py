@@ -14,7 +14,7 @@ import pytest
 
 from repro import build_parallel_fs
 from repro.devices import WREN_1989, DeviceController, DiskGeometry, DiskModel
-from repro.ionode import IONodeCluster, MediatedVolume
+from repro.ionode import IONodeCluster, IONodeConfig, MediatedVolume
 from repro.resilience import ResilienceConfig, ResilientVolume
 from repro.sim import Environment
 from repro.storage import StripedLayout, Volume
@@ -35,7 +35,9 @@ def make_plane(env, kind, n_devices=2):
     if kind == "direct":
         return volume, volume
     if kind == "mediated":
-        return volume, MediatedVolume(volume, IONodeCluster.build(env, devices, 1))
+        return volume, MediatedVolume(
+            volume, IONodeCluster.build(env, devices, IONodeConfig(nodes=1))
+        )
     return volume, ResilientVolume(volume, config=ResilienceConfig(protection=None, spares=0))
 
 
@@ -141,29 +143,35 @@ def test_payload_size_must_match_the_ranges(kind):
 
 
 def test_one_set_batching_reaches_every_layer():
-    """On an io_nodes + resilience stack, one ``set_batching(True)``
+    """On an io_nodes + resilience stack, setting ``volume.coalesce``
     reaches the volume, the I/O nodes and the resilience layer: a
     two-range striped gather ships and issues exactly the coalesced
-    plan's requests (one per device), not one per stripe unit."""
+    plan's requests (one per device), not one per stripe unit; cleared
+    again, the same gather ships one item per stripe unit."""
     env = Environment()
     pfs = build_parallel_fs(
         env, 4, io_nodes=2, resilience=ResilienceConfig(protection=None, spares=0)
     )
-    pfs.set_batching(True)
-    assert pfs.batch_io
+    pfs.volume.coalesce = True
     f = pfs.create("f", "S", n_records=16, record_size=512, stripe_unit=512)
     runs = [(0, 4), (4, 4)]
     ranges = [(0, 2048), (2048, 2048)]
     coalesced = len(plan_batch(f.layout, ranges, coalesce=True).requests)
-    assert coalesced == 4 < len(plan_batch(f.layout, ranges, coalesce=False).requests)
+    per_unit = len(plan_batch(f.layout, ranges, coalesce=False).requests)
+    assert coalesced == 4 < per_unit
 
     def requests():
         return sum(d.disk.total_requests for d in pfs.volume.devices)
 
+    def items():
+        return sum(n.items_in for n in pfs.io_cluster.nodes)
+
     before = requests()
     env.run(f.read_gather(runs))
     assert requests() - before == coalesced
-    assert sum(n.items_in for n in pfs.io_cluster.nodes) == coalesced
+    assert items() == coalesced
 
-    pfs.set_batching(False)
-    assert not pfs.batch_io and not pfs.volume.coalesce
+    pfs.volume.coalesce = False
+    before = items()
+    env.run(f.read_gather(runs))
+    assert items() - before == per_unit
