@@ -73,10 +73,10 @@ class TransientIOError(Exception):
 class IORequest:
     """One queued transfer. ``cylinder`` is what arm schedulers look at.
 
-    ``tenant`` is the QoS principal the request is billed to (captured
-    from the submitting process's ambient context; ``None`` for untagged
-    work) and ``deadline`` its absolute completion target; tenant-aware
-    policies additionally stamp the ``qos_tag`` scheduling tag (see
+    ``tenant`` is the QoS principal the request is billed to (the ambient
+    tenant of the submitting process or op; ``None`` for untagged work)
+    and ``deadline`` its absolute completion target; tenant-aware policies
+    additionally stamp the ``qos_tag`` scheduling tag (see
     :mod:`repro.qos`). Slotted: millions of these are allocated per
     sweep, so any new per-request annotation must be declared here.
     """
@@ -174,17 +174,17 @@ class DeviceController:
     def queue_length(self) -> int:
         return len(self._pending)
 
-    def read(self, offset: int, nbytes: int, tenant: Any = None) -> Event:
+    def read(self, offset: int, nbytes: int) -> Event:
         """Read ``nbytes`` at byte ``offset``; event value is a uint8 array.
 
-        ``tenant`` bills the request; None takes the active process's.
+        The request is billed to the running process's or op's tenant.
         """
-        return self._submit("read", offset, nbytes, None, tenant)
+        return self._submit("read", offset, nbytes, None)
 
-    def write(self, offset: int, data: bytes | np.ndarray, tenant: Any = None) -> Event:
+    def write(self, offset: int, data: bytes | np.ndarray) -> Event:
         """Write ``data`` at byte ``offset``; event value is bytes written."""
         arr = as_payload(data)
-        return self._submit("write", offset, arr.size, arr, tenant)
+        return self._submit("write", offset, arr.size, arr)
 
     def fail(self) -> None:
         """Hard-fail the device; pending and future requests error out."""
@@ -244,7 +244,7 @@ class DeviceController:
                 f"capacity {self.capacity_bytes}"
             )
 
-    def _submit(self, kind: str, offset: int, nbytes: int, data, tenant: Any) -> Event:
+    def _submit(self, kind: str, offset: int, nbytes: int, data) -> Event:
         env = self.env
         ev = Event(env)
         if self._failed:
@@ -253,8 +253,7 @@ class DeviceController:
         self._check_range(offset, nbytes)
         # a zero-length request at the very end still names a real block
         start_block = min(offset // self._block_size, self._last_block)
-        if tenant is None:
-            tenant = getattr(env._active, "qos_tenant", None)
+        tenant = getattr(env._active, "qos_tenant", None)
         rel_deadline = getattr(tenant, "deadline", None)
         now = env._now
         req = IORequest(

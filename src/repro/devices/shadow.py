@@ -29,7 +29,7 @@ Degraded-mode semantics (the online-resilience layer builds on these):
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -78,21 +78,15 @@ class ShadowPair:
         """Exactly one member is down (still serving, but unmirrored)."""
         return self.primary.failed != self.shadow.failed
 
-    def read(self, offset: int, nbytes: int, tenant: Any = None) -> Event:
-        """Read from a surviving member, failing over mid-request if it dies.
-
-        ``tenant`` bills the member requests; None takes the active
-        process's.
-        """
+    def read(self, offset: int, nbytes: int) -> Event:
+        """Read from a surviving member, failing over mid-request if it dies."""
         if self.failed:
             ev = Event(self.env)
             ev.fail(DeviceFailedError(self.name))
             return ev
-        return self.env.process(
-            self._do_read(offset, nbytes, tenant), name="shadow.read"
-        )
+        return self.env.process(self._do_read(offset, nbytes), name="shadow.read")
 
-    def _do_read(self, offset: int, nbytes: int, tenant: Any):
+    def _do_read(self, offset: int, nbytes: int):
         self._check_degraded()
         # shorter queue first when both live; the other member is the
         # in-request fallback if the first dies under us
@@ -103,7 +97,7 @@ class ShadowPair:
         last_exc: DeviceFailedError | None = None
         for attempt, member in enumerate(members):
             try:
-                data = yield member.read(offset, nbytes, tenant)
+                data = yield member.read(offset, nbytes)
             except DeviceFailedError as exc:
                 last_exc = exc
                 continue
@@ -114,18 +108,16 @@ class ShadowPair:
         self._check_degraded()
         raise last_exc if last_exc is not None else DeviceFailedError(self.name)
 
-    def write(self, offset: int, data: bytes | np.ndarray, tenant: Any = None) -> Event:
+    def write(self, offset: int, data: bytes | np.ndarray) -> Event:
         """Write to every surviving member; completes when >= 1 applied."""
         arr = as_payload(data)
         if self.failed:
             ev = Event(self.env)
             ev.fail(DeviceFailedError(self.name))
             return ev
-        return self.env.process(
-            self._do_write(offset, arr, tenant), name="shadow.write"
-        )
+        return self.env.process(self._do_write(offset, arr), name="shadow.write")
 
-    def _do_write(self, offset: int, arr: np.ndarray, tenant: Any):
+    def _do_write(self, offset: int, arr: np.ndarray):
         self._writes_in_progress += 1
         try:
             self._check_degraded()
@@ -136,12 +128,12 @@ class ShadowPair:
                 # degraded at issue: the range is survivor-only data
                 self.degraded_writes += 1
                 self._dirty.append((offset, len(arr)))
-            guards = [
-                self.env.process(self._guard(d.write(offset, arr, tenant))) for d in members
+            writes = [
+                self.env.settle(d.write(offset, arr), DeviceFailedError) for d in members
             ]
-            yield self.env.all_of(guards)
-            failures = [g.value[1] for g in guards if not g.value[0]]
-            if len(failures) == len(guards):
+            yield self.env.all_of(writes)
+            failures = [w.value[1] for w in writes if not w.value[0]]
+            if len(failures) == len(writes):
                 raise failures[0]
             if failures:
                 # a member died between the two mirrored writes: the pair
@@ -156,13 +148,6 @@ class ShadowPair:
                 if not self._quiet.triggered:
                     self._quiet.succeed()
                 self._quiet = None
-
-    def _guard(self, ev: Event):
-        try:
-            value = yield ev
-            return True, value
-        except DeviceFailedError as exc:
-            return False, exc
 
     def peek(self, offset: int, nbytes: int) -> np.ndarray:
         """Zero-time inspection via a surviving member."""

@@ -26,7 +26,7 @@ reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -50,10 +50,11 @@ class NodeRequest:
     ``event`` triggers when the node has serviced it — with a list of
     per-item arrays for reads, or the byte count for writes.
 
-    ``tenant`` is the QoS principal the request is billed to (``None``
-    for untagged work) and ``admitted_at`` when it cleared admission
-    control; a QoS-scheduled inbox additionally stamps a ``qos_tag``
-    scheduling tag (see :mod:`repro.qos`).
+    ``tenant`` is the QoS principal the request is billed to (the ambient
+    tenant of the submitting process or op; ``None`` for untagged work)
+    and ``admitted_at`` when it cleared admission control; a QoS-scheduled
+    inbox additionally stamps a ``qos_tag`` scheduling tag (see
+    :mod:`repro.qos`).
     """
 
     kind: str
@@ -95,16 +96,20 @@ class _ReadWant:
 
 @dataclass
 class _Job:
-    """One issued device operation and the request items it serves."""
+    """One issued device operation and the request items it serves.
+
+    ``settled`` is the operation's ``env.settle`` op: a failed device
+    request becomes a ``(False, exc)`` value, not a crash of the service
+    loop.
+    """
 
     kind: str
     device: int
     offset: int
     nbytes: int
-    guard: Event
+    settled: Event
     consumers: list
     data: np.ndarray | None = None
-    extra: dict = field(default_factory=dict)
 
 
 class IONode:
@@ -177,7 +182,7 @@ class IONode:
         self.wait_stat = PercentileTally()
         self._proc = env.process(self._serve(), name=f"{name}.serve")
         sanitizer = env._sanitizer
-        if sanitizer is not None and hasattr(sanitizer, "register_node"):
+        if sanitizer is not None:
             sanitizer.register_node(self)
 
     # -- client surface ------------------------------------------------------
@@ -197,17 +202,12 @@ class IONode:
         kind: str,
         items: list[tuple[int, int, int]],
         data: list[np.ndarray] | None = None,
-        tenant: Any = None,
     ) -> NodeRequest:
         """Enqueue one request; returns it with ``admitted`` to wait on.
 
         Clients must ``yield req.admitted`` (backpressure: it blocks while
         the inbox is full) and then ``yield req.event`` for the result.
-
-        ``tenant`` overrides the QoS principal the request is billed to;
-        by default it is captured from the submitting process's ambient
-        context (failover replay passes it explicitly, since replay runs
-        outside the original client's process).
+        The request is billed to the running process's or op's tenant.
         """
         if kind not in ("read", "write"):
             raise ValueError(f"unknown request kind {kind!r}")
@@ -223,8 +223,6 @@ class IONode:
                 raise ValueError(f"device {dev} is not owned by node {self.name}")
             if offset < 0 or nbytes < 0:
                 raise ValueError(f"invalid range ({offset}, {nbytes})")
-        if tenant is None:
-            tenant = getattr(self.env.active_process, "qos_tenant", None)
         req = NodeRequest(
             kind=kind,
             items=list(items),
@@ -232,13 +230,13 @@ class IONode:
             event=Event(self.env),
             admitted=None,
             submit_time=self.env.now,
-            tenant=tenant,
+            tenant=getattr(self.env.active_process, "qos_tenant", None),
         )
         self.accepted += 1
         req.admitted = self.inbox.put(req)
         self.queue_stat.record(self.env.now, self.queued)
         sanitizer = self.env._sanitizer
-        if sanitizer is not None and hasattr(sanitizer, "register_node"):
+        if sanitizer is not None:
             sanitizer.register_node(self)
         return req
 
@@ -391,7 +389,7 @@ class IONode:
             self.in_service = 0
             self.batches += 1
             sanitizer = env._sanitizer
-            if sanitizer is not None and hasattr(sanitizer, "on_ionode"):
+            if sanitizer is not None:
                 sanitizer.on_ionode(self)
 
     def _service_batch(self, batch: list[NodeRequest]):
@@ -406,7 +404,7 @@ class IONode:
         self._plan_batch_reads(batch, results, jobs)
 
         if jobs:
-            yield env.all_of([j.guard for j in jobs])
+            yield env.all_of([j.settled for j in jobs])
         self._settle_jobs(jobs, results, errors)
 
         for req in batch:
@@ -441,7 +439,7 @@ class IONode:
                     for off, data, req in triples
                     if off >= at and off + len(data) <= end
                 ]
-                ev = self._issue(self.devices[dev].write(at, payload))
+                ev = self.devices[dev].write(at, payload)
                 self.device_writes += 1
                 self.device_bytes_written += len(payload)
                 jobs.append(
@@ -450,7 +448,7 @@ class IONode:
                         device=dev,
                         offset=at,
                         nbytes=len(payload),
-                        guard=self.env.process(self._guard(ev)),
+                        settled=self.env.settle(ev),
                         consumers=consumers,
                         data=payload,
                     )
@@ -495,14 +493,13 @@ class IONode:
                     for w in wants
                     if w.offset >= at and w.offset + w.nbytes <= at + n
                 ]
-                ev = self._issue(self.devices[dev].read(at, n))
                 jobs.append(
                     _Job(
                         kind="read",
                         device=dev,
                         offset=at,
                         nbytes=n,
-                        guard=self.env.process(self._guard(ev)),
+                        settled=self.env.settle(self.devices[dev].read(at, n)),
                         consumers=consumers,
                     )
                 )
@@ -526,7 +523,7 @@ class IONode:
         for job in jobs:
             if job.kind != "read":
                 continue
-            ok, value = job.guard.value
+            ok, value = job.settled.value
             if ok:
                 for w in job.consumers:
                     lo = w.offset - job.offset
@@ -539,7 +536,7 @@ class IONode:
         for job in jobs:
             if job.kind != "write":
                 continue
-            ok, value = job.guard.value
+            ok, value = job.settled.value
             if ok:
                 if self.cache is not None:
                     self.cache.note_write(job.device, job.offset, job.data)
@@ -548,22 +545,3 @@ class IONode:
                     self.cache.invalidate_device(job.device)
                 for req in job.consumers:
                     errors.setdefault(id(req), value)
-
-    def _issue(self, ev: Event) -> Event:
-        """Defuse a device event that failed at issue time (dead device).
-
-        Such an event is scheduled *before* its guard process starts, so
-        without defusing the scheduler would raise it as an unhandled
-        failure; the guard still observes and reports it.
-        """
-        if ev.triggered and not ev.ok:
-            ev.defuse()
-        return ev
-
-    def _guard(self, ev: Event):
-        """Wrap one device event so a failure cannot kill the service loop."""
-        try:
-            value = yield ev
-            return True, value
-        except Exception as exc:
-            return False, exc

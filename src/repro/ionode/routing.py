@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from ..devices.controller import TransientIOError, as_payload
-from ..sim.engine import Environment, Process
+from ..sim.engine import Environment, Op
 from ..storage.layout import plan_batch
 from .config import IONodeConfig
 from .interconnect import Interconnect
@@ -150,6 +150,59 @@ class IONodeCluster:
         """Device operations issued by all nodes (reads + writes)."""
         return sum(n.device_reads + n.device_writes for n in self.nodes)
 
+    # -- the one request path to the nodes -----------------------------------
+
+    def owners(self, items: list[tuple[int, int, int]]) -> dict[int, list[int]]:
+        """Indices of ``items`` grouped by their device's current node."""
+        node_of = self.router.node_of
+        per_node: dict[int, list[int]] = {}
+        for idx, (dev, _, _) in enumerate(items):
+            per_node.setdefault(node_of(dev), []).append(idx)
+        return per_node
+
+    def request(
+        self,
+        kind: str,
+        items: list[tuple[int, int, int]],
+        data: list[np.ndarray] | None = None,
+    ):
+        """Generator: ``items`` (``(device, offset, nbytes)``, with ``data``
+        for writes) submitted to their devices' current owners.
+
+        One sub-request per owning node, all submitted before any is
+        awaited; every sub-request is drained, so no failure goes
+        unobserved, and each outcome feeds that node's circuit breaker.
+        Returns the per-item arrays of a read (``None`` per item of a
+        write), or raises the first error seen. Client messages and
+        failover replays both go through here.
+        """
+        subs = []
+        for node_idx, slots in self.owners(items).items():
+            part = None if data is None else [data[s] for s in slots]
+            sub = self.nodes[node_idx].submit(kind, [items[s] for s in slots], part)
+            subs.append((node_idx, slots, sub))
+        values: list = [None] * len(items)
+        error: BaseException | None = None
+        for node_idx, slots, sub in subs:
+            try:
+                yield sub.admitted
+                arrays = yield sub.event
+            except Exception as exc:  # drain every sub so none goes unobserved
+                # only a transient error is the node's fault, not a dead device
+                if self.failover is not None and isinstance(exc, TransientIOError):
+                    self.failover.note_request_failure(node_idx)
+                if error is None:
+                    error = exc
+                continue
+            if self.failover is not None:
+                self.failover.note_request_success(node_idx)  # closes the breaker
+            if kind == "read":
+                for slot, arr in zip(slots, arrays):
+                    values[slot] = arr
+        if error is not None:
+            raise error
+        return values
+
 
 class MediatedVolume:
     """A data plane routing file traffic through the I/O nodes.
@@ -183,12 +236,30 @@ class MediatedVolume:
 
     def read(
         self, extent: "Extent", layout: "DataLayout", ranges: list[tuple[int, int]]
-    ) -> Process:
+    ) -> Op:
         """List-I/O read over the nodes: one message per node for the
         whole batch of ``(offset, nbytes)`` ranges. Value is the single
         concatenated uint8 array, ranges in list order."""
         plan = plan_batch(layout, ranges, coalesce=self.volume.coalesce, extent=extent)
-        return self.env.process(self._run_read(extent, plan), name="ionode.read")
+        groups: list[list[int]] = []
+
+        def submit():
+            # owners are read at the op's start slot, as a process would
+            items = self._items(extent, plan)
+            groups[:] = self.cluster.owners(items).values()
+            return [
+                self.env.process(self._client_read([items[i] for i in idxs]))
+                for idxs in groups
+            ]
+
+        def finish(per_group: list) -> np.ndarray:
+            values: list = [None] * len(plan.requests)
+            for idxs, arrays in zip(groups, per_group):
+                for idx, arr in zip(idxs, arrays):
+                    values[idx] = arr
+            return plan.assemble(values)
+
+        return self.env.join(submit, finish)
 
     def write(
         self,
@@ -196,148 +267,55 @@ class MediatedVolume:
         layout: "DataLayout",
         ranges: list[tuple[int, int]],
         data: Any,
-    ) -> Process:
+    ) -> Op:
         """List-I/O write: ``data`` is the concatenation of all ranges;
         the value is the byte count."""
         arr = as_payload(data)
         plan = plan_batch(layout, ranges, coalesce=self.volume.coalesce, extent=extent)
         if plan.nbytes != arr.size:
             raise ValueError(f"ranges cover {plan.nbytes} bytes, data has {arr.size}")
-        return self.env.process(self._run_write(extent, plan, arr), name="ionode.write")
+        size = int(arr.size)
 
-    def _run_read(self, extent: "Extent", plan: "ExtentPlan"):
-        env = self.env
-        node_of, bases = self.cluster.router.node_of, extent.bases
-        per_node: dict[int, list[tuple[int, int, int, int]]] = {}
-        for idx, (dev, off, n, _) in enumerate(plan.requests):
-            per_node.setdefault(node_of(dev), []).append((idx, dev, bases[dev] + off, n))
-        procs = [
-            env.process(self._client_read(entries))
-            for entries in per_node.values()
-        ]
-        if procs:
-            yield env.all_of(procs)
-        values: list = [None] * len(plan.requests)
-        for proc in procs:
-            for idx, arr in proc.value:
-                values[idx] = arr
-        return plan.assemble(values)
+        def submit():
+            items = self._items(extent, plan)
+            chunks = plan.payloads(arr)
+            return [
+                self.env.process(
+                    self._client_write([items[i] for i in idxs], [chunks[i] for i in idxs])
+                )
+                for idxs in self.cluster.owners(items).values()
+            ]
 
-    def _run_write(self, extent: "Extent", plan: "ExtentPlan", arr: np.ndarray):
-        env = self.env
-        node_of, bases = self.cluster.router.node_of, extent.bases
-        per_node: dict[int, tuple[list, list]] = {}
-        for (dev, off, n, _), chunk in zip(plan.requests, plan.payloads(arr)):
-            items, chunks = per_node.setdefault(node_of(dev), ([], []))
-            items.append((dev, bases[dev] + off, n))
-            chunks.append(chunk)
-        procs = [
-            env.process(self._client_write(items, chunks))
-            for items, chunks in per_node.values()
-        ]
-        if procs:
-            yield env.all_of(procs)
-        return int(arr.size)
+        return self.env.join(submit, lambda _: size)
 
-    def _client_read(self, entries: list):
-        """One read message's worth of items, submitted to current owners.
+    @staticmethod
+    def _items(extent: "Extent", plan: "ExtentPlan") -> list[tuple[int, int, int]]:
+        """The plan's requests as ``(device, absolute offset, nbytes)``."""
+        bases = extent.bases
+        return [(dev, bases[dev] + off, n) for dev, off, n, _ in plan.requests]
 
-        ``entries`` are ``(slot, device, offset, nbytes)``; the value is
-        the ``(slot, array)`` pairs. This is the one client request path
-        to the nodes: the resilience layer's per-device requests are this
-        with a single entry.
+    def _client_read(self, items: list[tuple[int, int, int]]):
+        """One read message: ``items`` to the nodes, the per-item arrays back.
 
-        Owners are resolved only *after* the request-message flight: a
-        node crash (or breaker quarantine) during that window re-routes
-        its devices, and the items must land at each device's current
-        owner — possibly split across several survivors — instead of
+        This is the one client read path to the nodes: the resilience
+        layer's per-device requests are this with a single item. Owners
+        are resolved only *after* the request-message flight (in
+        :meth:`IONodeCluster.request`): a node crash (or breaker
+        quarantine) during that window re-routes its devices, and the
+        items must land at each device's current owner instead of
         hitting the corpse and failing the client I/O.
         """
         ic = self.cluster.interconnect
         yield self.env.sleep(ic.request_cost())
-        subs = [
-            (
-                node_idx,
-                ents,
-                self.cluster.nodes[node_idx].submit(
-                    "read", [(dev, off, n) for _, dev, off, n in ents]
-                ),
-            )
-            for node_idx, ents in self._by_owner(entries, lambda e: e[1]).items()
-        ]
-        out = []
-        error: BaseException | None = None
-        for node_idx, ents, req in subs:
-            try:
-                yield req.admitted
-                arrays = yield req.event
-            except Exception as exc:  # drain every sub so none goes unobserved
-                self._note_outcome(node_idx, exc)
-                if error is None:
-                    error = exc
-                continue
-            self._note_outcome(node_idx, None)
-            out.extend((idx, arr) for (idx, _, _, _), arr in zip(ents, arrays))
-        if error is not None:
-            raise error
-        payload = sum(n for *_, n in entries)
-        yield self.env.sleep(ic.transfer_cost(payload))
-        return out
+        arrays = yield from self.cluster.request("read", items)
+        yield self.env.sleep(ic.transfer_cost(sum(n for _, _, n in items)))
+        return arrays
 
-    def _client_write(self, items: list, chunks: list):
+    def _client_write(self, items: list[tuple[int, int, int]], chunks: list):
         """One write message's worth of items (see :meth:`_client_read`)."""
         ic = self.cluster.interconnect
         payload = sum(n for _, _, n in items)
         yield self.env.sleep(ic.transfer_cost(payload))
-        subs = []
-        for node_idx, pairs in self._by_owner(
-            list(zip(items, chunks)), lambda p: p[0][0]
-        ).items():
-            subs.append(
-                (
-                    node_idx,
-                    self.cluster.nodes[node_idx].submit(
-                        "write",
-                        [item for item, _ in pairs],
-                        data=[chunk for _, chunk in pairs],
-                    ),
-                )
-            )
-        error: BaseException | None = None
-        for node_idx, req in subs:
-            try:
-                yield req.admitted
-                yield req.event
-            except Exception as exc:  # drain every sub so none goes unobserved
-                self._note_outcome(node_idx, exc)
-                if error is None:
-                    error = exc
-                continue
-            self._note_outcome(node_idx, None)
-        if error is not None:
-            raise error
+        yield from self.cluster.request("write", items, chunks)
         yield self.env.sleep(ic.request_cost())
         return payload
-
-    def _by_owner(self, seq: list, device_of) -> dict[int, list]:
-        """Group items by the *current* owning node of their device."""
-        per_node: dict[int, list] = {}
-        for item in seq:
-            per_node.setdefault(
-                self.cluster.router.node_of(device_of(item)), []
-            ).append(item)
-        return per_node
-
-    def _note_outcome(self, node_idx: int, exc: BaseException | None) -> None:
-        """Feed one sub-request's outcome to the node's circuit breaker.
-
-        Successes close the breaker again; only *transient* errors count
-        as breaker failures (a dead device is not the node's fault).
-        """
-        failover = self.cluster.failover
-        if failover is None:
-            return
-        if exc is None:
-            failover.note_request_success(node_idx)
-        elif isinstance(exc, TransientIOError):
-            failover.note_request_failure(node_idx)

@@ -94,10 +94,8 @@ class QoSManager:
         return proc
 
     def active_tenant(self) -> Tenant:
-        """The tenant of the currently running process (default if none)."""
-        return self.resolve(
-            getattr(self.env.active_process, "qos_tenant", None)
-        )
+        """The tenant of the running process or op (default if none)."""
+        return self.resolve(getattr(self.env.active_process, "qos_tenant", None))
 
     # -- admission gate --------------------------------------------------------
 
@@ -133,7 +131,7 @@ class QoSManager:
     def _starved(self, label: str, tag: QoSTag) -> None:
         self.starvations += 1
         sanitizer = self.env._sanitizer
-        if sanitizer is not None and hasattr(sanitizer, "on_qos_starvation"):
+        if sanitizer is not None:
             sanitizer.on_qos_starvation(
                 f"tenant {tag.tenant.name!r} request (seq {tag.seq}) at "
                 f"{label} bypassed {tag.bypassed} times "
@@ -143,11 +141,7 @@ class QoSManager:
     def _missed(self, tenant: Tenant) -> None:
         self.deadline_misses += 1
         sanitizer = self.env._sanitizer
-        if (
-            self.config.strict_deadlines
-            and sanitizer is not None
-            and hasattr(sanitizer, "on_qos_deadline_miss")
-        ):
+        if self.config.strict_deadlines and sanitizer is not None:
             sanitizer.on_qos_deadline_miss(
                 f"tenant {tenant.name!r} missed its "
                 f"{tenant.deadline}s deadline "
@@ -172,7 +166,7 @@ class QoSManager:
         for t in self.tenants.values():
             if t.bucket is None:
                 continue
-            if sanitizer is not None and hasattr(sanitizer, "on_qos_bucket"):
+            if sanitizer is not None:
                 sanitizer.on_qos_bucket(
                     t.name,
                     t.bucket.conformant(),

@@ -3,8 +3,9 @@
 A :class:`QoSClass` is a declarative service contract (weight, optional
 deadline, optional token-bucket rate limit); a :class:`Tenant` is one live
 principal holding that contract plus its backpressure accounting.
-Requests are tagged with their tenant at the ``ParallelFile`` boundary via
-ambient process context (``Process.qos_tenant``), and the device and
+Requests are tagged with their tenant by the ambient context of the
+process or op that submits them (``Process.qos_tenant``, ``Op.qos_tenant``,
+inherited from the creator), and the device and
 I/O-node layers bill time to the tenant duck-typed — they only ever call
 the ``note_*`` methods.
 

@@ -108,7 +108,6 @@ class FailoverManager:
         self.breaker_cooldown = breaker_cooldown
         self._breakers: dict[int, CircuitBreaker] = {}
         self._salvaged: list["NodeRequest"] = []
-        self._replays: list[Process] = []
         #: observers called as ``cb(failed_index, survivors)`` after a
         #: node's devices are re-routed — the metadata service hooks in
         #: here to re-home its shards (see MetadataService.bind_failover)
@@ -154,9 +153,9 @@ class FailoverManager:
             self.stats.migrated_requests += len(salvaged)
         for req in salvaged:
             self._salvaged.append(req)
-            self._replays.append(
-                self.env.process(self._replay(req), name="failover.replay")
-            )
+            replay = self.env.process(self._replay(req), name="failover.replay")
+            # billed to the request's tenant, as QoSManager.spawn tags a process
+            replay.qos_tenant = req.tenant
         for cb in self.on_node_failed:
             cb(index, survivors)
         return salvaged
@@ -164,45 +163,20 @@ class FailoverManager:
     def _replay(self, req: "NodeRequest"):
         """Re-submit a salvaged request to the devices' current owners.
 
-        Splits the items per surviving node, waits for every sub-request
-        (draining failures so none goes unobserved), then settles the
-        *original* client event — per-slot arrays for reads, the payload
-        byte count for writes, or the first error seen.
+        It goes down the clients' own path (:meth:`~repro.ionode.routing.
+        IONodeCluster.request`, feeding the survivors' breakers), then
+        settles the *original* client event — per-slot arrays for reads,
+        the payload byte count for writes, or the first error seen.
         """
-        per_node: dict[int, list[int]] = {}
-        for slot, (dev, _, _) in enumerate(req.items):
-            per_node.setdefault(self.cluster.router.node_of(dev), []).append(slot)
-        subs: list[tuple[list[int], "NodeRequest"]] = []
-        for node_index, slots in per_node.items():
-            node = self.cluster.nodes[node_index]
-            items = [req.items[s] for s in slots]
-            data = [req.data[s] for s in slots] if req.kind == "write" else None
-            # replay runs outside the original client's process, so the
-            # tenant tag must be carried over explicitly for QoS billing
-            subs.append(
-                (slots, node.submit(req.kind, items, data=data, tenant=req.tenant))
-            )
-        results: list = [None] * len(req.items)
-        error: BaseException | None = None
-        for slots, sub in subs:
-            try:
-                yield sub.admitted
-                value = yield sub.event
-            except Exception as exc:  # noqa: BLE001 - forwarded to the client
-                if error is None:
-                    error = exc
-                continue
-            if req.kind == "read":
-                for slot, arr in zip(slots, value):
-                    results[slot] = arr
+        try:
+            values = yield from self.cluster.request(req.kind, req.items, req.data)
+        except Exception as exc:  # noqa: BLE001 - forwarded to the client
+            if not req.event.triggered:
+                req.event.fail(exc)
+            return
         if req.event.triggered:
             return  # settled by a cascading failover's replay of this req
-        if error is not None:
-            req.event.fail(error)
-        elif req.kind == "read":
-            req.event.succeed(results)
-        else:
-            req.event.succeed(req.payload_bytes)
+        req.event.succeed(values if req.kind == "read" else req.payload_bytes)
 
     # -- circuit breaking ----------------------------------------------------
 

@@ -9,7 +9,7 @@ then atomically swaps the spare in.
 Two rebuild sources:
 
 * **parity** — each chunk is reconstructed from survivors + check device
-  (under the volume's per-parity-unit locks, so a concurrent
+  (under the parity group's per-unit locks, so a concurrent
   read-modify-write can never be observed half-done), then overlaid with
   the write journal and written to the spare. After the bulk pass the
   journal is drained until quiet, so degraded writes that raced the
@@ -134,7 +134,7 @@ class HotSpareRebuilder:
         while pos < cap:
             take = min(self.chunk_bytes, cap - pos)
             chunk_start = env.now
-            locks = yield from rv._lock_units(pos, take)
+            locks = yield from group.lock_units(pos, take)
             try:
                 if not group.reconstruct_safe(pos, take):
                     raise StaleParityError(
@@ -149,7 +149,7 @@ class HotSpareRebuilder:
                     target=f"dev{index}",
                 )
             finally:
-                rv._unlock(locks)
+                group.unlock(locks)
             rv.journal.overlay(index, pos, take, data)
             yield from rv._with_retry(
                 lambda p=pos, d=data: spare.write(p, d), kind="write", target="spare"
@@ -271,5 +271,5 @@ class HotSpareRebuilder:
 
     def _notify(self, name: str, ok: bool, detail: str) -> None:
         sanitizer = self.env._sanitizer
-        if sanitizer is not None and hasattr(sanitizer, "on_rebuild"):
+        if sanitizer is not None:
             sanitizer.on_rebuild(name, ok, detail)

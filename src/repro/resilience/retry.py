@@ -147,7 +147,7 @@ def retrying(
 
 def _report(env: Environment, op: RetriedOp, on_report) -> None:
     sanitizer = env._sanitizer
-    if sanitizer is not None and hasattr(sanitizer, "on_retried_op"):
+    if sanitizer is not None:
         sanitizer.on_retried_op(op)
     if on_report is not None:
         on_report(op)

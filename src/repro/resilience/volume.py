@@ -23,10 +23,10 @@ and speaks the same two-method protocol, with three behavioural changes:
   in ``"synchronized"`` mode — the §5 gap); writes addressed to a failed
   member are journaled for replay by the hot-spare rebuild.
 
-Parity consistency under concurrency is guarded by per-parity-unit locks
-(:class:`~repro.sim.resources.Resource`): a read-modify-write and an
-on-the-fly reconstruction over the same unit serialize, so neither ever
-observes a half-updated data/parity pair.
+Parity consistency under concurrency is guarded by the parity group's
+per-unit locks (:meth:`~repro.storage.parity.ParityGroup.lock_units`): a
+read-modify-write and an on-the-fly reconstruction over the same unit
+serialize, so neither ever observes a half-updated data/parity pair.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ import numpy as np
 
 from ..devices.controller import DeviceFailedError, as_payload
 from ..sim.engine import Event, Process
-from ..sim.resources import Resource
 from ..sim.rng import RngStreams
 from ..storage.layout import plan_batch
 from ..storage.parity import ParityGroup, StaleParityError
@@ -94,8 +93,6 @@ class ResilientVolume:
         self.failed_at: dict[int, float] = {}
         #: attached background rebuilder (set by ``build_parallel_fs``)
         self.rebuilder: "HotSpareRebuilder | None" = None
-        #: per-parity-unit serialization (absolute unit index -> lock)
-        self._unit_locks: dict[int, Resource] = {}
 
     @property
     def failover(self) -> "FailoverManager | None":
@@ -178,7 +175,7 @@ class ResilientVolume:
                 f"[{abs_off}, {abs_off + nbytes}): parity has stale units "
                 "(independent writes without synchronized maintenance)"
             )
-        locks = yield from self._lock_units(abs_off, nbytes)
+        locks = yield from self.group.lock_units(abs_off, nbytes)
         try:
             # reconstruction is pure reads, so a transient survivor error
             # retries the whole XOR pass (idempotent)
@@ -191,7 +188,7 @@ class ResilientVolume:
                 target=f"dev{dev_i}",
             )
         finally:
-            self._unlock(locks)
+            self.group.unlock(locks)
         self.journal.overlay(dev_i, abs_off, nbytes, data)
         self.stats.reconstructed_bytes += nbytes
         return data
@@ -325,48 +322,36 @@ class ResilientVolume:
         parity = np.zeros(length, dtype=np.uint8)
         for chunk in chunks.values():
             np.bitwise_xor(parity, chunk, out=parity)
-        locks = yield from self._lock_units(abs_off, length)
+        locks = yield from group.lock_units(abs_off, length)
         try:
-            guards = {
-                dev: self.env.process(
-                    self._guard(
-                        self.env.process(
-                            self._device_write(group.data_devices[dev], dev, abs_off, chunk)
-                        )
-                    )
-                )
+            data_writes = {
+                dev: self._settled_write(group.data_devices[dev], dev, abs_off, chunk)
                 for dev, chunk in chunks.items()
             }
-            parity_guard = self.env.process(
-                self._guard(
-                    self.env.process(
-                        self._device_write(group.parity_device, "parity", abs_off, parity)
-                    )
-                )
-            )
-            yield self.env.all_of(list(guards.values()) + [parity_guard])
-            pok, pval = parity_guard.value
+            parity_write = self._settled_write(group.parity_device, "parity", abs_off, parity)
+            yield self.env.all_of(list(data_writes.values()) + [parity_write])
+            pok, pval = parity_write.value
             if not pok:
                 if not isinstance(pval, DeviceFailedError) and any(
-                    g.value[0] for g in guards.values()
+                    g.value[0] for g in data_writes.values()
                 ):
                     # parity retries exhausted (media untouched) while some
                     # data chunk landed: the row no longer XORs on media —
                     # poison it so reconstruction surfaces StaleParityError
                     self._mark_all_stale(abs_off, length)
                 raise pval  # check device gone: protection lost, surface it
-            for dev, guard in guards.items():
-                ok, val = guard.value
+            for dev, settled in data_writes.items():
+                ok, val = settled.value
                 if not ok:
                     if not isinstance(val, DeviceFailedError):
                         # this chunk never landed but parity (the XOR of the
                         # *new* chunks) did: poison the row before surfacing
                         self._mark_all_stale(abs_off, length)
                         raise val
-                    yield from self._degraded_write(dev, abs_off, chunks[dev])
+                    self._degraded_write(dev, abs_off, chunks[dev])
                 group.mark_fresh(dev, abs_off, length)
         finally:
-            self._unlock(locks)
+            group.unlock(locks)
         self._invalidate_nodes(list(chunks))
         return length * len(chunks)
 
@@ -375,7 +360,7 @@ class ResilientVolume:
         group = self.group
         target = group.data_devices[dev_i]
         if target.failed:
-            yield from self._degraded_write(dev_i, abs_off, chunk)
+            self._degraded_write(dev_i, abs_off, chunk)
             return len(chunk)
         if self.config.parity_mode == "rmw" and not group.parity_device.failed:
             yield from self._rmw_write(dev_i, abs_off, chunk)
@@ -388,7 +373,7 @@ class ResilientVolume:
                     target=f"dev{dev_i}",
                 )
             except DeviceFailedError:
-                yield from self._degraded_write(dev_i, abs_off, chunk)
+                self._degraded_write(dev_i, abs_off, chunk)
                 return len(chunk)
             group.mark_stale(dev_i, abs_off, len(chunk))
         self._invalidate_nodes([dev_i])
@@ -399,14 +384,14 @@ class ResilientVolume:
         group = self.group
         target = group.data_devices[dev_i]
         n = len(chunk)
-        locks = yield from self._lock_units(abs_off, n)
+        locks = yield from group.lock_units(abs_off, n)
         try:
             try:
                 old_data = yield from self._with_retry(
                     lambda: target.read(abs_off, n), kind="read", target=f"dev{dev_i}"
                 )
             except DeviceFailedError:
-                yield from self._degraded_write(dev_i, abs_off, chunk, locked=True)
+                self._degraded_write(dev_i, abs_off, chunk)
                 return
             old_parity = yield from self._with_retry(
                 lambda: group.parity_device.read(abs_off, n),
@@ -416,23 +401,13 @@ class ResilientVolume:
             new_parity = np.bitwise_xor(
                 np.bitwise_xor(old_parity, old_data), chunk
             )
-            data_guard = self.env.process(
-                self._guard(
-                    self.env.process(self._device_write(target, dev_i, abs_off, chunk))
-                )
-            )
-            parity_guard = self.env.process(
-                self._guard(
-                    self.env.process(
-                        self._device_write(group.parity_device, "parity", abs_off, new_parity)
-                    )
-                )
-            )
-            # both guards settle before the unit locks release, so no
+            data_write = self._settled_write(target, dev_i, abs_off, chunk)
+            parity_write = self._settled_write(group.parity_device, "parity", abs_off, new_parity)
+            # both writes settle before the unit locks release, so no
             # reconstruction can observe a half-updated data/parity pair
-            yield self.env.all_of([data_guard, parity_guard])
-            pok, pval = parity_guard.value
-            dok, dval = data_guard.value
+            yield self.env.all_of([data_write, parity_write])
+            pok, pval = parity_write.value
+            dok, dval = data_write.value
             if not pok:
                 if not isinstance(pval, DeviceFailedError) and dok:
                     # new data landed but the parity update never touched
@@ -448,27 +423,22 @@ class ResilientVolume:
                     raise dval
                 # parity landed with the new chunk folded in, so recon-
                 # struction already yields it; journal for the rebuild
-                yield from self._degraded_write(dev_i, abs_off, chunk, locked=True)
+                self._degraded_write(dev_i, abs_off, chunk)
         finally:
-            self._unlock(locks)
+            group.unlock(locks)
 
-    def _degraded_write(
-        self, dev_i: int, abs_off: int, chunk: np.ndarray, locked: bool = False
-    ):
+    def _degraded_write(self, dev_i: int, abs_off: int, chunk: np.ndarray) -> None:
         """A write addressed to a failed member: journal it for replay.
 
         The media is untouched and parity still matches the dead drive's
         on-media bytes, so reconstruction stays valid; degraded reads
         overlay the journal, and the rebuild replays it onto the spare.
-        ``locked`` marks calls already holding the covering unit locks.
         """
         self._note_failure(dev_i)
         self.journal.record(dev_i, abs_off, chunk, self.env.now)
         self.stats.journaled_writes += 1
         self.stats.degraded_writes += 1
         self._invalidate_nodes([dev_i])
-        return len(chunk)
-        yield  # pragma: no cover - marks this function as a generator
 
     def _mark_all_stale(self, abs_off: int, nbytes: int) -> None:
         """One leg of a data/parity pair landed without its counterpart.
@@ -484,20 +454,18 @@ class ResilientVolume:
         for dev in range(group.n_data):
             group.mark_stale(dev, abs_off, nbytes)
 
+    def _settled_write(self, device: Any, label: Any, abs_off: int, data: np.ndarray) -> Event:
+        """A retry-wrapped raw device write of the parity paths, settled
+        into an ``(ok, value)`` pair."""
+        return self.env.settle(
+            self.env.process(self._device_write(device, label, abs_off, data))
+        )
+
     def _device_write(self, device: Any, label: Any, abs_off: int, data: np.ndarray):
-        """Retry-wrapped raw device write used inside parity paths."""
         yield from self._with_retry(
             lambda: device.write(abs_off, data), kind="write", target=f"dev{label}"
         )
         return len(data)
-
-    def _guard(self, ev: Event):
-        """Absorb one event's failure into an ``(ok, value)`` pair."""
-        try:
-            value = yield ev
-            return True, value
-        except Exception as exc:
-            return False, exc
 
     # -- plumbing ----------------------------------------------------------------
 
@@ -515,7 +483,7 @@ class ResilientVolume:
         return self.volume.devices[dev_i].read(abs_off, nbytes)
 
     def _node_read(self, dev_i: int, abs_off: int, nbytes: int):
-        ((_, data),) = yield from self.inner._client_read([(0, dev_i, abs_off, nbytes)])
+        (data,) = yield from self.inner._client_read([(dev_i, abs_off, nbytes)])
         return data
 
     def _plane_write(self, dev_i: int, abs_off: int, chunk: np.ndarray) -> Event:
@@ -542,28 +510,6 @@ class ResilientVolume:
             on_report=self.stats.note_retry,
         )
         return value
-
-    def _lock_units(self, abs_off: int, nbytes: int):
-        """Acquire the parity-unit locks covering a range (sorted order)."""
-        unit = self.group.parity_unit if self.group is not None else None
-        if unit is None or nbytes == 0:
-            return []
-        first = abs_off // unit
-        last = (abs_off + nbytes - 1) // unit
-        held = []
-        for u in range(first, last + 1):
-            lock = self._unit_locks.get(u)
-            if lock is None:
-                lock = Resource(self.env, capacity=1)
-                self._unit_locks[u] = lock
-            req = lock.request()
-            yield req
-            held.append((lock, req))
-        return held
-
-    def _unlock(self, held) -> None:
-        for lock, req in reversed(held):
-            lock.release(req)
 
     def _invalidate_nodes(self, dev_indices: list[int]) -> None:
         """Keep node caches coherent with writes that bypassed the nodes."""

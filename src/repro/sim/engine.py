@@ -35,6 +35,7 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Op",
+    "Settle",
     "Interrupt",
     "SimulationError",
 ]
@@ -303,16 +304,19 @@ class Op(Event):
     submit(); yield env.all_of(events)`` (skipped when empty) ``; return
     finish([ev.value for ev in events])``, and ``env.then(event, fn)`` as one
     running ``return fn((yield event))`` (or ``event()``), in exactly that
-    process's schedule slots: same event order, eids, steps and failures. No
-    process is active when ``submit`` runs: capture the QoS tenant first.
+    process's schedule slots: same event order, eids, steps and failures.
+    Like a process, an op takes its creator's ``qos_tenant`` and is the
+    active context while ``submit`` and ``finish`` run, so what they submit
+    or spawn is billed to that tenant.
     """
 
-    __slots__ = ("_source", "_finish", "_join", "_left")
+    __slots__ = ("_source", "_finish", "_join", "_left", "qos_tenant")
 
     def __init__(self, env: "Environment", source: Any, finish: Callable[[Any], Any]):
         Event.__init__(self, env)
         self._source = source
         self._finish = finish
+        self.qos_tenant: Any = getattr(env._active, "qos_tenant", None)
         Initialize(env, self._wait if isinstance(source, Event) else self._begin)
 
     def _wait(self, _start: Event) -> None:
@@ -323,11 +327,15 @@ class Op(Event):
             source.callbacks.append(self._settle)
 
     def _begin(self, _start: Event) -> None:
+        env = self.env
+        env._active = self
         try:
             events = self._source = self._source()
         except BaseException as exc:
             self.fail(exc)
             return
+        finally:
+            env._active = None
         if isinstance(events, Event):  # then() with the event made here
             return self._wait(_start)
         if not events:
@@ -335,7 +343,7 @@ class Op(Event):
             return
         # a counted join, not an AllOf: its value dict costs what the op saves
         self._left = len(events)
-        self._join = join = Event(self.env)
+        self._join = join = Event(env)
         join.callbacks.append(self._settle)
         check = self._check
         for ev in events:
@@ -366,12 +374,46 @@ class Op(Event):
     def _apply(self, value: Any) -> None:
         finish = self._finish
         self._source = self._finish = self._join = None
+        env = self.env
+        env._active = self
         try:
             value = finish(value)
         except BaseException as exc:
             self.fail(exc)
         else:
             self.succeed(value)
+        finally:
+            env._active = None
+
+
+class Settle(Op):
+    """``env.settle(event, absorb)``: an op whose value is ``(True, value)``
+    when ``event`` succeeds or ``(False, exc)`` when it fails with an
+    ``absorb`` exception; any other failure fails the op.
+
+    It runs in exactly the slots of a process whose body is ``try: return
+    True, (yield event)`` ``except absorb as exc: return False, exc``, and
+    it defuses ``event`` when created: a request that failed at issue (a
+    dead device) is observed here, not raised by the loop before the op's
+    start slot.
+    """
+
+    __slots__ = ("_absorb",)
+
+    def __init__(self, env: "Environment", source: Event, absorb: type[BaseException] | tuple):
+        source._defused = True
+        self._absorb = absorb
+        Op.__init__(self, env, source, None)
+
+    def _settle(self, event: Event) -> None:
+        self._source = None
+        value = event._value
+        if event._ok:
+            self.succeed((True, value))
+        elif isinstance(value, self._absorb):
+            self.succeed((False, value))
+        else:
+            self.fail(value)
 
 
 class Condition(Event):
@@ -447,7 +489,8 @@ class Environment:
         #: the future-event set: a heapq list of ``(when, eid, event)``
         self._queue: list[tuple[float, int, Event]] = []
         self._eid = 0
-        self._active: Process | None = None
+        #: the process or op whose code is running (None between steps)
+        self._active: Process | Op | None = None
         #: events processed so far
         self.steps = 0
         #: attached EngineSanitizer, if any (see ``repro.sanitize``)
@@ -468,8 +511,8 @@ class Environment:
         return self._now
 
     @property
-    def active_process(self) -> Process | None:
-        """The process currently executing, if any."""
+    def active_process(self) -> Process | Op | None:
+        """The process (or op ``submit``/``finish``) currently executing."""
         return self._active
 
     # -- event constructors -------------------------------------------------
@@ -506,6 +549,13 @@ class Environment:
     def then(self, event: Event | Callable[[], Event], fn: Callable[[Any], Any]) -> Op:
         """A callback op whose value is ``fn`` of ``event``'s (see :class:`Op`)."""
         return Op(self, event, fn)
+
+    def settle(
+        self, event: Event, absorb: type[BaseException] | tuple = Exception
+    ) -> Settle:
+        """An op whose value is ``(True, value)`` or ``(False, exc)`` for an
+        ``absorb`` failure of ``event`` (see :class:`Settle`)."""
+        return Settle(self, event, absorb)
 
     def all_of(self, events: list[Event]) -> AllOf:
         """An event triggering once every component has occurred (join)."""

@@ -22,6 +22,12 @@ devices at equal offsets, with two write disciplines:
   parity). Parity is never stale, at the price of two extra transfers per
   write. This is the ablation showing what it would have cost to cover
   PS/IS in 1989.
+
+The group owns one lock per parity unit (:meth:`ParityGroup.lock_units`):
+two read-modify-writes through different data devices that share a
+parity unit serialize, so neither overwrites the other's parity update.
+The resilience layer's reconstructions and parity writes take the same
+locks.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ import numpy as np
 
 from ..devices.controller import DeviceController, DeviceFailedError, as_payload
 from ..sim.engine import Environment, Process
+from ..sim.resources import Resource
 
 __all__ = ["ParityGroup", "StaleParityError"]
 
@@ -65,6 +72,8 @@ class ParityGroup:
         self.parity_unit = parity_unit
         #: parity units whose check data is stale: set of (device, unit)
         self._stale: set[tuple[int, int]] = set()
+        #: per-parity-unit serialization (unit index -> lock)
+        self._unit_locks: dict[int, Resource] = {}
 
     @property
     def n_data(self) -> int:
@@ -117,6 +126,26 @@ class ParityGroup:
     def stale_units(self) -> int:
         return len(self._stale)
 
+    # -- per-unit locks ------------------------------------------------------------
+
+    def lock_units(self, offset: int, nbytes: int):
+        """Generator: acquire the locks of the parity units covering a
+        range, in unit order; returns the held locks for :meth:`unlock`."""
+        held = []
+        for u in self._units(offset, nbytes):
+            lock = self._unit_locks.get(u)
+            if lock is None:
+                lock = self._unit_locks[u] = Resource(self.env, capacity=1)
+            req = lock.request()
+            yield req
+            held.append((lock, req))
+        return held
+
+    def unlock(self, held: list) -> None:
+        """Release what :meth:`lock_units` acquired."""
+        for lock, req in reversed(held):
+            lock.release(req)
+
     # -- writes ------------------------------------------------------------------
 
     def write_stripe(self, offset: int, chunks: list[bytes | np.ndarray]) -> Event:
@@ -128,14 +157,13 @@ class ParityGroup:
         length = len(arrays[0])
         if any(len(a) != length for a in arrays):
             raise ValueError("stripe chunks must be equal length")
-        tenant = getattr(self.env._active, "qos_tenant", None)
 
         def submit():
             parity = np.zeros(length, dtype=np.uint8)
             for a in arrays:
                 np.bitwise_xor(parity, a, out=parity)
-            events = [d.write(offset, a, tenant) for d, a in zip(self.data_devices, arrays)]
-            events.append(self.parity_device.write(offset, parity, tenant))
+            events = [d.write(offset, a) for d, a in zip(self.data_devices, arrays)]
+            events.append(self.parity_device.write(offset, parity))
             return events
 
         def finish(_):
@@ -151,31 +179,35 @@ class ParityGroup:
         arr = as_payload(data)
         if self.mode == "synchronized":
             # data lands; parity is NOT updated — exactly the §5 gap
-            tenant = getattr(self.env._active, "qos_tenant", None)
-
             def mark_stale(_):
                 for u in self._units(offset, len(arr)):
                     self._stale.add((device, u))
                 return len(arr)
 
             return self.env.then(
-                lambda: self.data_devices[device].write(offset, arr, tenant), mark_stale
+                lambda: self.data_devices[device].write(offset, arr), mark_stale
             )
         return self.env.process(
             self._do_independent_rmw(device, offset, arr), name="parity.rmw"
         )
 
     def _do_independent_rmw(self, device: int, offset: int, arr: np.ndarray):
-        # new_parity = old_parity XOR old_data XOR new_data
-        old_data_ev = self.data_devices[device].read(offset, len(arr))
-        old_parity_ev = self.parity_device.read(offset, len(arr))
-        yield self.env.all_of([old_data_ev, old_parity_ev])
-        new_parity = np.bitwise_xor(
-            np.bitwise_xor(old_parity_ev.value, old_data_ev.value), arr
-        )
-        data_w = self.data_devices[device].write(offset, arr)
-        parity_w = self.parity_device.write(offset, new_parity)
-        yield self.env.all_of([data_w, parity_w])
+        # new_parity = old_parity XOR old_data XOR new_data, under the unit
+        # locks: a concurrent RMW through another device reads old parity
+        # only after this one's parity write has landed
+        held = yield from self.lock_units(offset, len(arr))
+        try:
+            old_data_ev = self.data_devices[device].read(offset, len(arr))
+            old_parity_ev = self.parity_device.read(offset, len(arr))
+            yield self.env.all_of([old_data_ev, old_parity_ev])
+            new_parity = np.bitwise_xor(
+                np.bitwise_xor(old_parity_ev.value, old_data_ev.value), arr
+            )
+            data_w = self.data_devices[device].write(offset, arr)
+            parity_w = self.parity_device.write(offset, new_parity)
+            yield self.env.all_of([data_w, parity_w])
+        finally:
+            self.unlock(held)
         return len(arr)
 
     # -- reads and reconstruction ---------------------------------------------
@@ -189,7 +221,7 @@ class ParityGroup:
         if not target.failed:
             data = yield target.read(offset, nbytes)
             return data
-        return (yield from self._do_reconstruct(device, offset, nbytes))
+        return (yield from self.reconstruct_gen(device, offset, nbytes))
 
     def reconstruct(self, device: int, offset: int, nbytes: int) -> Process:
         """Rebuild ``device``'s contents in a range from survivors + parity.
@@ -198,15 +230,12 @@ class ParityGroup:
         stale (the §5 "not applicable to independent access" case).
         """
         return self.env.process(
-            self._do_reconstruct(device, offset, nbytes), name="parity.reconstruct"
+            self.reconstruct_gen(device, offset, nbytes), name="parity.reconstruct"
         )
 
     def reconstruct_gen(self, device: int, offset: int, nbytes: int):
         """Generator form of :meth:`reconstruct` for use inside a process
         (the degraded-read hot path of ``repro.resilience``)."""
-        return self._do_reconstruct(device, offset, nbytes)
-
-    def _do_reconstruct(self, device: int, offset: int, nbytes: int):
         if not self.is_consistent(device, offset, nbytes):
             raise StaleParityError(
                 f"parity stale for device {device} range "
@@ -240,7 +269,7 @@ class ParityGroup:
             raise StaleParityError(
                 f"cannot rebuild device {device}: parity has stale units"
             )
-        data = yield from self._do_reconstruct(device, 0, cap)
+        data = yield from self.reconstruct_gen(device, 0, cap)
         target.repair(contents=data)
         yield target.write(0, data)  # pay the write cost of the rebuild
         return cap

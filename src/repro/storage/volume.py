@@ -142,19 +142,18 @@ class Volume:
         return self._op(extent, plan, arr)
 
     def _op(self, extent: Extent, plan: ExtentPlan, arr: np.ndarray | None) -> Op:
-        """Submit ``plan`` (billed to the caller's tenant) and join it."""
+        """Submit ``plan`` and join it (the op bills its creator's tenant)."""
         devices, bases = self.devices, extent.bases
-        tenant = getattr(self.env._active, "qos_tenant", None)
         if arr is None:
             reqs = plan.requests
             return self.env.join(
-                lambda: [devices[d].read(bases[d] + o, n, tenant) for d, o, n, _ in reqs],
+                lambda: [devices[d].read(bases[d] + o, n) for d, o, n, _ in reqs],
                 plan.assemble,
             )
         size = int(arr.size)  # a write's finish pins no plan for the collector to walk
         return self.env.join(
             lambda: [
-                devices[d].write(bases[d] + o, chunk, tenant)
+                devices[d].write(bases[d] + o, chunk)
                 for (d, o, _, _), chunk in zip(plan.requests, plan.payloads(arr))
             ],
             lambda _: size,

@@ -158,6 +158,34 @@ def test_crash_in_submit_handoff_window_salvages_the_request():
     node0.assert_drained()
 
 
+def test_a_replays_transient_failure_counts_on_the_survivors_breaker():
+    """A replay goes down the client request path: its outcome feeds the
+    breaker of the node it lands on, and its error reaches the client."""
+    from repro.devices import TransientIOError
+
+    env = Environment()
+    pfs, cluster = make_cluster(env, n_nodes=2)
+    mgr = FailoverManager(env, cluster, breaker_threshold=3)
+    pfs.volume.devices[0].transient_error_budget += 1
+    seen = []
+
+    def scenario():
+        req = cluster.nodes[0].submit("read", [(0, 0, 32)])
+        mgr.fail_node(0)  # salvaged before service: replayed on node 1
+        yield req.admitted
+        try:
+            yield req.event
+        except TransientIOError as exc:
+            seen.append(type(exc).__name__)
+
+    env.run(env.process(scenario()))
+    env.run()
+    assert seen == ["TransientIOError"]
+    assert mgr.breaker(1)._failures == 1
+    assert not cluster.nodes[1].crashed
+    mgr.assert_settled()
+
+
 def test_breaker_trip_quarantines_the_node():
     env = Environment()
     pfs, cluster = make_cluster(env, n_nodes=2)
@@ -252,11 +280,11 @@ def test_client_request_crossing_a_failover_lands_at_the_new_owner():
     got = []
 
     def scenario():
-        proc = env.process(mv._client_read([(0, 0, 0, 64)]))
+        proc = env.process(mv._client_read([(0, 0, 64)]))
         yield env.timeout(cluster.interconnect.request_cost() / 2)
         rv.failover.fail_node(0)  # mid-flight: device 0 moves to node 1
-        pairs = yield proc
-        got.append(bytes(pairs[0][1]))
+        (data,) = yield proc
+        got.append(bytes(data))
 
     env.run(env.process(scenario()))
     env.run()

@@ -71,11 +71,11 @@ def sabotage_writes(dev, n):
     orig = dev.write
     armed = [True]
 
-    def patched(offset, data, tenant=None):
+    def patched(offset, data):
         if armed[0]:
             armed[0] = False
             dev.transient_error_budget += n
-        return orig(offset, data, tenant)
+        return orig(offset, data)
 
     dev.write = patched
 

@@ -3,7 +3,9 @@
 ``env.join(submit, finish)`` stands in for a process whose body is
 ``events = submit(); yield all_of(events); return finish(values)`` and
 ``env.then(event, fn)`` for one whose body is ``return fn((yield event))``
-(``event()`` when it is a callable).
+(``event()`` when it is a callable), and ``env.settle(event, absorb)`` for the
+guard process ``try: return True, (yield event)`` ``except absorb as exc:
+return False, exc`` (its source defused when it failed at issue).
 Each scenario below runs once with the op and once with that process, and
 the two runs must observe the same ``(now, eid, steps, outcome)`` at every
 point, on a loop without and with the per-step sanitizer hook alike.
@@ -45,6 +47,23 @@ def make(env, use_op):
     )
 
 
+def guard_process(env, event, absorb=Exception):
+    if event.triggered and not event.ok:
+        event.defuse()  # failed at issue: processed before the guard starts
+
+    def body():
+        try:
+            return True, (yield event)
+        except absorb as exc:
+            return False, exc
+
+    return env.process(body())
+
+
+def make_settle(env, use_op):
+    return env.settle if use_op else lambda event, absorb=Exception: guard_process(env, event, absorb)
+
+
 def fail_later(env, delay, exc):
     """An event that fails with ``exc`` after ``delay``."""
     ev = env.event()
@@ -67,6 +86,8 @@ def waiter(env, log, tag, op):
     except Exception as exc:  # noqa: BLE001 - the exception type is the outcome
         log.append(stamp(env, tag, type(exc).__name__))
     else:
+        if isinstance(value, tuple) and len(value) == 2 and isinstance(value[1], Exception):
+            value = (value[0], type(value[1]).__name__)  # a settled failure
         log.append(stamp(env, tag, value))
 
 
@@ -193,6 +214,27 @@ def interrupted_caller(env, use_op):
     return log
 
 
+def settled_sources(env, use_op):
+    settle = make_settle(env, use_op)
+    log = []
+
+    def driver():
+        yield from waiter(env, log, "ok", settle(env.timeout(1, "v")))
+        yield from waiter(env, log, "absorbed", settle(fail_later(env, 1, ValueError("x"))))
+        dead = env.event()
+        dead.fail(KeyError("failed at issue"))
+        yield from waiter(env, log, "at-issue", settle(dead, KeyError))
+        yield from waiter(
+            env, log, "not-absorbed", settle(fail_later(env, 1, KeyError("y")), ValueError)
+        )
+        both = [settle(env.timeout(2, "a")), settle(fail_later(env, 1, ValueError("b")))]
+        yield env.all_of(both)
+        log.append(stamp(env, "all", [ev.value[0] for ev in both]))
+
+    env.process(driver())
+    return log
+
+
 SCENARIOS = [
     failing_components,
     already_processed,
@@ -200,6 +242,7 @@ SCENARIOS = [
     deferred_event,
     raising_finish,
     interrupted_caller,
+    settled_sources,
 ]
 
 
@@ -236,6 +279,33 @@ def test_outcomes_are_the_process_outcomes():
     log = run(interrupted_caller, use_op=True)
     assert log[0][0] == "interrupted" and log[0][1] == 0.5
     assert log[1][0] == "rejoined" and log[1][4] == ["x", "y"]
+    log = run(settled_sources, use_op=True)
+    assert [outcome for *_, outcome in log[:4]] == [
+        (True, "v"), (False, "ValueError"), (False, "KeyError"), "KeyError",
+    ]
+    assert log[4][4] == [True, False]
+
+
+def test_an_op_is_the_tenant_context_of_its_submit_and_finish():
+    """What a join's submit spawns, and its finish, run as the op's creator."""
+    env = Environment()
+    seen = []
+
+    def child():
+        seen.append(("child", env.active_process.qos_tenant))
+        yield env.timeout(1)
+
+    def finish(_):
+        seen.append(("finish", env.active_process.qos_tenant))
+
+    def creator():
+        env.active_process.qos_tenant = "gold"
+        yield env.join(lambda: [env.process(child())], finish)
+        yield env.then(lambda: env.process(child()), finish)
+
+    env.run(env.process(creator()))
+    assert seen == [("child", "gold"), ("finish", "gold")] * 2
+    assert env.active_process is None
 
 
 def test_unwaited_failing_op_raises_like_a_process():

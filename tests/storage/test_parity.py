@@ -194,6 +194,22 @@ class TestRmwMode:
         assert env.run(env.process(proc())) == b"Z" * 512
         assert group.stale_units == 0
 
+    def test_concurrent_rmw_writes_sharing_a_parity_unit_both_land(self):
+        """Two RMWs through different devices over one parity unit: the
+        second reads old parity only after the first's update landed, so
+        parity covers both and a reconstruction returns the new bytes."""
+        env = Environment()
+        group, data, parity = make_group(env, mode="rmw")
+
+        def proc():
+            yield group.write_stripe(0, [b"a" * 512] * 3)
+            yield env.all_of([group.write(0, 0, b"X" * 512), group.write(2, 0, b"Y" * 512)])
+            data[0].fail()
+            return bytes((yield group.reconstruct(0, 0, 512)))
+
+        assert env.run(env.process(proc())) == b"X" * 512
+        assert group.stale_units == 0
+
     def test_rmw_write_costs_more_time_than_stale_write(self):
         def run(mode):
             env = Environment()
