@@ -131,15 +131,11 @@ def test_cache_flush_falls_back_per_block_without_batch_hook():
 def test_batched_submission_is_result_identical(org):
     """End to end: batch_io changes timing, never the stored bytes."""
     from repro import build_parallel_fs
-    from repro.perf import WorkloadConfig, run_org
+    from tests.perf.orgload import media_bytes, run_org
 
-    cfg = WorkloadConfig(n_records=96)
     media = {}
     for batch in (False, True):
         env = Environment()
         pfs = build_parallel_fs(env, 4, batch_io=batch)
-        f = run_org(env, pfs, org, cfg)
-        env.run()
-        raw = f.volume.peek(f.entry.extent, f.layout, 0, f.attrs.file_bytes)
-        media[batch] = np.ascontiguousarray(raw).tobytes()
+        media[batch] = media_bytes(run_org(env, pfs, org, n_records=96).file).tobytes()
     assert media[False] == media[True]

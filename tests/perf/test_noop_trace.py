@@ -10,10 +10,10 @@ re-enables tracing.
 import pytest
 
 from repro import build_parallel_fs
-from repro.perf import ORGS, WorkloadConfig, run_org
 from repro.sim import Environment
 import repro.trace.events as trace_events
 from repro.trace import NullTraceRecorder, TraceRecorder
+from tests.perf.orgload import ORGS, run_org
 
 
 def test_noop_recorder_disables_tracing_flag():
@@ -42,10 +42,8 @@ def test_null_recorder_run_makes_zero_trace_allocations(monkeypatch):
     recorder = NullTraceRecorder()
     env = Environment()
     pfs = build_parallel_fs(env, 4, recorder=recorder)
-    cfg = WorkloadConfig(n_records=96)
     for org in ORGS:
-        run_org(env, pfs, org, cfg)
-    env.run()
+        run_org(env, pfs, org, n_records=96)
     assert calls == []
     assert len(recorder) == 0
 
@@ -54,8 +52,7 @@ def test_collecting_recorder_still_records():
     recorder = TraceRecorder()
     env = Environment()
     pfs = build_parallel_fs(env, 4, recorder=recorder)
-    run_org(env, pfs, "IS", WorkloadConfig(n_records=96))
-    env.run()
+    run_org(env, pfs, "IS", n_records=96)
     assert len(recorder) > 0
     assert recorder.total_bytes() > 0
 
@@ -64,8 +61,7 @@ def test_collecting_recorder_still_records():
 def test_recorder_choice_does_not_change_simulation(recorder_cls):
     env = Environment()
     pfs = build_parallel_fs(env, 4, recorder=recorder_cls())
-    run_org(env, pfs, "IS", WorkloadConfig(n_records=96))
-    env.run()
+    run_org(env, pfs, "IS", n_records=96)
     # same program, same clock/steps regardless of recorder
     assert (round(env.now, 9), env.steps) == _reference_outcome()
 
@@ -73,6 +69,5 @@ def test_recorder_choice_does_not_change_simulation(recorder_cls):
 def _reference_outcome():
     env = Environment()
     pfs = build_parallel_fs(env, 4)
-    run_org(env, pfs, "IS", WorkloadConfig(n_records=96))
-    env.run()
+    run_org(env, pfs, "IS", n_records=96)
     return (round(env.now, 9), env.steps)
