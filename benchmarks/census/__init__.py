@@ -13,6 +13,10 @@ AST shows what they are for: ``__repr__`` debugging aids, ``@abstractmethod``
 hooks, and bodies that only ``raise NotImplementedError``. Any other
 exception takes one line in ``allow.txt`` with its reason.
 
+The tests-only count is a ratchet: :data:`TESTS_ONLY` commits it, and
+``--check`` fails when the count differs -- above it, code only tests reach
+grew; below it, the change that lowered the count lowers the constant too.
+
 Run it with ``PYTHONPATH=src python -m benchmarks.census [--check]``.
 """
 
@@ -28,8 +32,10 @@ REPO = Path(os.path.abspath(__file__)).parents[2]
 SRC = REPO / "src"
 COUNTED = SRC / "repro"
 ALLOW = Path(__file__).with_name("allow.txt")
+#: the committed tests-only function count (see the module docstring)
+TESTS_ONLY = 287
 
-__all__ = ["Function", "functions", "load_reached", "read_allow", "census"]
+__all__ = ["TESTS_ONLY", "Function", "functions", "load_reached", "read_allow", "census"]
 
 
 @dataclass(frozen=True)
@@ -134,9 +140,11 @@ def read_allow(path: Path = ALLOW) -> tuple[dict[str, str], list[str]]:
 
 
 def census(
-    found: list[Function], reached: dict[tuple, set[str]], allowed: dict[str, str]
+    found: list[Function], reached: dict[tuple, set[str]], allowed: dict[str, str],
+    ratchet: int | None = None,
 ) -> tuple[list[str], list[str]]:
-    """The report lines, and the problems that fail ``--check``."""
+    """The report lines, and the problems that fail ``--check`` (a
+    tests-only count other than ``ratchet`` among them, when given)."""
     unreached = [f for f in found if f.key not in reached]
     tests_only = [f for f in found if reached.get(f.key) == {"test"}]
     excused = [f for f in unreached if f.excuse or f.label in allowed]
@@ -149,6 +157,11 @@ def census(
         f"stale allow.txt line: {label} is not an unreached function"
         for label in sorted(allowed) if label not in unreached_labels
     ]
+    if ratchet is not None and len(tests_only) != ratchet:
+        problems.append(
+            f"tests-only: {len(tests_only)} functions, committed TESTS_ONLY = {ratchet}"
+            + (": lower the constant" if len(tests_only) < ratchet else "")
+        )
 
     out = [
         f"functions: {len(found)} ({sum(f.lines for f in found)} lines)",

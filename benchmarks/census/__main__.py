@@ -7,7 +7,8 @@ cost ledger's ``--smoke`` pass (the one program run of the live server)
 and the CLIs CI runs, each with the ``sitecustomize`` hook of this package
 on ``PYTHONPATH``, then prints the unreached functions and the tests-only
 ones per module. ``--check`` exits 1 on an unreached function that is
-neither AST-excused nor in ``allow.txt``, and on a stale ``allow.txt`` line.
+neither AST-excused nor in ``allow.txt``, on a stale ``allow.txt`` line,
+and on a tests-only count other than the committed ``TESTS_ONLY``.
 """
 
 import argparse
@@ -17,7 +18,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from . import COUNTED, REPO, SRC, census, functions, load_reached, read_allow
+from . import COUNTED, REPO, SRC, TESTS_ONLY, census, functions, load_reached, read_allow
 
 FIXTURES = REPO / "tests" / "container" / "fixtures"
 
@@ -53,15 +54,15 @@ def run_all(dump_dir: str) -> None:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--check", action="store_true",
-                    help="exit 1 on an unexcused unreached function or a "
-                         "stale allow.txt line")
+                    help="exit 1 on an unexcused unreached function, a "
+                         "stale allow.txt line or a moved tests-only count")
     args = ap.parse_args(argv)
 
     allowed, problems = read_allow()
     with tempfile.TemporaryDirectory(prefix="census-") as dump_dir:
         run_all(dump_dir)
         reached = load_reached(Path(dump_dir))
-    lines, found_problems = census(functions(COUNTED), reached, allowed)
+    lines, found_problems = census(functions(COUNTED), reached, allowed, TESTS_ONLY)
     problems += found_problems
     print("\n".join(lines))
     if args.check and problems:

@@ -30,10 +30,10 @@ import numpy as np
 
 from repro import Environment, build_parallel_fs
 from repro.collective import CollectiveIO
+from repro.core import FileOrganization
 from repro.core.convert import contiguous_runs
 from repro.datatype import view_of_map
 from repro.devices import FAST_1989, DiskGeometry
-from repro.perf import ORGS
 
 from .common import fill, media_digest, run
 
@@ -164,7 +164,7 @@ def x2_collective_hierarchy(quick: bool) -> dict:
     n, p = params(quick)
     runs = (run_per_segment, run_list_io, run_data_sieving, run_collective)
     times = {name: run(n, p) for name, run in zip(RUNGS, runs)}
-    identical = {org: check_write_identity(org, n, p) for org in ORGS}
+    identical = {o.value: check_write_identity(o.value, n, p) for o in FileOrganization}
     rows = [{"rung": name, "elapsed_ms": times[name] * 1e3} for name in RUNGS]
     rows += [{"org": org, "write_identical": ok} for org, ok in identical.items()]
     # each rung at least as fast as the one above (tiny numeric slack)

@@ -30,8 +30,8 @@ from repro.container import (
     inline_section,
     scan_container,
 )
+from repro.core import FileOrganization
 from repro.devices import FAST_1989, DiskGeometry
-from repro.perf import ORGS
 
 from .common import media_digest, run
 
@@ -96,7 +96,7 @@ def identity_rows(count: int, nm):
     """Block 1: per (org, N writers) the media digest, its identity to the
     serial (N=1) container, and the simulated write time."""
     rows = []
-    for org in ORGS:
+    for org in (o.value for o in FileOrganization):
         for n in nm:
             _, _, f, sim_s = write_container(org, n, count)
             digest = media_digest(f)

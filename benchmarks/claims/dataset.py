@@ -30,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import Environment, build_parallel_fs
+from repro.core import FileOrganization
 from repro.dataset import (
     Dataset,
     DatasetSchema,
@@ -39,7 +40,6 @@ from repro.dataset import (
 from repro.devices import FAST_1989, DiskGeometry
 from repro.datatype import slab_indices
 from repro.live import LiveParallelFileSystem
-from repro.perf import ORGS
 
 from .common import run
 
@@ -142,7 +142,7 @@ def identity_matrix(rows: int, cols: int, tmp: Path):
     slabs = [((q * share, 0), (share, cols)) for q in range(4)]
     vals = [np.full((share, cols), float(q), dtype="<f8") for q in range(4)]
     out = {}
-    for org in ORGS:
+    for org in (o.value for o in FileOrganization):
         env, ds = sim_dataset(rows, cols, org)
         run(env, ds.write_slab("grid", (1, 0), (1, cols), patch, sieve=True))
         run(env, ds.write_slab_all("grid", slabs, vals))

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from benchmarks.census import Function, census, functions, load_reached
+from benchmarks.census import TESTS_ONLY, Function, census, functions, load_reached
 
 CENSUS_DIR = Path(__file__).parents[2] / "benchmarks" / "census"
 
@@ -167,3 +167,13 @@ def test_check_names_the_unexcused_and_the_stale():
         "unreached: repro/x.py::gone (line 3)",
         "stale allow.txt line: repro/x.py::reached is not an unreached function",
     ]
+
+
+@pytest.mark.parametrize("count, tail", [
+    (TESTS_ONLY + 1, ""), (TESTS_ONLY, None), (TESTS_ONLY - 1, ": lower the constant"),
+])
+def test_ratchet_holds_the_committed_tests_only_count(count, tail):
+    found = [Function("repro/x.py", i, f"f{i}", f"f{i}", 1, None) for i in range(count)]
+    _, problems = census(found, {f.key: {"test"} for f in found}, {}, TESTS_ONLY)
+    want = f"tests-only: {count} functions, committed TESTS_ONLY = {TESTS_ONLY}"
+    assert problems == ([] if tail is None else [want + tail])
