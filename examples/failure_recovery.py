@@ -10,92 +10,90 @@ what each can and cannot recover:
    hardware;
 4. backups: single-disk restore vs full rollback.
 
+Parity and shadowing are one code, a parity group: ``protection="parity"``
+gives one check drive to all the data drives, ``protection="shadow"`` one
+to each, and the XOR of one drive is a copy.
+
 Run:  python examples/failure_recovery.py
 """
 
 import numpy as np
 
-from repro import Environment
-from repro.devices import (
-    WREN_1989,
-    DeviceController,
-    DiskGeometry,
-    DiskModel,
-    ShadowPair,
-)
-from repro.fs import BackupManager, ParallelFileSystem, verify_file
-from repro.storage import ParityGroup, StaleParityError, Volume
+from repro import Environment, build_parallel_fs
+from repro.devices import DiskGeometry
+from repro.fs import BackupManager, verify_file
+from repro.resilience import ResilienceConfig
+from repro.storage import StaleParityError
 
 GEO = DiskGeometry(block_size=512, blocks_per_cylinder=8, cylinders=64)
 
 
-def devices(env, n, prefix="d"):
-    return [
-        DeviceController(env, DiskModel(GEO, WREN_1989), name=f"{prefix}{i}")
-        for i in range(n)
-    ]
+def protected(env, n, protection, mode="synchronized"):
+    cfg = ResilienceConfig(protection=protection, parity_mode=mode, spares=0)
+    return build_parallel_fs(env, n, geometry=GEO, resilience=cfg)
 
 
 def parity_scenarios() -> None:
-    env = Environment()
-    data_devs = devices(env, 3)
-    group = ParityGroup(env, data_devs, devices(env, 1, "chk")[0],
-                        mode="synchronized")
+    stripe = np.arange(1, 4, dtype=np.uint8)[:, None].repeat(4096, axis=1)
+    for independent in (False, True):
+        env = Environment()
+        pfs = protected(env, 3, "parity")
+        disks = pfs.volume.devices
+        f = pfs.create("state", "PS", n_records=3, record_size=4096, n_processes=3)
 
-    def run():
-        # synchronized striped write: parity maintained
-        stripe = [bytes([i + 1]) * 4096 for i in range(3)]
-        yield group.write_stripe(0, stripe)
-        data_devs[1].fail()
-        rebuilt = yield group.reconstruct(1, 0, 4096)
-        print(f"1. striped + parity: drive d1 failed, reconstructed "
-              f"{'OK' if bytes(rebuilt) == stripe[1] else 'WRONG'}")
-        data_devs[1].repair(np.frombuffer(rebuilt, dtype=np.uint8))
+        def run():
+            # synchronized striped write: every drive at once, parity maintained
+            yield f.write_records(0, stripe)
+            if not independent:
+                disks[1].fail()
+                rebuilt = yield f.read_records(0, 3)
+                print(f"1. striped + parity: drive {disks[1].name} failed, reconstructed "
+                      f"{'OK' if np.array_equal(rebuilt, stripe) else 'WRONG'}")
+                return
+            # independent (PS-style) write by process 2: parity NOT maintained
+            yield from f.internal_view(2).write_next(np.full((1, 4096), 90, dtype=np.uint8))
+            disks[2].fail()
+            try:
+                yield f.read_records(2, 1)
+                print("2. independent + parity: recovered (unexpected!)")
+            except StaleParityError as e:
+                print(f"2. independent + parity: recovery REFUSED — {e}")
 
-        # independent (PS-style) write: parity NOT maintained
-        yield group.write(2, 0, b"Z" * 4096)
-        data_devs[2].fail()
-        try:
-            yield group.reconstruct(2, 0, 4096)
-            print("2. independent + parity: recovered (unexpected!)")
-        except StaleParityError as e:
-            print(f"2. independent + parity: recovery REFUSED — {e}")
-
-    env.run(env.process(run()))
+        env.run(env.process(run()))
 
 
 def shadow_scenario() -> None:
     env = Environment()
-    pairs = [ShadowPair(env, *devices(env, 2, f"m{i}_")) for i in range(2)]
-    pfs = ParallelFileSystem(env, Volume(env, pairs))
+    pfs = protected(env, 2, "shadow")
     f = pfs.create("state", "PS", n_records=32, record_size=16,
                    dtype="float64", records_per_block=4, n_processes=2)
     data = np.random.default_rng(0).random((32, 2))
+    group = pfs.resilience.group
 
     def run():
         for q in range(2):
             h = f.internal_view(q)
             yield from h.write_next(data[f.map.records_of(q)])
-        pairs[0].primary.fail()
+        pfs.volume.devices[0].fail()
         out = yield from f.global_view().read()
         ok = np.array_equal(out, data)
-        print(f"3. shadowed volume: primary m0 failed mid-PS-workload, "
+        drives = len(group.data_devices) + len(group.check_devices)
+        print(f"3. shadowed volume: drive disk0 failed mid-PS-workload, "
               f"file {'intact' if ok else 'CORRUPT'} "
-              f"(cost: {sum(2 for _ in pairs)} drives for 2 drives of data)")
+              f"(cost: {drives} drives for {len(group.data_devices)} drives of data)")
 
     env.run(env.process(run()))
 
 
 def backup_scenario() -> None:
     env = Environment()
-    devs = devices(env, 4)
-    vol = Volume(env, devs)
-    pfs = ParallelFileSystem(env, vol)
+    pfs = build_parallel_fs(env, 4, geometry=GEO)
+    devs = pfs.volume.devices
     f = pfs.create("db", "S", n_records=64, record_size=16, dtype="float64",
                    records_per_block=4, stripe_unit=64)
     old = np.random.default_rng(1).random((64, 2))
     new = np.random.default_rng(2).random((64, 2))
-    mgr = BackupManager(env, vol)
+    mgr = BackupManager(env, pfs.volume)
 
     def run():
         yield from f.global_view().write(old)

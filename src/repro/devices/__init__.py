@@ -1,4 +1,4 @@
-"""Storage device models: disks, arm schedulers, controllers, shadows, faults."""
+"""Storage device models: disks, arm schedulers, controllers, faults."""
 
 from .controller import (
     DeviceController,
@@ -18,7 +18,6 @@ from .disk import (
 )
 from .faults import FailureInjector, FailureRecord, TransientFaultInjector
 from .scheduling import CSCAN, FCFS, SCAN, SSTF, SchedulingPolicy, make_policy
-from .shadow import ShadowPair
 
 __all__ = [
     "DeviceController",
@@ -42,5 +41,4 @@ __all__ = [
     "SCAN",
     "CSCAN",
     "make_policy",
-    "ShadowPair",
 ]

@@ -8,14 +8,15 @@ tests can verify both what the file system returned and how long it took.
 
 Failure semantics (§5 of the paper): once :meth:`fail` is called the device
 rejects all current and future requests with :class:`DeviceFailedError`
-until :meth:`repair`. Recovery policy — restore from backup, rebuild from
-parity, switch to shadow — lives above, in ``repro.fs.recovery``.
+until :meth:`repair`, and calls its ``on_fail`` hook, if one is set.
+Recovery policy — restore from backup, rebuild a member of a parity group
+or a mirror — lives above, in ``repro.fs`` and ``repro.resilience``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Literal
+from typing import Any, Callable, Literal
 
 import numpy as np
 
@@ -137,6 +138,9 @@ class DeviceController:
         self._pending: list[IORequest] = []
         self._wakeup: Event | None = None
         self._failed = False
+        #: called when the drive fails: a drive off the data path (a check
+        #: drive) reports its death here, since no data request sees it
+        self.on_fail: Callable[[], None] | None = None
         #: transient-fault state (set by TransientFaultInjector): the next
         #: ``transient_error_budget`` served requests fail with
         #: :class:`TransientIOError` without touching the contents, and
@@ -195,6 +199,8 @@ class DeviceController:
                 req.event.fail(DeviceFailedError(self.name))
         self._pending.clear()
         self.policy.on_clear()
+        if self.on_fail is not None:
+            self.on_fail()
 
     def repair(self, contents: np.ndarray | None = None) -> None:
         """Bring the device back, optionally with restored ``contents``.

@@ -43,12 +43,6 @@ class BackupManager:
     """Takes and restores whole-volume backups."""
 
     def __init__(self, env: Environment, volume: Volume):
-        for d in volume.devices:
-            if not isinstance(d, DeviceController):
-                raise TypeError(
-                    "BackupManager requires plain device controllers; "
-                    "shadowed devices are their own backup (§5)"
-                )
         self.env = env
         self.volume = volume
         self._next_id = 0
@@ -62,7 +56,7 @@ class BackupManager:
         The cost is a full read of each device, proceeding in parallel
         across devices (one backup stream per drive).
         """
-        devices: list[DeviceController] = self.volume.devices  # type: ignore[assignment]
+        devices = self.volume.devices
         # Pay the read cost: one full-capacity read per device, in parallel.
         reads = [d.read(0, d.capacity_bytes) for d in devices]
         yield self.env.all_of(reads)
@@ -96,7 +90,7 @@ class BackupManager:
         The correct (and expensive) policy: consistent, but all data
         written after the backup is lost everywhere.
         """
-        devices: list[DeviceController] = self.volume.devices  # type: ignore[assignment]
+        devices = self.volume.devices
         for d in devices:
             if d.failed:
                 d.repair()

@@ -9,8 +9,9 @@ The paper weighs three protections for a multi-device file system:
   single-drive failure for synchronized (striped) access but not
   independent (PS/IS) access — see `repro.storage.parity`;
 * **shadowing** — every drive duplicated; covers any single failure under
-  any organization, "very expensive in terms of hardware" — see
-  `repro.devices.shadow`.
+  any organization, "very expensive in terms of hardware". It is the same
+  `repro.storage.parity` code at group width 1: the XOR of one drive is a
+  copy.
 
 :func:`protection_overview` tabulates device cost vs coverage (the E9
 summary rows); :func:`verify_file` checks a file's global view against

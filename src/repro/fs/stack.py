@@ -4,12 +4,12 @@ Layers go together bottom up in one fixed order. Each is built over the
 ones below it, and simulated processes take event ids as they are built,
 so the order is part of every pinned schedule:
 
-1. the data drives, then (shadow protection) their mirror members;
+1. the data drives;
 2. the volume;
 3. the I/O-node cluster;
-4. the parity drive, then the hot spares;
+4. the check drives, then the hot spares;
 5. the resilience layer, its rebuilder, the node-failover manager and
-   the shadow-pair hooks;
+   the check drives' failure hooks;
 6. QoS scheduling on the data drives and the node inboxes;
 7. the batching flag, ``volume.coalesce``.
 """
@@ -19,7 +19,6 @@ from __future__ import annotations
 from ..devices.controller import DeviceController
 from ..devices.disk import WREN_1989, DiskGeometry, DiskModel, DiskTiming
 from ..devices.scheduling import make_policy
-from ..devices.shadow import ShadowPair
 from ..ionode.config import IONodeConfig
 from ..ionode.routing import IONodeCluster
 from ..qos import QoSConfig, QoSDevicePolicy, QoSManager
@@ -56,13 +55,15 @@ def build_parallel_fs(
     ``io_nodes`` (an :class:`~repro.ionode.IONodeConfig`, or ``n`` for
     ``IONodeConfig(nodes=n)``) routes file data through I/O nodes.
     ``resilience`` (a :class:`~repro.resilience.ResilienceConfig`) stacks
-    the resilience layer over the volume or the nodes: ``"parity"``
-    protection adds a check drive, ``"shadow"`` mirrors every drive into a
-    :class:`~repro.devices.ShadowPair`, and ``spares`` idle drives feed the
-    hot-spare rebuilder. ``qos`` (a :class:`~repro.qos.QoSConfig`)
-    schedules every data drive (both members of a pair) and node inbox
-    by tenant. ``batch_io`` sets ``volume.coalesce``, the extent-batching
-    flag every plane plans with (see ``docs/PERF.md``).
+    the resilience layer over the volume or the nodes. Its protection is
+    one :class:`~repro.storage.ParityGroup` whose width follows from it:
+    ``"parity"`` adds one check drive for all the data drives (width n),
+    ``"shadow"`` one per data drive (width 1, a mirror). ``spares`` idle
+    drives feed the hot-spare rebuilder. ``qos`` (a
+    :class:`~repro.qos.QoSConfig`) schedules every data drive and node
+    inbox by tenant; check drives and spares keep their policy.
+    ``batch_io`` sets ``volume.coalesce``, the extent-batching flag every
+    plane plans with (see ``docs/PERF.md``).
     """
     geo = geometry or DiskGeometry()
 
@@ -74,11 +75,7 @@ def build_parallel_fs(
             policy=make_policy(scheduling) if scheduling else None,
         )
 
-    devices: list = [make_disk(f"disk{i}") for i in range(n_devices)]
-    if resilience is not None and resilience.protection == "shadow":
-        devices = [
-            ShadowPair(env, dev, make_disk(f"{dev.name}s")) for dev in devices
-        ]
+    devices = [make_disk(f"disk{i}") for i in range(n_devices)]
     volume = Volume(env, devices)
 
     if isinstance(io_nodes, int):
@@ -88,11 +85,12 @@ def build_parallel_fs(
     rv = None
     if resilience is not None:
         group = None
-        if resilience.protection == "parity":
-            group = ParityGroup(
-                env, devices, make_disk("parity"),
-                mode=resilience.parity_mode, parity_unit=resilience.parity_unit,
-            )
+        if resilience.protection is not None:
+            groups = 1 if resilience.protection == "parity" else n_devices
+            checks = [
+                make_disk("parity" if groups == 1 else f"parity{k}") for k in range(groups)
+            ]
+            group = ParityGroup(env, devices, checks, parity_unit=resilience.parity_unit)
         spares = [make_disk(f"spare{k}") for k in range(resilience.spares)]
         rv = ResilientVolume(volume, cluster, group=group, config=resilience)
         if spares:
@@ -108,21 +106,16 @@ def build_parallel_fs(
                 breaker_threshold=resilience.breaker_threshold,
                 breaker_cooldown=resilience.breaker_cooldown,
             )
-        # shadow pairs report their first degradation so auto-rebuild can
-        # kick in even though the pair never surfaces a DeviceFailedError
-        for idx, dev in enumerate(devices):
-            if isinstance(dev, ShadowPair):
-                dev.on_degraded = (lambda i=idx: rv._note_failure(i))
+        # no data request reaches a check drive, so it reports its own death
+        if group is not None:
+            for k, check in enumerate(group.check_devices):
+                check.on_fail = lambda i=n_devices + k: rv._note_failure(i)
 
     manager = None
     if qos is not None:
         manager = QoSManager(env, qos)
         for dev in devices:
-            pair = isinstance(dev, ShadowPair)
-            for ctrl in [dev.primary, dev.shadow] if pair else [dev]:
-                ctrl.policy = QoSDevicePolicy(
-                    manager.make_scheduler(ctrl.name), manager.resolve
-                )
+            dev.policy = QoSDevicePolicy(manager.make_scheduler(dev.name), manager.resolve)
         if cluster is not None:
             for node in cluster.nodes:
                 node.enable_qos(manager)

@@ -137,7 +137,7 @@ class IONode:
             raise ValueError("an I/O node needs at least one device")
         self.env = env
         self.name = name
-        #: global device index -> controller (or ShadowPair)
+        #: global device index -> controller
         self.devices = dict(devices)
         self.queue_depth = queue_depth
         self.batch_limit = batch_limit

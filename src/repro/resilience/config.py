@@ -14,11 +14,15 @@ class ResilienceConfig:
     """One knob object for ``build_parallel_fs(..., resilience=...)``.
 
     ``protection`` picks the §5 redundancy scheme the volume is built
-    with: ``"parity"`` (one check device per group, Kim-style),
-    ``"shadow"`` (every device mirrored), or ``None`` (retry/failover
-    machinery only — no reconstruction possible).
+    with. Both are one :class:`~repro.storage.parity.ParityGroup` code,
+    and the scheme sets its group width: ``"parity"`` is one check drive
+    for all n data drives (width n, Kim-style), ``"shadow"`` one per data
+    drive (width 1: the XOR of one unit is a copy, so every drive is
+    mirrored). ``None`` keeps the retry/failover machinery only — no
+    reconstruction possible.
 
-    ``parity_mode`` follows :class:`~repro.storage.parity.ParityGroup`:
+    ``parity_mode`` is the discipline of a write that does not cover a
+    group's row (at width 1 every write does, so it never applies):
     ``"rmw"`` keeps parity fresh through independent writes (two extra
     transfers per write); ``"synchronized"`` maintains parity only on
     full-stripe writes, so independent PS/IS writes leave stale units —

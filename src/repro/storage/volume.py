@@ -25,7 +25,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..devices.controller import DeviceController, as_payload
-from ..devices.shadow import ShadowPair
 from ..sim.engine import Environment, Op
 from .allocation import ExtentAllocator
 from .layout import DataLayout, ExtentPlan, plan_batch
@@ -60,7 +59,7 @@ class Volume:
     def __init__(
         self,
         env: Environment,
-        devices: list[DeviceController | ShadowPair],
+        devices: list[DeviceController],
         alignment: int = 1,
     ):
         if not devices:

@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.devices import ShadowPair, WREN_1989, DeviceController, DiskGeometry, DiskModel
-from repro.fs import BackupManager, ParallelFileSystem, protection_overview, verify_file
+from repro.fs import BackupManager, protection_overview, verify_file
+from repro.resilience import ResilienceConfig
 from repro.sim import Environment
-from repro.storage import Volume
 
-from .conftest import build_pfs
+from .conftest import build_stack
 
 
 def records(n, seed=4):
@@ -103,27 +102,11 @@ class TestBackupManager:
         with pytest.raises(ValueError):
             next(mgr.restore_device(bset, 99))
 
-    def test_shadowed_volume_rejected(self):
-        env = Environment()
-        geo = DiskGeometry(cylinders=8)
-        p = DeviceController(env, DiskModel(geo, WREN_1989), name="p")
-        s = DeviceController(env, DiskModel(geo, WREN_1989), name="s")
-        vol = Volume(env, [ShadowPair(env, p, s)])
-        with pytest.raises(TypeError):
-            BackupManager(env, vol)
-
 
 class TestShadowedFileSystem:
     def test_file_survives_single_member_failure(self):
         env = Environment()
-        geo = DiskGeometry(block_size=512, blocks_per_cylinder=8, cylinders=64)
-
-        def dev(name):
-            return DeviceController(env, DiskModel(geo, WREN_1989), name=name)
-
-        pairs = [ShadowPair(env, dev(f"p{i}"), dev(f"s{i}")) for i in range(2)]
-        vol = Volume(env, pairs)
-        pfs = ParallelFileSystem(env, vol)
+        pfs = build_stack(env, 2, resilience=ResilienceConfig(protection="shadow", spares=0))
         f = pfs.create(
             "mirrored", "S", n_records=32, record_size=16, dtype="float64",
             records_per_block=4,
@@ -132,7 +115,7 @@ class TestShadowedFileSystem:
 
         def proc():
             yield from f.global_view().write(data)
-            pairs[0].primary.fail()   # lose one drive
+            pfs.volume.devices[0].fail()   # lose one drive; its mirror serves
             out = yield from f.global_view().read()
             return out
 

@@ -11,24 +11,15 @@ instead of silently fabricating wrong bytes.
 import numpy as np
 import pytest
 
-from repro.devices import WREN_1989, DeviceController, DiskGeometry, DiskModel
-from repro.resilience import (
-    ResilienceConfig,
-    ResilientVolume,
-    RetryError,
-    RetryPolicy,
-)
+from repro import build_parallel_fs
+from repro.devices import DiskGeometry
+from repro.resilience import ResilienceConfig, RetryError, RetryPolicy
 from repro.sim import Environment
-from repro.storage import StripedLayout, Volume
-from repro.storage.parity import ParityGroup, StaleParityError
+from repro.storage import StripedLayout
+from repro.storage.parity import StaleParityError
 
 GEO = DiskGeometry(block_size=512, blocks_per_cylinder=8, cylinders=8)  # 32 KiB
-CAP = 512 * 8 * 8
 UNIT = 4096
-
-
-def make_disk(env, name):
-    return DeviceController(env, DiskModel(GEO, WREN_1989), name=name)
 
 
 def fill(dev, seed):
@@ -41,23 +32,21 @@ def fill(dev, seed):
 
 def make_rv(env, mode="rmw"):
     """3 data devices + parity, consistent contents, 2-attempt retries."""
-    devices = [make_disk(env, f"d{i}") for i in range(3)]
-    parity = make_disk(env, "par")
-    contents = [fill(d, i + 2) for i, d in enumerate(devices)]
-    xor = np.zeros(CAP, dtype=np.uint8)
-    for c in contents:
-        np.bitwise_xor(xor, c, out=xor)
-    parity.poke(0, xor)
-    volume = Volume(env, devices)
-    group = ParityGroup(env, devices, parity, mode=mode, parity_unit=UNIT)
     cfg = ResilienceConfig(
         parity_mode=mode,
+        parity_unit=UNIT,
         spares=0,
         retry=RetryPolicy(max_attempts=2, base_delay=1e-4, jitter=0.0),
     )
-    rv = ResilientVolume(volume, group=group, config=cfg)
+    pfs = build_parallel_fs(env, 3, geometry=GEO, resilience=cfg)
+    rv = pfs.resilience
+    group = rv.group
+    devices = pfs.volume.devices
+    parity = group.parity_device
+    contents = [fill(d, i + 2) for i, d in enumerate(devices)]
+    parity.poke(0, np.bitwise_xor.reduce(contents))
     layout = StripedLayout(3, UNIT)
-    extent = volume.allocate(layout, 3 * UNIT)
+    extent = pfs.volume.allocate(layout, 3 * UNIT)
     return rv, devices, parity, group, layout, extent, contents
 
 
@@ -87,7 +76,7 @@ def test_row_parity_retry_exhaustion_poisons_the_stripe():
     sabotage_writes(parity, 2)
     with pytest.raises(RetryError):
         env.run(rv.write(extent, layout, [(0, 3 * UNIT)], np.full(3 * UNIT, 7, np.uint8)))
-    assert not group.reconstruct_safe(extent.base(0), UNIT)
+    assert not group.reconstruct_safe(0, extent.base(0), UNIT)
     devices[1].fail()
     with pytest.raises(StaleParityError):
         env.run(rv.read(extent, layout, [(UNIT, UNIT)]))  # file unit 1 -> d1
@@ -101,7 +90,7 @@ def test_row_data_retry_exhaustion_poisons_other_members_too():
     sabotage_writes(devices[0], 2)
     with pytest.raises(RetryError):
         env.run(rv.write(extent, layout, [(0, 3 * UNIT)], np.full(3 * UNIT, 9, np.uint8)))
-    assert not group.reconstruct_safe(extent.base(0), UNIT)
+    assert not group.reconstruct_safe(0, extent.base(0), UNIT)
     devices[1].fail()  # a member whose own write DID land
     with pytest.raises(StaleParityError):
         env.run(rv.read(extent, layout, [(UNIT, UNIT)]))
@@ -114,7 +103,7 @@ def test_rmw_parity_retry_exhaustion_poisons_the_range():
     sabotage_writes(parity, 2)
     with pytest.raises(RetryError):
         env.run(rv.write(extent, layout, [(0, UNIT)], np.full(UNIT, 5, np.uint8)))
-    assert not group.reconstruct_safe(extent.base(0), UNIT)
+    assert not group.reconstruct_safe(0, extent.base(0), UNIT)
     devices[0].fail()
     with pytest.raises(StaleParityError):
         env.run(rv.read(extent, layout, [(0, UNIT)]))
@@ -127,7 +116,7 @@ def test_rmw_data_retry_exhaustion_poisons_the_range():
     sabotage_writes(devices[0], 2)
     with pytest.raises(RetryError):
         env.run(rv.write(extent, layout, [(0, UNIT)], np.full(UNIT, 5, np.uint8)))
-    assert not group.reconstruct_safe(extent.base(0), UNIT)
+    assert not group.reconstruct_safe(0, extent.base(0), UNIT)
     devices[1].fail()  # cross-device: the poisoned unit covers d1 too
     with pytest.raises(StaleParityError):
         env.run(rv.read(extent, layout, [(UNIT, UNIT)]))
@@ -143,7 +132,7 @@ def test_both_legs_transient_leaves_media_consistent():
     with pytest.raises(RetryError):
         env.run(rv.write(extent, layout, [(0, UNIT)], np.full(UNIT, 5, np.uint8)))
     base = extent.base(0)
-    assert group.reconstruct_safe(base, UNIT)  # nothing reached media
+    assert group.reconstruct_safe(0, base, UNIT)  # nothing reached media
     devices[0].fail()
     data = env.run(rv.read(extent, layout, [(0, UNIT)]))
     assert np.array_equal(data, contents[0][base : base + UNIT])

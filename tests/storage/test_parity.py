@@ -1,4 +1,5 @@
-"""Unit tests for parity groups (Kim-style synchronized interleaving)."""
+"""Parity groups at width n (Kim-style synchronized interleaving), driven
+through the stack: one check drive for three data drives."""
 
 import numpy as np
 import pytest
@@ -10,33 +11,39 @@ from repro.devices import (
     DiskGeometry,
     DiskModel,
 )
+from repro.resilience import ResilienceConfig
 from repro.sim import Environment
 from repro.storage import ParityGroup, StaleParityError
+from tests.resilience.groups import GroupStack
+
+GEO = DiskGeometry(block_size=512, blocks_per_cylinder=8, cylinders=16)
 
 
-def make_group(env, n_data=3, mode="synchronized", parity_unit=512):
-    geo = DiskGeometry(block_size=512, blocks_per_cylinder=8, cylinders=16)
-    data = [
-        DeviceController(env, DiskModel(geo, WREN_1989), name=f"data{i}")
-        for i in range(n_data)
-    ]
-    parity = DeviceController(env, DiskModel(geo, WREN_1989), name="check")
-    return ParityGroup(env, data, parity, mode=mode, parity_unit=parity_unit), data, parity
+def make_group(env, n_data=3, mode="synchronized", parity_unit=512, spares=0):
+    return GroupStack(env, n_data, "parity", geometry=GEO, parity_mode=mode,
+                      parity_unit=parity_unit, spares=spares)
+
+
+def run(env, gen):
+    return env.run(env.process(gen))
 
 
 class TestConstruction:
     def test_too_few_devices(self):
         env = Environment()
         geo = DiskGeometry(cylinders=4)
-        d = DeviceController(env, DiskModel(geo, WREN_1989))
-        p = DeviceController(env, DiskModel(geo, WREN_1989))
+        d = [DeviceController(env, DiskModel(geo, WREN_1989)) for _ in range(3)]
+        p = [DeviceController(env, DiskModel(geo, WREN_1989)) for _ in range(2)]
         with pytest.raises(ValueError):
-            ParityGroup(env, [d], p)
+            ParityGroup(env, [], p[:1])  # no data drive
+        with pytest.raises(ValueError):
+            ParityGroup(env, d, p)  # two check drives cannot split three drives
 
     def test_unknown_mode(self):
-        env = Environment()
         with pytest.raises(ValueError):
-            make_group(env, mode="raid6")
+            ResilienceConfig(parity_mode="raid6")
+        with pytest.raises(ValueError):
+            ResilienceConfig(protection="raid6")
 
     def test_capacity_mismatch(self):
         env = Environment()
@@ -48,73 +55,77 @@ class TestConstruction:
         ]
         p = DeviceController(env, DiskModel(geo_a, WREN_1989))
         with pytest.raises(ValueError):
-            ParityGroup(env, data, p)
+            ParityGroup(env, data, [p])
+        with pytest.raises(ValueError):
+            ParityGroup(env, data[:1], [DeviceController(env, DiskModel(geo_b, WREN_1989))])
 
 
 class TestSynchronizedStripes:
     def test_stripe_write_sets_parity(self):
         env = Environment()
-        group, data, parity = make_group(env)
+        s = make_group(env)
         chunks = [bytes([i + 1]) * 512 for i in range(3)]
-
-        def proc():
-            yield group.write_stripe(0, chunks)
-
-        env.run(env.process(proc()))
+        env.run(s.write_row(0, chunks))
         expected = np.bitwise_xor(
-            np.bitwise_xor(data[0].peek(0, 512), data[1].peek(0, 512)),
-            data[2].peek(0, 512),
+            np.bitwise_xor(s.data[0].peek(0, 512), s.data[1].peek(0, 512)),
+            s.data[2].peek(0, 512),
         )
-        assert np.array_equal(parity.peek(0, 512), expected)
+        assert np.array_equal(s.check().peek(0, 512), expected)
+        assert s.group.stale_units == 0
 
     def test_reconstruct_failed_device(self):
         env = Environment()
-        group, data, parity = make_group(env)
+        s = make_group(env)
         chunks = [bytes([7 * (i + 1)]) * 512 for i in range(3)]
 
         def proc():
-            yield group.write_stripe(0, chunks)
-            data[1].fail()
-            rebuilt = yield group.reconstruct(1, 0, 512)
+            yield s.write_row(0, chunks)
+            s.data[1].fail()
+            rebuilt = yield s.read(1, 0, 512)
             return bytes(rebuilt)
 
-        assert env.run(env.process(proc())) == chunks[1]
+        assert run(env, proc()) == chunks[1]
+        assert s.rv.stats.reconstructed_bytes == 512
 
     def test_read_transparently_reconstructs(self):
         env = Environment()
-        group, data, parity = make_group(env)
+        s = make_group(env)
         chunks = [bytes([i + 1]) * 512 for i in range(3)]
 
         def proc():
-            yield group.write_stripe(0, chunks)
-            data[2].fail()
-            value = yield group.read(2, 0, 512)
+            yield s.write_row(0, chunks)
+            s.data[2].fail()
+            ranges = [(dev * s.cap, 512) for dev in range(3)]
+            value = yield s.rv.read(s.extent, s.layout, ranges)
             return bytes(value)
 
-        assert env.run(env.process(proc())) == chunks[2]
+        assert run(env, proc()) == b"".join(chunks)
+        assert s.rv.stats.degraded_reads == 1
 
     def test_read_healthy_device_is_direct(self):
         env = Environment()
-        group, data, parity = make_group(env)
+        s = make_group(env)
 
         def proc():
-            yield group.write_stripe(0, [b"a" * 512, b"b" * 512, b"c" * 512])
-            value = yield group.read(0, 0, 512)
+            yield s.write_row(0, [b"a" * 512, b"b" * 512, b"c" * 512])
+            value = yield s.read(0, 0, 512)
             return bytes(value)
 
-        assert env.run(env.process(proc())) == b"a" * 512
+        assert run(env, proc()) == b"a" * 512
+        assert s.check().latency.count == 1  # the row's parity write, no read
+        assert s.rv.stats.degraded_reads == 0
 
     def test_double_failure_unrecoverable(self):
         env = Environment()
-        group, data, parity = make_group(env)
+        s = make_group(env)
         outcome = []
 
         def proc():
-            yield group.write_stripe(0, [b"a" * 512, b"b" * 512, b"c" * 512])
-            data[0].fail()
-            data[1].fail()
+            yield s.write_row(0, [b"a" * 512, b"b" * 512, b"c" * 512])
+            s.data[0].fail()
+            s.data[1].fail()
             try:
-                yield group.reconstruct(0, 0, 512)
+                yield s.read(0, 0, 512)
             except DeviceFailedError:
                 outcome.append("unrecoverable")
 
@@ -124,11 +135,9 @@ class TestSynchronizedStripes:
 
     def test_chunk_validation(self):
         env = Environment()
-        group, _, _ = make_group(env)
-        with pytest.raises(ValueError):
-            group.write_stripe(0, [b"a" * 512, b"b" * 512])  # wrong count
-        with pytest.raises(ValueError):
-            group.write_stripe(0, [b"a" * 512, b"b" * 512, b"c" * 100])
+        s = make_group(env)
+        with pytest.raises(ValueError):  # the ranges cover more than the data
+            env.run(s.rv.write(s.extent, s.layout, [(0, 512), (s.cap, 512)], b"a" * 512))
 
 
 class TestIndependentWritesSynchronizedMode:
@@ -136,27 +145,29 @@ class TestIndependentWritesSynchronizedMode:
 
     def test_independent_write_marks_parity_stale(self):
         env = Environment()
-        group, data, parity = make_group(env)
+        s = make_group(env)
 
         def proc():
-            yield group.write_stripe(0, [b"a" * 512] * 3)
-            yield group.write(1, 0, b"Z" * 512)  # PS-style independent write
+            yield s.write_row(0, [b"a" * 512] * 3)
+            yield s.write(1, 0, b"Z" * 512)  # PS-style independent write
 
-        env.run(env.process(proc()))
-        assert not group.is_consistent(1, 0, 512)
-        assert group.stale_units == 1
+        run(env, proc())
+        assert not s.group.reconstruct_safe(1, 0, 512)
+        assert not s.group.reconstruct_safe(0, 0, 512)  # the whole group
+        assert s.group.stale_units == 1
+        assert s.check().latency.count == 1  # parity did not follow
 
     def test_reconstruction_over_stale_parity_refused(self):
         env = Environment()
-        group, data, parity = make_group(env)
+        s = make_group(env)
         outcome = []
 
         def proc():
-            yield group.write_stripe(0, [b"a" * 512] * 3)
-            yield group.write(1, 0, b"Z" * 512)
-            data[1].fail()
+            yield s.write_row(0, [b"a" * 512] * 3)
+            yield s.write(1, 0, b"Z" * 512)
+            s.data[1].fail()
             try:
-                yield group.reconstruct(1, 0, 512)
+                yield s.read(1, 0, 512)
             except StaleParityError:
                 outcome.append("stale")
 
@@ -166,15 +177,15 @@ class TestIndependentWritesSynchronizedMode:
 
     def test_stripe_rewrite_clears_staleness(self):
         env = Environment()
-        group, data, parity = make_group(env)
+        s = make_group(env)
 
         def proc():
-            yield group.write(1, 0, b"Z" * 512)
-            yield group.write_stripe(0, [b"a" * 512] * 3)
+            yield s.write(1, 0, b"Z" * 512)
+            yield s.write_row(0, [b"a" * 512] * 3)
 
-        env.run(env.process(proc()))
-        assert group.is_consistent(1, 0, 512)
-        assert group.stale_units == 0
+        run(env, proc())
+        assert s.group.reconstruct_safe(1, 0, 512)
+        assert s.group.stale_units == 0
 
 
 class TestRmwMode:
@@ -182,81 +193,63 @@ class TestRmwMode:
 
     def test_independent_write_keeps_parity_consistent(self):
         env = Environment()
-        group, data, parity = make_group(env, mode="rmw")
+        s = make_group(env, mode="rmw")
 
         def proc():
-            yield group.write_stripe(0, [b"a" * 512] * 3)
-            yield group.write(1, 0, b"Z" * 512)
-            data[1].fail()
-            rebuilt = yield group.reconstruct(1, 0, 512)
+            yield s.write_row(0, [b"a" * 512] * 3)
+            yield s.write(1, 0, b"Z" * 512)
+            s.data[1].fail()
+            rebuilt = yield s.read(1, 0, 512)
             return bytes(rebuilt)
 
-        assert env.run(env.process(proc())) == b"Z" * 512
-        assert group.stale_units == 0
+        assert run(env, proc()) == b"Z" * 512
+        assert s.group.stale_units == 0
 
     def test_concurrent_rmw_writes_sharing_a_parity_unit_both_land(self):
         """Two RMWs through different devices over one parity unit: the
         second reads old parity only after the first's update landed, so
         parity covers both and a reconstruction returns the new bytes."""
         env = Environment()
-        group, data, parity = make_group(env, mode="rmw")
+        s = make_group(env, mode="rmw")
 
         def proc():
-            yield group.write_stripe(0, [b"a" * 512] * 3)
-            yield env.all_of([group.write(0, 0, b"X" * 512), group.write(2, 0, b"Y" * 512)])
-            data[0].fail()
-            return bytes((yield group.reconstruct(0, 0, 512)))
+            yield s.write_row(0, [b"a" * 512] * 3)
+            yield env.all_of([s.write(0, 0, b"X" * 512), s.write(2, 0, b"Y" * 512)])
+            s.data[0].fail()
+            return bytes((yield s.read(0, 0, 512)))
 
-        assert env.run(env.process(proc())) == b"X" * 512
-        assert group.stale_units == 0
+        assert run(env, proc()) == b"X" * 512
+        assert s.group.stale_units == 0
 
     def test_rmw_write_costs_more_time_than_stale_write(self):
-        def run(mode):
+        def cost(mode):
             env = Environment()
-            group, _, _ = make_group(env, mode=mode)
-
-            def proc():
-                yield group.write(0, 0, b"x" * 512)
-
-            env.run(env.process(proc()))
+            s = make_group(env, mode=mode)
+            env.run(s.write(0, 0, b"x" * 512))
             return env.now
 
-        assert run("rmw") > run("synchronized")
+        assert cost("rmw") > cost("synchronized")
 
 
 class TestRebuildDevice:
     def test_full_rebuild_onto_replacement(self):
         env = Environment()
-        group, data, parity = make_group(env)
-        cap = data[0].capacity_bytes
-        stripe = [
-            (np.arange(cap) % 13).astype(np.uint8),
-            (np.arange(cap) % 17).astype(np.uint8),
-            (np.arange(cap) % 19).astype(np.uint8),
-        ]
-
-        def proc():
-            yield group.write_stripe(0, stripe)
-            data[2].fail()
-            yield group.rebuild_device(2)
-            return data[2].peek(0, cap)
-
-        result = env.run(env.process(proc()))
-        assert np.array_equal(result, stripe[2])
+        s = make_group(env, spares=1)
+        contents = s.fill()
+        s.data[2].fail()
+        s.rv.rebuilder.start(2)
+        env.run()
+        assert s.data[2] is s.pfs.volume.devices[2]  # the spare, swapped in
+        assert s.data[2].name == "spare0"
+        assert np.array_equal(s.data[2].peek(0, s.cap), contents[2])
+        assert s.redundant()
 
     def test_rebuild_refused_with_stale_units(self):
         env = Environment()
-        group, data, parity = make_group(env)
-        outcome = []
-
-        def proc():
-            yield group.write(0, 0, b"x" * 512)  # stale unit
-            data[0].fail()
-            try:
-                yield group.rebuild_device(0)
-            except StaleParityError:
-                outcome.append("refused")
-
-        env.process(proc())
+        s = make_group(env, spares=1)
+        env.run(s.write(0, 0, b"x" * 512))  # stale unit
+        s.data[0].fail()
+        s.rv.rebuilder.start(0)
         env.run()
-        assert outcome == ["refused"]
+        ((index, exc),) = s.rv.rebuilder.failures
+        assert index == 0 and isinstance(exc, StaleParityError)

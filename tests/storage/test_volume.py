@@ -9,8 +9,9 @@ from repro.devices import (
     DeviceController,
     DiskGeometry,
     DiskModel,
-    ShadowPair,
 )
+from repro.fs import build_parallel_fs
+from repro.resilience import ResilienceConfig
 from repro.sim import Environment
 from repro.storage import AllocationError, ClusteredLayout, StripedLayout, Volume
 from repro.storage.layout import ExtentPlan
@@ -170,12 +171,13 @@ class RecordingTenant:
 
 
 def make_shadowed_volume(env, n_pairs):
+    """A shadow stack's volume and data plane: each drive mirrored by a
+    check drive (a parity group of width 1)."""
     geo = DiskGeometry(block_size=512, blocks_per_cylinder=8, cylinders=64)
-
-    def dev(name):
-        return DeviceController(env, DiskModel(geo, WREN_1989), name=name)
-
-    return Volume(env, [ShadowPair(env, dev(f"p{i}"), dev(f"s{i}")) for i in range(n_pairs)])
+    pfs = build_parallel_fs(
+        env, n_pairs, geometry=geo, resilience=ResilienceConfig(protection="shadow", spares=0)
+    )
+    return pfs.volume, pfs.data_plane
 
 
 class TestCallbackOps:
@@ -185,24 +187,27 @@ class TestCallbackOps:
     @pytest.mark.parametrize("shadowed", [False, True], ids=["plain", "shadow"])
     def test_requests_are_billed_to_the_submitting_tenant(self, shadowed):
         env = Environment()
-        vol = make_shadowed_volume(env, 2) if shadowed else make_volume(env, 2)
+        if shadowed:
+            vol, plane = make_shadowed_volume(env, 2)
+        else:
+            vol = plane = make_volume(env, 2)
         lay = StripedLayout(2, 512)
         ext = vol.allocate(lay, 4096)
         tenant = RecordingTenant()
 
         def client():
             env.active_process.qos_tenant = tenant
-            yield vol.write(ext, lay, [(0, 2048)], np.ones(2048, dtype=np.uint8))
-            yield vol.write(
+            yield plane.write(ext, lay, [(0, 2048)], np.ones(2048, dtype=np.uint8))
+            yield plane.write(
                 ext, lay, [(2048, 512), (3072, 512)], np.ones(1024, dtype=np.uint8)
             )
-            yield vol.read(ext, lay, [(0, 2048)])
-            yield vol.read(ext, lay, [(2048, 512), (3072, 512)])
+            yield plane.read(ext, lay, [(0, 2048)])
+            yield plane.read(ext, lay, [(2048, 512), (3072, 512)])
 
         env.run(env.process(client()))
         # one request per 512-byte stripe unit: 4 + 2 written, 4 + 2 read.
-        # Every request carries the tenant; a shadow pair writes both of its
-        # members and reads one.
+        # Every request carries the tenant; a mirrored write goes to the
+        # data drive and its mirror, a read to the data drive.
         assert tenant.queued == 6 * (2 if shadowed else 1) + 6
 
     def test_a_raising_assemble_fails_the_op_and_the_run_goes_on(self, monkeypatch):
