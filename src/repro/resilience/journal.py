@@ -26,12 +26,18 @@ __all__ = ["JournalEntry", "WriteJournal"]
 
 @dataclass(frozen=True)
 class JournalEntry:
-    """One journaled write: ``data`` at absolute ``offset`` on ``device``."""
+    """One journaled write: ``data`` at absolute ``offset`` on ``device``.
+
+    ``covered`` says whether the group's check data already holds it (a
+    row or read-modify-write whose parity landed), or still matches the
+    dead drive's media there.
+    """
 
     device: int
     offset: int
     data: np.ndarray
     time: float
+    covered: bool = False
 
     @property
     def end(self) -> int:
@@ -46,9 +52,13 @@ class WriteJournal:
         self.recorded = 0
         self.replayed = 0
 
-    def record(self, device: int, offset: int, data: np.ndarray, time: float) -> JournalEntry:
+    def record(
+        self, device: int, offset: int, data: np.ndarray, time: float, covered: bool = False
+    ) -> JournalEntry:
         """Append one write (payload copied — callers may reuse buffers)."""
-        entry = JournalEntry(device, offset, np.array(data, dtype=np.uint8, copy=True), time)
+        entry = JournalEntry(
+            device, offset, np.array(data, dtype=np.uint8, copy=True), time, covered
+        )
         self._entries.setdefault(device, []).append(entry)
         self.recorded += 1
         return entry

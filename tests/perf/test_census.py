@@ -171,7 +171,7 @@ def test_check_names_the_unexcused_and_the_stale():
 
 @pytest.mark.parametrize("count, tail", [
     (TESTS_ONLY + 1, ""), (TESTS_ONLY, None), (TESTS_ONLY - 1, ": lower the constant"),
-])
+], ids=["above", "at", "below"])  # ids that do not move with the ratchet
 def test_ratchet_holds_the_committed_tests_only_count(count, tail):
     found = [Function("repro/x.py", i, f"f{i}", f"f{i}", 1, None) for i in range(count)]
     _, problems = census(found, {f.key: {"test"} for f in found}, {}, TESTS_ONLY)
