@@ -43,8 +43,9 @@ GOLDEN = Path(__file__).parent.parent / "baselines" / "engine_digests.json"
 N_DEVICES = 4
 IO_NODES = 2
 #: bare: direct-attached, no opt-ins; full: every opt-in on; resilient:
-#: parity plus one spare, direct-attached; shadow: shadow pairs behind
-#: the I/O nodes (the per-device node path of the resilience layer)
+#: parity plus one spare, direct-attached; shadow: mirrored drives
+#: (width-1 parity groups) behind the I/O nodes (the per-device node path
+#: of the resilience layer)
 STACKS = ("bare", "full", "resilient", "shadow")
 SUBMISSIONS = ("per_block", "batched")
 STACK_KWARGS = {
