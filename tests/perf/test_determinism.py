@@ -2,20 +2,23 @@
 
 For every organization, on every stack (bare, full, resilient, shadow), under both
 submission modes (per-block, extent-batched), the cost ledger's ``OrgDriver``
-reads the seeded file and rewrites it (``tests/perf/orgload.py``). The outcome
-digest — final clock, event/step counters, every controller's statistics, media
-bytes — must be identical between a plain environment with a no-op trace
-recorder and a strict (sanitized) one with a collecting recorder, **and** equal
-to the golden value in ``tests/baselines/engine_digests.json``. Whatever the
-pin, each run must also pass ``orgload.problems``: records delivered, and the
-stack's redundancy kept.
+reads the seeded file and rewrites it (``tests/perf/orgload.py``). Each cell
+pins the outcome digest — final clock, every controller's statistics, media
+bytes — and, apart from it, the event-id and step counters. All three must be
+identical between a plain environment with a no-op trace recorder and a strict
+(sanitized) one with a collecting recorder, **and** equal to the golden value
+in ``tests/baselines/engine_digests.json``. Whatever the pin, each run must
+also pass ``orgload.problems``: records delivered, and the stack's redundancy
+kept.
 
 The golden file pins the simulation across refactors: any change to
 event ordering, device timing, or stored bytes shows up as a digest
 mismatch here before it can silently shift benchmark results. Batched
 digests legitimately differ from per-block ones (batching changes
 request sizes, hence timing) — each (stack, submission) cell has its own
-golden value.
+golden value. A change that only schedules fewer events (say, a release
+nothing waits on) moves the counters by visible integers under unmoved
+outcome hashes.
 
 This test also runs under ``--sanitize``: the suite-wide sanitizer hook
 attaches to the plain side too, and because the sanitizer only observes,
@@ -75,10 +78,12 @@ def _build(stack: str, batched: bool, strict: bool):
 
 
 def _run(stack: str, submission: str, org: str, strict: bool):
-    """``(digest, problems)`` of one cell."""
+    """``(pin, problems)`` of one cell: the pin is the outcome digest and
+    the event counters."""
     env, pfs = _build(stack, submission == "batched", strict)
     drv = run_org(env, pfs, org)
-    return digest(env, pfs, drv.file), problems(pfs, drv)
+    pin = {"outcome": digest(env, pfs, drv.file), "eid": env._eid, "steps": env.steps}
+    return pin, problems(pfs, drv)
 
 
 def _compute_all() -> dict:
@@ -107,8 +112,9 @@ def test_digest_matches_golden_both_engines(golden, stack, submission, org):
         f"plain and strict environments diverged: {stack}/{submission} {org}"
     )
     assert got_plain == want, (
-        f"simulation outcome changed vs golden: {stack}/{submission} {org} "
-        f"(regenerate the baseline only for an intentional timing change)"
+        f"simulation changed vs golden: {stack}/{submission} {org}: "
+        f"{got_plain} != {want} (regenerate the baseline only for an "
+        f"intentional change)"
     )
 
 
@@ -116,6 +122,8 @@ def test_golden_covers_every_cell(golden):
     assert set(golden) == {f"{s}/{m}" for s in STACKS for m in SUBMISSIONS}
     for cell in golden.values():
         assert set(cell) == set(ORGS)
+        for pin in cell.values():
+            assert set(pin) == {"outcome", "eid", "steps"}
 
 
 if __name__ == "__main__":
