@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Any, Callable, Sequence
 
 from ..sim.engine import Environment, Event
-from ..sim.resources import Store
+from ..sim.sync import Store
 from .pool import BufferPool
 
 __all__ = ["ReadStream"]

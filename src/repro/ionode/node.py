@@ -32,7 +32,7 @@ from typing import Any
 import numpy as np
 
 from ..sim.engine import Environment, Event, Interrupt
-from ..sim.resources import Store
+from ..sim.sync import Store
 from ..sim.stats import PercentileTally, TimeWeighted, UtilizationTracker
 from .aggregator import DEFAULT_SIEVE_FACTOR, DEFAULT_SIEVE_WINDOW, plan_reads, plan_writes
 from .cache import ServerCache

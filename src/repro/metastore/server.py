@@ -32,7 +32,7 @@ from typing import Any
 from ..core.errors import FileExistsError_, FileNotFoundError_
 from ..resilience.failover import CircuitBreaker
 from ..sim.engine import Environment, Event, Process
-from ..sim.resources import Store
+from ..sim.sync import Store
 from .service import MetadataService
 
 __all__ = ["MetaRequest", "MetaServer"]

@@ -7,9 +7,8 @@ order and the queue's virtual time ``V`` advances to the start tag of each
 dispatched request. Over any contended interval, tenants receive device
 service proportional to their weights, and a tenant that goes idle does
 not bank credit (its next start tag jumps to ``V``). ``seq`` is a
-monotonic per-scheduler sequence number — the same deterministic FIFO
-tie-break discipline :class:`~repro.sim.resources.Request` uses, so equal
-tags are served in arrival order, always.
+monotonic per-scheduler sequence number — a deterministic FIFO tie-break,
+so equal tags are served in arrival order, always.
 
 Two adapters plug the scheduler into the existing layers without touching
 their service loops' structure:
@@ -17,7 +16,7 @@ their service loops' structure:
 * :class:`QoSDevicePolicy` — a :class:`~repro.devices.scheduling.
   SchedulingPolicy` that orders a device controller's pending queue by
   scheduler key (replacing FCFS/SSTF/...);
-* :class:`TenantStore` — a :class:`~repro.sim.resources.Store` whose
+* :class:`TenantStore` — a :class:`~repro.sim.sync.Store` whose
   ``get`` hands out the scheduler's choice instead of the oldest item
   (replacing an I/O node's FIFO inbox).
 
@@ -41,7 +40,7 @@ from typing import Any, Callable, Sequence
 
 from ..devices.scheduling import SchedulingPolicy
 from ..sim.engine import Environment
-from ..sim.resources import Store
+from ..sim.sync import Store
 from .tenant import Tenant
 
 __all__ = ["QoSTag", "WeightedFairQueue", "QoSDevicePolicy", "TenantStore"]

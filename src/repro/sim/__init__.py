@@ -16,10 +16,9 @@ from .engine import (
     SimulationError,
     Timeout,
 )
-from .resources import Resource, Store
 from .rng import RngStreams
 from .stats import PercentileTally, Tally, TimeWeighted, UtilizationTracker
-from .sync import SimBarrier, SimLock, SimSemaphore
+from .sync import SimBarrier, SimLock, Store
 
 __all__ = [
     "AllOf",
@@ -31,7 +30,6 @@ __all__ = [
     "Process",
     "SimulationError",
     "Timeout",
-    "Resource",
     "Store",
     "RngStreams",
     "PercentileTally",
@@ -40,5 +38,4 @@ __all__ = [
     "UtilizationTracker",
     "SimBarrier",
     "SimLock",
-    "SimSemaphore",
 ]

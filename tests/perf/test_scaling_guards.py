@@ -1,12 +1,12 @@
 """Scaling guards for the dispatch-path O(n) fixes.
 
-Two hot paths used to do linear scans per operation and went quadratic
+A hot path used to do a linear scan per operation and went quadratic
 under load: :meth:`WeightedFairQueue.dispatch` (a full-backlog walk to
-maintain bypass counts) and :meth:`Resource.release` of a still-waiting
-request (an O(n) remove from the wait list). Both are now amortized
-O(log n) or O(1). These guards re-run each path at two backlog sizes and
-fail if per-operation cost grows anywhere near linearly with backlog —
-i.e. if total cost has gone quadratic again.
+maintain bypass counts). It is now amortized O(log n). Its guard re-runs
+the path at two backlog sizes and fails if per-operation cost grows
+anywhere near linearly with backlog — i.e. if total cost has gone
+quadratic again. The other guards hold the planners to their complexity
+the same way.
 
 The bounds are deliberately loose (quadratic regressions blow through
 them by an order of magnitude; host noise does not). Each measurement is
@@ -18,7 +18,6 @@ import time
 from repro.qos.scheduler import WeightedFairQueue
 from repro.qos.tenant import QoSClass, Tenant
 from repro.sim import Environment
-from repro.sim.resources import Resource
 
 
 def _min_of(runs, fn):
@@ -52,32 +51,6 @@ def test_wfq_dispatch_scales_with_backlog():
     assert large < small * 32, (
         f"WFQ dispatch went superlinear: {small * 1e6:.2f}us/op at backlog 16 "
         f"vs {large * 1e6:.2f}us/op at backlog 4096"
-    )
-
-
-def _cancel_cost(waiters: int) -> float:
-    def run():
-        env = Environment()
-        res = Resource(env, capacity=1)
-        held = res.request()
-        env.run()
-        reqs = [res.request() for _ in range(waiters)]
-        for r in reqs:
-            res.release(r)  # still waiting: a cancel
-        res.release(held)
-        env.run()
-        assert res.queue_length == 0
-
-    return _min_of(3, run) / waiters
-
-
-def test_resource_cancel_scales_with_waiters():
-    small = _cancel_cost(256)
-    large = _cancel_cost(4096)
-    # O(waiters) per cancel would make this ratio ~16
-    assert large < small * 8, (
-        f"Resource cancel went superlinear: {small * 1e6:.2f}us/op with 256 "
-        f"waiters vs {large * 1e6:.2f}us/op with 4096"
     )
 
 

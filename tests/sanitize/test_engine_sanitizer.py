@@ -4,7 +4,7 @@ import pytest
 
 from repro.buffering import BufferPool
 from repro.sanitize import EngineSanitizer, SanitizerError, attach
-from repro.sim import Environment, Event, Resource, Store
+from repro.sim import Environment, Event, SimLock, Store
 from repro.trace import invariant_report
 
 
@@ -24,14 +24,14 @@ def test_attach_and_strict_mode_construct_the_same_thing():
 
 def test_clean_run_records_no_violations():
     env = Environment(strict=True)
-    res = Resource(env, capacity=2)
+    lock = SimLock(env, slots=2)
     store = Store(env, capacity=2)
     pool = BufferPool(env, n_buffers=2, buffer_bytes=64)
 
     def worker(i):
-        with res.request() as req:
-            yield req
-            yield env.timeout(0.1)
+        yield lock.acquire()
+        yield env.timeout(0.1)
+        lock.release()
         yield pool.acquire()
         yield from pool.charge(32)
         pool.release()
@@ -57,36 +57,25 @@ def test_clean_run_records_no_violations():
 # -- seeded violations (hooks called on corrupted state) -------------------------
 
 
-def test_resource_double_grant_detected():
-    env = Environment()
-    san = EngineSanitizer(env)
-    res = Resource(env, capacity=2)
-    req = res.request()
-    res.users.append(req)  # corrupt: same request granted twice
-
-    san.on_resource(res)
-    assert [v.kind for v in san.violations] == ["resource-double-grant"]
-
-
 def test_resource_overcommit_detected():
     env = Environment()
     san = EngineSanitizer(env)
-    res = Resource(env, capacity=1)
-    res.users.extend([res.request(), res.request()])
+    lock = SimLock(env)
+    lock.held = 2  # corrupt: two holders of one slot
 
-    san.on_resource(res)
-    assert "resource-overcommit" in [v.kind for v in san.violations]
+    san.on_lock(lock)
+    assert [v.kind for v in san.violations] == ["lock-overcommit"]
 
 
 def test_resource_lost_wakeup_detected():
     env = Environment()
     san = EngineSanitizer(env)
-    res = Resource(env, capacity=1)
-    waiter = Event(env)
-    res._waiting.append(waiter)  # corrupt: sleeping waiter, free slot
+    lock = SimLock(env, slots=2)
+    lock.acquire()
+    lock._waiters.append(Event(env))  # corrupt: sleeping waiter, free slot
 
-    san.on_resource(res)
-    assert [v.kind for v in san.violations] == ["resource-lost-wakeup"]
+    san.on_lock(lock)
+    assert [v.kind for v in san.violations] == ["lock-lost-wakeup"]
 
 
 def test_store_lost_wakeup_detected():
@@ -131,18 +120,18 @@ def test_pool_balance_check():
 
 def test_strict_mode_raises_immediately():
     env = Environment(strict=True)
-    res = Resource(env, capacity=1)
-    res.users.append(res.request())  # corrupt: double grant
+    lock = SimLock(env)
+    lock.held = 2  # corrupt: two holders of one slot
 
     with pytest.raises(SanitizerError):
-        env.sanitizer.on_resource(res)
+        env.sanitizer.on_lock(lock)
 
 
 def test_assert_clean_raises_with_rows():
     env = Environment()
     san = EngineSanitizer(env)
-    san._violate("resource-double-grant", "seeded")
-    with pytest.raises(SanitizerError, match="resource-double-grant"):
+    san._violate("lock-overcommit", "seeded")
+    with pytest.raises(SanitizerError, match="lock-overcommit"):
         san.assert_clean()
 
 

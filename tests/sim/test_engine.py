@@ -5,8 +5,7 @@ import math
 import pytest
 
 from repro.sanitize import attach
-from repro.sim import Environment, Interrupt, SimulationError
-from repro.sim.resources import Resource
+from repro.sim import Environment, Interrupt, SimLock, SimulationError
 
 
 def test_clock_starts_at_zero():
@@ -417,15 +416,15 @@ def _state(env):
 
 
 def _mixed_program(env, log):
-    """Timeouts, sleeps, a resource, joins — a little of everything."""
-    res = Resource(env, capacity=1)
+    """Timeouts, sleeps, a lock, joins — a little of everything."""
+    lock = SimLock(env)
 
     def worker(i):
         yield env.timeout(i * 0.5)
-        with res.request() as req:
-            yield req
-            log.append(("got", i, env.now))
-            yield env.sleep(1.0)
+        yield lock.acquire()
+        log.append(("got", i, env.now))
+        yield env.sleep(1.0)
+        lock.release()
         yield env.sleep(0.25)
         log.append(("done", i, env.now))
         return i * 10

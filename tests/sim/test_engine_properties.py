@@ -9,13 +9,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Environment, Resource, SimLock
+from repro.sim import Environment, SimLock
 
 
 def random_program(env, seed, log):
-    """A random process graph: timeouts, resource use, lock use, spawns."""
+    """A random process graph: timeouts, pool use, lock use, spawns."""
     rng = np.random.default_rng(seed)
-    resource = Resource(env, capacity=int(rng.integers(1, 4)))
+    pool = SimLock(env, slots=int(rng.integers(1, 4)))
     lock = SimLock(env)
     n_procs = int(rng.integers(1, 10))
 
@@ -26,9 +26,9 @@ def random_program(env, seed, log):
             if choice == 0:
                 yield env.timeout(float(rng.random()))
             elif choice == 1:
-                with resource.request() as req:
-                    yield req
-                    yield env.timeout(float(rng.random()) * 0.1)
+                yield pool.acquire()
+                yield env.timeout(float(rng.random()) * 0.1)
+                pool.release()
             elif choice == 2:
                 yield lock.acquire()
                 yield env.timeout(float(rng.random()) * 0.05)
@@ -85,10 +85,10 @@ def test_run_until_is_prefix_of_full_run(seed, horizon):
 
 # -- contention properties under the engine sanitizer -------------------------
 #
-# Many processes hammering one resource / one cache / one store, with the
+# Many processes hammering one lock's slots / one cache / one store, with the
 # invariant sanitizer attached (strict: first violation raises). These
 # exercise the races fixed alongside the sanitizer: the single-flight
-# cache window, double release, and store dispatch wakeups.
+# cache window and store dispatch wakeups.
 
 from repro.buffering import BufferCache
 from repro.sim import Store
@@ -99,18 +99,18 @@ from repro.sim import Store
 def test_resource_contention_respects_capacity(seed, capacity, n_procs):
     rng = np.random.default_rng(seed)
     env = Environment(strict=True)
-    resource = Resource(env, capacity=capacity)
+    lock = SimLock(env, slots=capacity)
     held = {"now": 0, "peak": 0}
 
     def worker(delays):
         for delay in delays:
             yield env.timeout(delay)
-            with resource.request() as req:
-                yield req
-                held["now"] += 1
-                held["peak"] = max(held["peak"], held["now"])
-                yield env.timeout(float(rng.random()) * 0.1)
-                held["now"] -= 1
+            yield lock.acquire()
+            held["now"] += 1
+            held["peak"] = max(held["peak"], held["now"])
+            yield env.timeout(float(rng.random()) * 0.1)
+            held["now"] -= 1
+            lock.release()
 
     for _ in range(n_procs):
         env.process(worker([float(d) for d in rng.random(3)]))
@@ -118,7 +118,7 @@ def test_resource_contention_respects_capacity(seed, capacity, n_procs):
 
     assert held["peak"] <= capacity
     assert held["now"] == 0
-    assert resource.count == 0 and resource.queue_length == 0
+    assert lock.held == 0 and not lock._waiters
     assert env.sanitizer.clean
 
 

@@ -1,22 +1,23 @@
-"""Unit tests for simulated resources (Resource, Store)."""
+"""Unit tests for shared resources: a lock's slots (SimLock) and the Store."""
 
 import pytest
 
-from repro.sim import Environment, Resource, Store
+from repro.sim import Environment, SimLock, Store
+from repro.sim.engine import SimulationError
 
 
 class TestResource:
     def test_capacity_one_serializes(self):
         env = Environment()
-        res = Resource(env, capacity=1)
+        lock = SimLock(env)
         log = []
 
         def user(name):
-            with res.request() as req:
-                yield req
-                log.append((name, "in", env.now))
-                yield env.timeout(10)
-                log.append((name, "out", env.now))
+            yield lock.acquire()
+            log.append((name, "in", env.now))
+            yield env.timeout(10)
+            log.append((name, "out", env.now))
+            lock.release()
 
         env.process(user("a"))
         env.process(user("b"))
@@ -28,14 +29,14 @@ class TestResource:
 
     def test_capacity_two_overlaps(self):
         env = Environment()
-        res = Resource(env, capacity=2)
+        lock = SimLock(env, slots=2)
         done = []
 
         def user(name):
-            with res.request() as req:
-                yield req
-                yield env.timeout(10)
-                done.append((name, env.now))
+            yield lock.acquire()
+            yield env.timeout(10)
+            done.append((name, env.now))
+            lock.release()
 
         for n in "abc":
             env.process(user(n))
@@ -44,15 +45,15 @@ class TestResource:
 
     def test_fifo_grant_order(self):
         env = Environment()
-        res = Resource(env, capacity=1)
+        lock = SimLock(env)
         order = []
 
         def user(name, arrive):
             yield env.timeout(arrive)
-            with res.request() as req:
-                yield req
-                order.append(name)
-                yield env.timeout(5)
+            yield lock.acquire()
+            order.append(name)
+            yield env.timeout(5)
+            lock.release()
 
         env.process(user("late", 2))
         env.process(user("early", 1))
@@ -61,31 +62,32 @@ class TestResource:
 
     def test_count_and_queue_length(self):
         env = Environment()
-        res = Resource(env, capacity=1)
+        lock = SimLock(env)
         observed = {}
 
         def holder():
-            with res.request() as req:
-                yield req
-                yield env.timeout(10)
+            yield lock.acquire()
+            yield env.timeout(10)
+            lock.release()
 
         def waiter():
             yield env.timeout(1)
-            req = res.request()
+            grant = lock.acquire()
             yield env.timeout(1)
-            observed["count"] = res.count
-            observed["queue"] = res.queue_length
-            yield req
-            res.release(req)
+            observed["count"] = lock.held
+            observed["queue"] = len(lock._waiters)
+            yield grant
+            lock.release()
 
         env.process(holder())
         env.process(waiter())
         env.run()
         assert observed == {"count": 1, "queue": 1}
+        assert lock.held == 0
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
-            Resource(Environment(), capacity=0)
+            SimLock(Environment(), slots=0)
 
 
 class TestStore:
@@ -166,70 +168,18 @@ class TestStore:
 
 
 class TestDoubleRelease:
-    def test_double_release_is_noop_and_grants_once(self):
-        """Releasing an already-released request must not hand the freed
-        slot to waiters a second time."""
-        env = Environment()
-        res = Resource(env, capacity=1)
-        grants = []
-
-        def holder():
-            req = res.request()
-            yield req
-            yield env.timeout(1)
-            res.release(req)
-            yield env.timeout(1)
-            res.release(req)  # double release: must be a no-op
-
-        def waiter(name, delay):
-            yield env.timeout(delay)
-            req = res.request()
-            yield req
-            grants.append((name, env.now))
-            yield env.timeout(10)  # hold past the double release
-            res.release(req)
-
-        env.process(holder())
-        env.process(waiter("w1", 0.5))
-        env.process(waiter("w2", 0.6))
-        env.run()
-
-        # w1 got the slot at t=1; the double release at t=2 must NOT have
-        # granted w2 while w1 still held it
-        assert grants == [("w1", 1), ("w2", 11)]
-        assert res.count == 0
-
     def test_double_release_under_sanitizer_is_clean(self):
+        """A second release is refused and leaves the lock consistent: the
+        sanitizer records nothing."""
         env = Environment(strict=True)
-        res = Resource(env, capacity=1)
+        lock = SimLock(env)
 
         def proc():
-            req = res.request()
-            yield req
-            res.release(req)
-            res.release(req)
+            yield lock.acquire()
+            lock.release()
+            with pytest.raises(SimulationError):
+                lock.release()
 
         env.run(env.process(proc()))
+        assert lock.held == 0
         assert env.sanitizer.clean
-
-    def test_release_of_waiting_request_cancels_it(self):
-        env = Environment()
-        res = Resource(env, capacity=1)
-
-        def holder():
-            req = res.request()
-            yield req
-            yield env.timeout(5)
-            res.release(req)
-
-        def quitter():
-            yield env.timeout(1)
-            req = res.request()
-            yield env.timeout(1)
-            res.release(req)  # give up before being granted
-
-        env.process(holder())
-        env.process(quitter())
-        env.run()
-        assert res.count == 0
-        assert res.queue_length == 0

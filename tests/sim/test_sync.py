@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, SimBarrier, SimLock, SimSemaphore
+from repro.sim import Environment, SimBarrier, SimLock
 from repro.sim.engine import SimulationError
 
 
@@ -64,28 +64,13 @@ class TestSimLock:
         assert lock.total_acquires == 4
         assert lock.contended_acquires == 3
 
-    def test_holding_releases_on_exception(self):
-        env = Environment()
-        lock = SimLock(env)
-
-        def body():
-            yield env.timeout(1)
-            raise ValueError("inner")
-
-        def proc():
-            try:
-                yield from lock.holding(body())
-            except ValueError:
-                pass
-            return lock.locked
-
-        assert env.run(env.process(proc())) is False
-
 
 class TestSimSemaphore:
+    """A lock with several slots: the counting semaphore of a buffer pool."""
+
     def test_counting(self):
         env = Environment()
-        sem = SimSemaphore(env, value=2)
+        sem = SimLock(env, slots=2)
         concurrent = []
         level = [0]
 
@@ -101,29 +86,33 @@ class TestSimSemaphore:
             env.process(proc())
         env.run()
         assert max(concurrent) == 2
-        assert sem.value == 2
+        assert sem.held == 0
 
     def test_release_wakes_waiter(self):
         env = Environment()
-        sem = SimSemaphore(env, value=0)
+        sem = SimLock(env, slots=2)
         woke = []
 
-        def waiter():
+        def holder(hold):
             yield sem.acquire()
-            woke.append(env.now)
-
-        def releaser():
-            yield env.timeout(7)
+            yield env.timeout(hold)
             sem.release()
 
+        def waiter():
+            yield env.timeout(1)
+            yield sem.acquire()
+            woke.append(env.now)
+            sem.release()
+
+        env.process(holder(9))
+        env.process(holder(7))
         env.process(waiter())
-        env.process(releaser())
         env.run()
         assert woke == [7]
 
     def test_negative_initial_rejected(self):
         with pytest.raises(ValueError):
-            SimSemaphore(Environment(), value=-1)
+            SimLock(Environment(), slots=-1)
 
 
 class TestSimBarrier:
