@@ -221,6 +221,24 @@ class TestRmwMode:
         assert run(env, proc()) == b"X" * 512
         assert s.group.stale_units == 0
 
+    def test_idle_unit_locks_are_dropped(self):
+        """A unit lock lives only while it is held or waited on: after
+        concurrent RMWs contending for shared units, none is retained."""
+        env = Environment()
+        s = make_group(env, mode="rmw")
+
+        def proc():
+            yield s.write_row(0, [b"a" * 1024] * 3)
+            yield env.all_of([
+                s.write(0, 0, b"X" * 1024),
+                s.write(2, 512, b"Y" * 1024),
+                s.write(1, 0, b"Z" * 512),
+            ])
+
+        run(env, proc())
+        assert s.group._unit_locks == {}
+        assert s.redundant()
+
     def test_rmw_write_costs_more_time_than_stale_write(self):
         def cost(mode):
             env = Environment()
