@@ -7,8 +7,8 @@ Run the whole suite under the engine invariant sanitizer with::
 (or set ``REPRO_SANITIZE=1``). Every :class:`~repro.sim.Environment`
 constructed during the run gets an attached collecting
 :class:`~repro.sanitize.EngineSanitizer`; a test fails if any engine
-invariant (resource grants, store/container wakeups, buffer-pool bounds,
-event lifecycle) was violated while it ran.
+invariant (lock slots and wakeups, store wakeups, event lifecycle) was
+violated while it ran.
 
 Environments that already carry a sanitizer (``Environment(strict=True)``
 or an explicit ``sanitize.attach``) are left to the owning test — they
