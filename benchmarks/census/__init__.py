@@ -33,7 +33,7 @@ SRC = REPO / "src"
 COUNTED = SRC / "repro"
 ALLOW = Path(__file__).with_name("allow.txt")
 #: the committed tests-only function count (see the module docstring)
-TESTS_ONLY = 270
+TESTS_ONLY = 267
 
 __all__ = ["TESTS_ONLY", "Function", "functions", "load_reached", "read_allow", "census"]
 

@@ -54,7 +54,7 @@ def run_mix(scheduler, horizon):
 
 def tenant_row(t, total_bytes) -> dict:
     """One tenant's accounting: weight, ops, bytes and share serviced,
-    mean blocked / queued / in-service time, deadline misses, throttling."""
+    mean blocked / queued / in-service time, throttling."""
 
     def mean_ms(stat):
         return stat.mean * 1e3 if stat.count else 0.0
@@ -64,7 +64,7 @@ def tenant_row(t, total_bytes) -> dict:
         "serviced_bytes": t.serviced_bytes,
         "share": t.serviced_bytes / total_bytes if total_bytes else 0.0,
         "blocked_ms": mean_ms(t.blocked), "queued_ms": mean_ms(t.queued),
-        "service_ms": mean_ms(t.service), "deadline_misses": t.deadline_misses,
+        "service_ms": mean_ms(t.service),
         "throttled_grants": t.bucket.throttled_grants if t.bucket is not None else None,
     }
 
@@ -84,7 +84,7 @@ def x8_qos_isolation(quick: bool) -> dict:
     total = sum(t.serviced_bytes for t in mgr.tenants.values())
     rows += [tenant_row(mgr.tenants[name], total) for name in sorted(mgr.tenants)]
     rows.append({"scheduler": mgr.config.scheduler, "queues": len(mgr.schedulers),
-                 "starvations": mgr.starvations, "deadline_misses": mgr.deadline_misses})
+                 "starvations": mgr.starvations})
     fifo, wfq = out["fifo"]["lat"], out["wfq"]["lat"]
     return {"rows": rows, "checks": {
         "both_schedulers_serve_interactive": fifo.count >= 4 and wfq.count >= 4,

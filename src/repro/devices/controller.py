@@ -75,10 +75,9 @@ class IORequest:
     """One queued transfer. ``cylinder`` is what arm schedulers look at.
 
     ``tenant`` is the QoS principal the request is billed to (the ambient
-    tenant of the submitting process or op; ``None`` for untagged work)
-    and ``deadline`` its absolute completion target; tenant-aware policies
-    additionally stamp the ``qos_tag`` scheduling tag (see
-    :mod:`repro.qos`). Slotted: millions of these are allocated per
+    tenant of the submitting process or op; ``None`` for untagged work);
+    tenant-aware policies additionally stamp the ``qos_tag`` scheduling
+    tag (see :mod:`repro.qos`). Slotted: millions of these are allocated per
     sweep, so any new per-request annotation must be declared here.
     """
 
@@ -91,7 +90,6 @@ class IORequest:
     cylinder: int
     submit_time: float
     tenant: Any = None
-    deadline: float | None = None
     qos_tag: Any = None
 
 
@@ -116,7 +114,6 @@ class DeviceController:
         name: str = "disk",
         policy: SchedulingPolicy | None = None,
         per_request_overhead: float = 0.0005,
-        store_data: bool = True,
         keep_service_log: bool = False,
     ):
         self.env = env
@@ -133,7 +130,6 @@ class DeviceController:
         #: "buffering overheads" knob of §4 lives higher up; this is the
         #: channel + command cost)
         self.per_request_overhead = per_request_overhead
-        self._store_data = store_data
         self._contents: np.ndarray | None = None
         self._pending: list[IORequest] = []
         self._wakeup: Event | None = None
@@ -210,14 +206,13 @@ class DeviceController:
         recovery discussion starts from.
         """
         self._failed = False
-        if self._store_data:
-            self._contents = None
-            if contents is not None:
-                arr = np.asarray(contents, dtype=np.uint8)
-                if len(arr) > self.capacity_bytes:
-                    raise ValueError("restored contents exceed device capacity")
-                self._ensure_contents()
-                self._contents[: len(arr)] = arr
+        self._contents = None
+        if contents is not None:
+            arr = np.asarray(contents, dtype=np.uint8)
+            if len(arr) > self.capacity_bytes:
+                raise ValueError("restored contents exceed device capacity")
+            self._ensure_contents()
+            self._contents[: len(arr)] = arr
 
     def snapshot(self) -> np.ndarray:
         """Copy of the device contents (used by backup/shadow machinery)."""
@@ -259,8 +254,6 @@ class DeviceController:
         self._check_range(offset, nbytes)
         # a zero-length request at the very end still names a real block
         start_block = min(offset // self._block_size, self._last_block)
-        tenant = getattr(env._active, "qos_tenant", None)
-        rel_deadline = getattr(tenant, "deadline", None)
         now = env._now
         req = IORequest(
             kind=kind,  # type: ignore[arg-type]
@@ -271,8 +264,7 @@ class DeviceController:
             start_block=start_block,
             cylinder=start_block // self._blocks_per_cylinder,
             submit_time=now,
-            tenant=tenant,
-            deadline=(now + rel_deadline if rel_deadline is not None else None),
+            tenant=getattr(env._active, "qos_tenant", None),
         )
         pending = self._pending
         pending.append(req)
@@ -285,11 +277,11 @@ class DeviceController:
     def _serve(self):
         # The per-request service loop, run once per device for the whole
         # simulation. ``env._now`` replaces the ``now`` property and the
-        # stable collaborators are bound once — ``self.policy`` is NOT
-        # (the stack builder swaps in a QoS policy after construction).
+        # collaborators, the policy among them, are bound once.
         env = self.env
         pending = self._pending
         disk = self.disk
+        policy = self.policy
         utilization = self.utilization
         queue_stat = self.queue_stat
         wait_observe = self.wait_stat.observe
@@ -302,7 +294,6 @@ class DeviceController:
                 yield self._wakeup
                 self._wakeup = None
             utilization.busy(env._now)
-            policy = self.policy
             idx = policy.select(pending, disk.head_cylinder)
             req = pending.pop(idx)
             policy.on_dispatch(req)
@@ -348,24 +339,13 @@ class DeviceController:
             latency_observe(now - req.submit_time)
             if tenant is not None and hasattr(tenant, "note_service"):
                 tenant.note_service(now - dispatched, req.nbytes)
-                if req.deadline is not None and now > req.deadline:
-                    tenant.note_deadline_miss()
+            contents = self._contents
+            if contents is None:
+                self._ensure_contents()
+                contents = self._contents
             if req.kind == "read":
-                if self._store_data:
-                    contents = self._contents
-                    if contents is None:
-                        self._ensure_contents()
-                        contents = self._contents
-                    value = contents[req.offset : req.offset + req.nbytes].copy()
-                else:
-                    value = np.zeros(req.nbytes, dtype=np.uint8)
-                event.succeed(value)
+                event.succeed(contents[req.offset : req.offset + req.nbytes].copy())
             else:
-                if self._store_data:
-                    contents = self._contents
-                    if contents is None:
-                        self._ensure_contents()
-                        contents = self._contents
-                    contents[req.offset : req.offset + req.nbytes] = req.data
+                contents[req.offset : req.offset + req.nbytes] = req.data
                 self.writes_applied += 1
                 event.succeed(req.nbytes)

@@ -1,7 +1,7 @@
 """The parallel file system: stack builder, catalog, views, conversion,
 consistency, recovery."""
 
-from .catalog import Catalog, CatalogEntry, FileExistsError_, FileNotFoundError_
+from .catalog import Catalog, CatalogEntry
 from .consistency import BackupManager, BackupSet
 from .convert import alternate_view, convert_file
 from .global_io import GlobalViewHandle
@@ -25,8 +25,6 @@ from .stack import build_parallel_fs
 __all__ = [
     "Catalog",
     "CatalogEntry",
-    "FileExistsError_",
-    "FileNotFoundError_",
     "BackupManager",
     "BackupSet",
     "alternate_view",

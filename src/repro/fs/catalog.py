@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterator
 
-# Re-homed into repro.core.errors (the metastore and pfs layers share
-# one exception vocabulary); imported here as back-compat aliases.
 from ..core.errors import FileExistsError_, FileNotFoundError_
 from ..storage.layout import DataLayout
 from ..storage.volume import Extent
@@ -23,7 +21,7 @@ from .metadata import FileAttributes
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.sync import SimLock
 
-__all__ = ["Catalog", "CatalogEntry", "FileExistsError_", "FileNotFoundError_"]
+__all__ = ["Catalog", "CatalogEntry"]
 
 
 @dataclass

@@ -4,13 +4,13 @@ Layers go together bottom up in one fixed order. Each is built over the
 ones below it, and simulated processes take event ids as they are built,
 so the order is part of every pinned schedule:
 
-1. the data drives;
-2. the volume;
-3. the I/O-node cluster;
-4. the check drives, then the hot spares;
-5. the resilience layer, its rebuilder, the node-failover manager and
+1. the QoS manager (it schedules nothing);
+2. the data drives, each with its QoS scheduler under a manager;
+3. the volume;
+4. the I/O-node cluster, each node's inbox scheduled by the manager;
+5. the check drives, then the hot spares;
+6. the resilience layer, its rebuilder, the node-failover manager and
    the check drives' failure hooks;
-6. QoS scheduling on the data drives and the node inboxes;
 7. the batching flag, ``volume.coalesce``.
 """
 
@@ -66,21 +66,25 @@ def build_parallel_fs(
     plane plans with (see ``docs/PERF.md``).
     """
     geo = geometry or DiskGeometry()
+    manager = None if qos is None else QoSManager(env, qos)
 
-    def make_disk(name: str) -> DeviceController:
+    def make_disk(name: str, data: bool = False) -> DeviceController:
+        policy = make_policy(scheduling) if scheduling else None
+        if data and manager is not None:
+            policy = QoSDevicePolicy(manager.make_scheduler(name), manager.resolve)
         return DeviceController(
             env,
             DiskModel(geo, timing),
             name=name,
-            policy=make_policy(scheduling) if scheduling else None,
+            policy=policy,
         )
 
-    devices = [make_disk(f"disk{i}") for i in range(n_devices)]
+    devices = [make_disk(f"disk{i}", data=True) for i in range(n_devices)]
     volume = Volume(env, devices)
 
     if isinstance(io_nodes, int):
         io_nodes = IONodeConfig(nodes=io_nodes)
-    cluster = None if io_nodes is None else IONodeCluster.build(env, devices, io_nodes)
+    cluster = None if io_nodes is None else IONodeCluster.build(env, devices, io_nodes, manager)
 
     rv = None
     if resilience is not None:
@@ -110,15 +114,6 @@ def build_parallel_fs(
         if group is not None:
             for k, check in enumerate(group.check_devices):
                 check.on_fail = lambda i=n_devices + k: rv._note_failure(i)
-
-    manager = None
-    if qos is not None:
-        manager = QoSManager(env, qos)
-        for dev in devices:
-            dev.policy = QoSDevicePolicy(manager.make_scheduler(dev.name), manager.resolve)
-        if cluster is not None:
-            for node in cluster.nodes:
-                node.enable_qos(manager)
 
     volume.coalesce = batch_io
     return ParallelFileSystem(

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .aggregator import DEFAULT_SIEVE_FACTOR, DEFAULT_SIEVE_WINDOW
-
 __all__ = ["IONodeConfig"]
 
 
@@ -18,20 +16,15 @@ __all__ = ["IONodeConfig"]
 class IONodeConfig:
     """One knob object for ``build_parallel_fs(..., io_nodes=...)``.
 
-    ``nodes`` servers share the volume's devices, mapped by ``policy``
-    (``"contiguous"`` bands or ``"round-robin"``). Every node gets an
-    inbox of ``queue_depth`` requests, drains up to ``batch_limit`` per
-    round, sieves reads by ``sieve`` / ``sieve_factor`` /
-    ``sieve_window``, and caches ``cache_blocks`` blocks of
+    ``nodes`` servers share the volume's devices in contiguous bands.
+    Every node gets an inbox of ``queue_depth`` requests, drains up to
+    ``batch_limit`` per round, sieves reads within the aggregator's
+    default bounds, and caches ``cache_blocks`` blocks of
     ``cache_block_bytes`` (0 = no cache).
     """
 
     nodes: int
-    policy: str = "contiguous"
     queue_depth: int = 16
     batch_limit: int = 8
-    sieve: bool = True
-    sieve_factor: float = DEFAULT_SIEVE_FACTOR
-    sieve_window: int = DEFAULT_SIEVE_WINDOW
     cache_blocks: int = 0
     cache_block_bytes: int = 4096

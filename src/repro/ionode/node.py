@@ -27,15 +27,20 @@ reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from ..devices.controller import as_payload
+from ..qos.scheduler import TenantStore
 from ..sim.engine import Environment, Event, Interrupt
 from ..sim.sync import Store
 from ..sim.stats import PercentileTally, TimeWeighted, UtilizationTracker
-from .aggregator import DEFAULT_SIEVE_FACTOR, DEFAULT_SIEVE_WINDOW, plan_reads, plan_writes
+from .aggregator import plan_reads, plan_writes
 from .cache import ServerCache
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..qos.manager import QoSManager
 
 __all__ = ["IONode", "NodeRequest"]
 
@@ -72,18 +77,6 @@ class NodeRequest:
         return sum(n for _, _, n in self.items)
 
 
-class _Inbox(Store):
-    """The node's default FIFO inbox; reports admissions to the node."""
-
-    def __init__(self, env: Environment, capacity: float, node: "IONode"):
-        super().__init__(env, capacity)
-        self._node = node
-
-    def on_admit(self, item: Any) -> None:
-        """One request cleared admission control."""
-        self._node._note_admit(item)
-
-
 @dataclass
 class _ReadWant:
     """One read item awaiting device service (cache misses only)."""
@@ -113,7 +106,12 @@ class _Job:
 
 
 class IONode:
-    """One dedicated I/O processor owning a set of device controllers."""
+    """One dedicated I/O processor owning a set of device controllers.
+
+    The inbox is FIFO, or, with a ``qos`` manager, a
+    :class:`~repro.qos.TenantStore` that hands admitted requests to the
+    service loop in the manager's scheduling order.
+    """
 
     def __init__(
         self,
@@ -123,11 +121,9 @@ class IONode:
         *,
         queue_depth: int = 16,
         batch_limit: int = 8,
-        sieve: bool = True,
-        sieve_factor: float = DEFAULT_SIEVE_FACTOR,
-        sieve_window: int = DEFAULT_SIEVE_WINDOW,
         cache_blocks: int = 0,
         cache_block_bytes: int = 4096,
+        qos: "QoSManager | None" = None,
     ):
         if queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")
@@ -141,13 +137,16 @@ class IONode:
         self.devices = dict(devices)
         self.queue_depth = queue_depth
         self.batch_limit = batch_limit
-        self.sieve = sieve
-        self.sieve_factor = sieve_factor
-        self.sieve_window = sieve_window
         self.cache: ServerCache | None = (
             ServerCache(cache_blocks, cache_block_bytes) if cache_blocks > 0 else None
         )
-        self.inbox: Store = _Inbox(env, queue_depth, self)
+        self.inbox: Store = (
+            Store(env, queue_depth, self._note_admit)
+            if qos is None
+            else TenantStore(
+                env, queue_depth, qos.make_scheduler(name), qos.resolve, self._note_admit
+            )
+        )
         # -- lifecycle counters (sanitizer invariants) --
         self.accepted = 0
         self.completed = 0
@@ -208,6 +207,8 @@ class IONode:
         Clients must ``yield req.admitted`` (backpressure: it blocks while
         the inbox is full) and then ``yield req.event`` for the result.
         The request is billed to the running process's or op's tenant.
+        Raises ``ValueError`` for an item outside its device, or a write
+        payload whose size is not its item's ``nbytes``.
         """
         if kind not in ("read", "write"):
             raise ValueError(f"unknown request kind {kind!r}")
@@ -216,13 +217,24 @@ class IONode:
                 f"node {self.name} has crashed; reroute through the "
                 "cluster's failover manager"
             )
-        if kind == "write" and (data is None or len(data) != len(items)):
-            raise ValueError("write requests need one data payload per item")
         for dev, offset, nbytes in items:
-            if dev not in self.devices:
+            device = self.devices.get(dev)
+            if device is None:
                 raise ValueError(f"device {dev} is not owned by node {self.name}")
-            if offset < 0 or nbytes < 0:
-                raise ValueError(f"invalid range ({offset}, {nbytes})")
+            if offset < 0 or nbytes < 0 or offset + nbytes > device.capacity_bytes:
+                raise ValueError(
+                    f"invalid range ({offset}, {nbytes}) on device {dev} of "
+                    f"{device.capacity_bytes} bytes"
+                )
+        if kind == "write":
+            if data is None or len(data) != len(items):
+                raise ValueError("write requests need one data payload per item")
+            data = [as_payload(d) for d in data]
+            for (_, _, nbytes), payload in zip(items, data):
+                if payload.size != nbytes:
+                    raise ValueError(
+                        f"a {payload.size}-byte payload for a {nbytes}-byte item"
+                    )
         req = NodeRequest(
             kind=kind,
             items=list(items),
@@ -257,33 +269,6 @@ class IONode:
         self.wait_stat.observe(wait)
         if req.tenant is not None and hasattr(req.tenant, "note_queued"):
             req.tenant.note_queued(wait)
-
-    def enable_qos(self, manager: Any) -> None:
-        """Swap the FIFO inbox for a tenant-scheduled one (see repro.qos).
-
-        Admission control (bounded capacity, blocking put) is unchanged;
-        only the order in which admitted requests are drained follows the
-        manager's scheduler. Must be called while the node is idle (no
-        queued items, no blocked submissions); the service loop's
-        outstanding ``get`` is carried over to the new inbox.
-        """
-        from ..qos.scheduler import TenantStore
-
-        old = self.inbox
-        if old.items or any(not p.triggered for p in old._puts):
-            raise RuntimeError(
-                f"node {self.name}: enable_qos requires an idle inbox"
-            )
-        new = TenantStore(
-            self.env,
-            self.queue_depth,
-            manager.make_scheduler(self.name),
-            manager.resolve,
-            on_admitted=self._note_admit,
-        )
-        new._gets.extend(old._gets)
-        old._gets.clear()
-        self.inbox = new
 
     def assert_drained(self) -> None:
         """Raise unless every accepted request was serviced or migrated."""
@@ -477,9 +462,6 @@ class IONode:
         for dev, wants in per_device.items():
             plan = plan_reads(
                 [(w.offset, w.nbytes) for w in wants],
-                sieve=self.sieve,
-                sieve_factor=self.sieve_factor,
-                sieve_window=self.sieve_window,
             )
             self.device_reads += len(plan.reads)
             self.device_bytes_read += plan.device_bytes

@@ -28,6 +28,7 @@ from .interconnect import Interconnect
 from .node import IONode
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..qos.manager import QoSManager
     from ..resilience.failover import FailoverManager
     from ..storage.layout import DataLayout, ExtentPlan
     from ..storage.volume import Extent, Volume
@@ -36,9 +37,14 @@ __all__ = ["DeviceRouter", "IONodeCluster", "MediatedVolume"]
 
 
 class DeviceRouter:
-    """Static assignment of device indices to node indices."""
+    """Static assignment of device indices to node indices.
 
-    def __init__(self, n_devices: int, n_nodes: int, policy: str = "contiguous"):
+    Node ``i`` serves a contiguous band of devices (PS-friendly: a
+    partition's device neighbourhood shares one server); failover may
+    :meth:`reassign` single devices later.
+    """
+
+    def __init__(self, n_devices: int, n_nodes: int):
         if not 1 <= n_nodes <= n_devices:
             raise ValueError(
                 f"need 1 <= n_nodes <= n_devices, got {n_nodes} nodes for "
@@ -46,19 +52,10 @@ class DeviceRouter:
             )
         self.n_devices = n_devices
         self.n_nodes = n_nodes
-        self.policy = policy
-        if policy == "contiguous":
-            # node i serves a contiguous band of devices (PS-friendly:
-            # a partition's device neighbourhood shares one server)
-            q, r = divmod(n_devices, n_nodes)
-            self._map = []
-            for node in range(n_nodes):
-                self._map.extend([node] * (q + (1 if node < r else 0)))
-        elif policy == "round-robin":
-            # striping-friendly: consecutive devices hit different servers
-            self._map = [d % n_nodes for d in range(n_devices)]
-        else:
-            raise ValueError(f"unknown routing policy {policy!r}")
+        q, r = divmod(n_devices, n_nodes)
+        self._map: list[int] = []
+        for node in range(n_nodes):
+            self._map.extend([node] * (q + (1 if node < r else 0)))
 
     def node_of(self, device: int) -> int:
         """Index of the node serving ``device``."""
@@ -103,12 +100,14 @@ class IONodeCluster:
 
     @classmethod
     def build(
-        cls, env: Environment, devices: list[Any], config: IONodeConfig
+        cls, env: Environment, devices: list[Any], config: IONodeConfig,
+        qos: "QoSManager | None" = None,
     ) -> "IONodeCluster":
         """Build ``config.nodes`` nodes over ``devices`` (a volume's
-        controllers), routed by ``config.policy``, each serving with the
-        config's queue, batching, sieving and cache settings."""
-        router = DeviceRouter(len(devices), config.nodes, config.policy)
+        controllers) in contiguous bands, each serving with the config's
+        queue, batching and cache settings; with a ``qos`` manager, each
+        node's inbox is scheduled by tenant."""
+        router = DeviceRouter(len(devices), config.nodes)
         nodes = [
             IONode(
                 env,
@@ -116,11 +115,9 @@ class IONodeCluster:
                 {d: devices[d] for d in router.devices_of(i)},
                 queue_depth=config.queue_depth,
                 batch_limit=config.batch_limit,
-                sieve=config.sieve,
-                sieve_factor=config.sieve_factor,
-                sieve_window=config.sieve_window,
                 cache_blocks=config.cache_blocks,
                 cache_block_bytes=config.cache_block_bytes,
+                qos=qos,
             )
             for i in range(config.nodes)
         ]

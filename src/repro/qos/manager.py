@@ -4,8 +4,8 @@ One :class:`QoSManager` serves one file system. It owns the tenant table,
 builds one :class:`~repro.qos.scheduler.WeightedFairQueue` per device and
 per I/O node (each queue point schedules independently, like the paper's
 per-device I/O processors), gates client operations through per-tenant
-token buckets, and forwards starvation / over-rate / deadline-miss
-detections to the attached engine sanitizer.
+token buckets, and forwards starvation and over-rate detections to the
+attached engine sanitizer.
 """
 
 from __future__ import annotations
@@ -29,19 +29,17 @@ class QoSManager:
         self.tenants: dict[str, Tenant] = {}
         #: the tenant untagged (system / legacy) work is billed to
         self.default_tenant = self._make_tenant(
-            QoSClass("default", weight=self.config.default_weight)
+            QoSClass("default")
         )
         #: every scheduler built for a device or node (label -> queue)
         self.schedulers: dict[str, WeightedFairQueue] = {}
         #: starvation flags raised across all queue points
         self.starvations = 0
-        #: deadline misses across all tenants
-        self.deadline_misses = 0
 
     # -- tenant registry ------------------------------------------------------
 
     def _make_tenant(self, qos_class: QoSClass) -> Tenant:
-        t = Tenant(self.env, qos_class, on_deadline_miss=self._missed)
+        t = Tenant(self.env, qos_class)
         self.tenants[qos_class.name] = t
         return t
 
@@ -50,7 +48,6 @@ class QoSManager:
         name: str,
         *,
         weight: float = 1.0,
-        deadline: float | None = None,
         rate: float | None = None,
         burst: float | None = None,
     ) -> Tenant:
@@ -66,7 +63,6 @@ class QoSManager:
             QoSClass(
                 name,
                 weight=weight,
-                deadline=deadline,
                 rate=rate,
                 burst=burst,
             )
@@ -136,16 +132,6 @@ class QoSManager:
                 f"tenant {tag.tenant.name!r} request (seq {tag.seq}) at "
                 f"{label} bypassed {tag.bypassed} times "
                 f"(threshold {self.starvation_threshold})"
-            )
-
-    def _missed(self, tenant: Tenant) -> None:
-        self.deadline_misses += 1
-        sanitizer = self.env._sanitizer
-        if self.config.strict_deadlines and sanitizer is not None:
-            sanitizer.on_qos_deadline_miss(
-                f"tenant {tenant.name!r} missed its "
-                f"{tenant.deadline}s deadline "
-                f"({tenant.deadline_misses} miss(es) total)"
             )
 
     @property

@@ -1,7 +1,7 @@
 """The tenant model: service classes and per-tenant accounting.
 
 A :class:`QoSClass` is a declarative service contract (weight, optional
-deadline, optional token-bucket rate limit); a :class:`Tenant` is one live
+token-bucket rate limit); a :class:`Tenant` is one live
 principal holding that contract plus its backpressure accounting.
 Requests are tagged with their tenant by the ambient context of the
 process or op that submits them (``Process.qos_tenant``, ``Op.qos_tenant``,
@@ -21,7 +21,6 @@ The three backpressure buckets (where did a tenant's wall time go?):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from ..sim.engine import Environment
 from ..sim.stats import Tally
@@ -35,23 +34,18 @@ class QoSClass:
     """A service contract: how one tenant's traffic should be treated.
 
     ``weight`` is the WFQ share (service is proportional to weight under
-    contention); ``deadline`` is a relative per-request latency target in
-    simulated seconds (drives EDF ordering and miss detection);
-    ``rate``/``burst`` configure a token bucket in bytes per second /
+    contention); ``rate``/``burst`` configure a token bucket in bytes per second /
     bytes (both or neither).
     """
 
     name: str
     weight: float = 1.0
-    deadline: float | None = None
     rate: float | None = None
     burst: float | None = None
 
     def __post_init__(self) -> None:
         if self.weight <= 0:
             raise ValueError("weight must be positive")
-        if self.deadline is not None and self.deadline <= 0:
-            raise ValueError("deadline must be positive")
         if (self.rate is None) != (self.burst is None):
             raise ValueError("rate and burst must be set together")
         if self.rate is not None and (self.rate <= 0 or self.burst <= 0):
@@ -65,7 +59,6 @@ class Tenant:
         self,
         env: Environment,
         qos_class: QoSClass,
-        on_deadline_miss: Callable[["Tenant"], None] | None = None,
     ):
         self.env = env
         self.qos_class = qos_class
@@ -74,7 +67,6 @@ class Tenant:
             if qos_class.rate is not None
             else None
         )
-        self._on_deadline_miss = on_deadline_miss
         #: time spent blocked at admission (bucket gate, full inboxes)
         self.blocked = Tally()
         #: time spent admitted-but-waiting in scheduler queues
@@ -85,8 +77,6 @@ class Tenant:
         self.serviced_bytes = 0
         #: completed operations
         self.ops = 0
-        #: operations that finished past their deadline
-        self.deadline_misses = 0
 
     @property
     def name(self) -> str:
@@ -97,11 +87,6 @@ class Tenant:
     def weight(self) -> float:
         """The WFQ share weight."""
         return self.qos_class.weight
-
-    @property
-    def deadline(self) -> float | None:
-        """The relative per-request deadline, if the class has one."""
-        return self.qos_class.deadline
 
     # -- duck-typed accounting (called by devices / I/O nodes) ----------------
 
@@ -121,12 +106,6 @@ class Tenant:
             self.service.observe(duration)
         self.serviced_bytes += nbytes
         self.ops += 1
-
-    def note_deadline_miss(self) -> None:
-        """One operation completed after its absolute deadline."""
-        self.deadline_misses += 1
-        if self._on_deadline_miss is not None:
-            self._on_deadline_miss(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Tenant {self.name} w={self.weight}>"

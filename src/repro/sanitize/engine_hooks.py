@@ -300,12 +300,6 @@ class EngineSanitizer:
         self.checks += 1
         self._violate("qos-starvation", detail)
 
-    def on_qos_deadline_miss(self, detail: str) -> None:
-        """Called (under ``strict_deadlines``) when a tenant's request
-        completes past its absolute deadline."""
-        self.checks += 1
-        self._violate("qos-deadline-miss", detail)
-
     def on_qos_bucket(self, tenant: str, conformant: bool, detail: str) -> None:
         """Called by :meth:`~repro.qos.QoSManager.check_buckets` per
         rate-limited tenant — the "rate-limited tenants never exceed

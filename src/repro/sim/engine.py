@@ -484,8 +484,8 @@ class Environment:
     that raises on the first invariant violation.
     """
 
-    def __init__(self, initial_time: float = 0.0, strict: bool = False):
-        self._now = float(initial_time)
+    def __init__(self, *, strict: bool = False):
+        self._now = 0.0
         #: the future-event set: a heapq list of ``(when, eid, event)``
         self._queue: list[tuple[float, int, Event]] = []
         self._eid = 0

@@ -15,7 +15,7 @@ primitive per kind of waiting:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any
+from typing import Any, Callable
 
 from .engine import Environment, Event, SimulationError
 
@@ -107,9 +107,18 @@ class StoreGet(Event):
 
 
 class Store:
-    """A FIFO queue of items with blocking put (when full) and get (when empty)."""
+    """A FIFO queue of items with blocking put (when full) and get (when empty).
 
-    def __init__(self, env: Environment, capacity: float = float("inf")):
+    ``on_admitted``, if given, is called with each item as its put is
+    granted (an I/O node's inbox stamps its admission time there).
+    """
+
+    def __init__(
+        self,
+        env: Environment,
+        capacity: float = float("inf"),
+        on_admitted: Callable[[Any], None] | None = None,
+    ):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.env = env
@@ -117,6 +126,7 @@ class Store:
         self.items: deque[Any] = deque()
         self._puts: deque[StorePut] = deque()
         self._gets: deque[StoreGet] = deque()
+        self._on_admitted = on_admitted
 
     def put(self, item: Any) -> StorePut:
         """Append ``item``; triggers once there is room."""
@@ -137,6 +147,8 @@ class Store:
 
     def on_admit(self, item: Any) -> None:
         """Called after ``item`` is admitted into the store (put granted)."""
+        if self._on_admitted is not None:
+            self._on_admitted(item)
 
     def _dispatch(self) -> None:
         progressed = True

@@ -8,8 +8,7 @@ placement of extents on a device determines the seek distances benchmark
 E3 measures.
 
 :class:`ExtentAllocator` is a first-fit free-list allocator over one
-device's byte space, with optional alignment so extents start on cylinder
-boundaries.
+device's byte space.
 """
 
 from __future__ import annotations
@@ -36,13 +35,10 @@ class _FreeSpan:
 class ExtentAllocator:
     """First-fit contiguous allocation over ``capacity`` bytes."""
 
-    def __init__(self, capacity: int, alignment: int = 1):
+    def __init__(self, capacity: int):
         if capacity < 0:
             raise ValueError("capacity must be >= 0")
-        if alignment < 1:
-            raise ValueError("alignment must be >= 1")
         self.capacity = capacity
-        self.alignment = alignment
         self._free: list[_FreeSpan] = (
             [_FreeSpan(0, capacity)] if capacity else []
         )
@@ -69,29 +65,22 @@ class ExtentAllocator:
     # -- operations ---------------------------------------------------------
 
     def allocate(self, nbytes: int) -> int:
-        """Reserve ``nbytes`` (rounded up to alignment); returns start offset."""
+        """Reserve ``nbytes``; returns the start offset."""
         if nbytes <= 0:
             raise ValueError("allocation size must be positive")
-        need = -(-nbytes // self.alignment) * self.alignment
         for i, span in enumerate(self._free):
-            # align the start within the span
-            aligned = -(-span.start // self.alignment) * self.alignment
-            waste = aligned - span.start
-            if span.length >= waste + need:
-                start = aligned
-                # carve [start, start+need) out of span
-                tail_start = start + need
-                tail_len = span.end - tail_start
-                replacement = []
-                if waste:
-                    replacement.append(_FreeSpan(span.start, waste))
-                if tail_len:
-                    replacement.append(_FreeSpan(tail_start, tail_len))
-                self._free[i : i + 1] = replacement
-                self.allocated_bytes += need
+            if span.length >= nbytes:
+                start = span.start
+                # carve [start, start+nbytes) off the front of the span
+                if span.length == nbytes:
+                    del self._free[i]
+                else:
+                    span.start += nbytes
+                    span.length -= nbytes
+                self.allocated_bytes += nbytes
                 return start
         raise AllocationError(
-            f"no free extent of {need} bytes "
+            f"no free extent of {nbytes} bytes "
             f"(free={self.free_bytes}, largest={self.largest_free_extent})"
         )
 
@@ -99,8 +88,7 @@ class ExtentAllocator:
         """Return an extent; coalesces with adjacent free spans."""
         if nbytes <= 0:
             raise ValueError("free size must be positive")
-        need = -(-nbytes // self.alignment) * self.alignment
-        end = start + need
+        end = start + nbytes
         if start < 0 or end > self.capacity:
             raise ValueError("extent outside device")
         for span in self._free:
@@ -109,7 +97,7 @@ class ExtentAllocator:
                     f"double free: [{start}, {end}) overlaps free span "
                     f"[{span.start}, {span.end})"
                 )
-        self._free.append(_FreeSpan(start, need))
+        self._free.append(_FreeSpan(start, nbytes))
         self._free.sort(key=lambda s: s.start)
         # coalesce
         merged: list[_FreeSpan] = []
@@ -119,4 +107,4 @@ class ExtentAllocator:
             else:
                 merged.append(span)
         self._free = merged
-        self.allocated_bytes -= need
+        self.allocated_bytes -= nbytes

@@ -60,14 +60,13 @@ class Volume:
         self,
         env: Environment,
         devices: list[DeviceController],
-        alignment: int = 1,
     ):
         if not devices:
             raise ValueError("a volume needs at least one device")
         self.env = env
         self.devices = list(devices)
         self.allocators = [
-            ExtentAllocator(d.capacity_bytes, alignment) for d in devices
+            ExtentAllocator(d.capacity_bytes) for d in devices
         ]
         #: extent-batched submission: merge device-contiguous segments into
         #: single multi-block requests before they hit the controllers.

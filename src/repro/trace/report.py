@@ -165,14 +165,13 @@ def qos_report(manager: "QoSManager") -> list[str]:
     One row per :class:`~repro.qos.Tenant`: weight, completed ops, bytes
     serviced and the resulting share of all serviced bytes, where its
     wall time went (mean admission-blocked / queued / in-service, ms),
-    deadline misses, and token-bucket throttling (grants that had to
-    wait). A footer row summarizes detection counters so a clean run
+    and token-bucket throttling (grants that had to wait). A footer row summarizes detection counters so a clean run
     still shows the detectors ran.
     """
     header = (
         f"{'tenant':<10s} {'weight':>6s} {'ops':>6s} {'MB':>8s} "
         f"{'share':>6s} {'blocked':>8s} {'queued':>8s} {'service':>8s} "
-        f"{'miss':>4s} {'throttled':>9s}"
+        f"{'throttled':>9s}"
     )
     rows = [header]
     total_bytes = sum(t.serviced_bytes for t in manager.tenants.values())
@@ -191,13 +190,12 @@ def qos_report(manager: "QoSManager") -> list[str]:
             f"{t.name:<10s} {t.weight:>6.1f} {t.ops:>6d} "
             f"{t.serviced_bytes / 1e6:>8.3f} {share:>6.1%} "
             f"{blocked:>6.2f}ms {queued:>6.2f}ms {service:>6.2f}ms "
-            f"{t.deadline_misses:>4d} {throttled}"
+            f"{throttled}"
         )
     rows.append(
         f"scheduler={manager.config.scheduler} "
         f"queues={len(manager.schedulers)} "
-        f"starvations={manager.starvations} "
-        f"deadline_misses={manager.deadline_misses}"
+        f"starvations={manager.starvations}"
     )
     return rows
 

@@ -1,5 +1,5 @@
-"""Additional device controller coverage: dataless mode, service logs,
-queue interactions."""
+"""Additional device controller coverage: service logs, queue
+interactions."""
 
 import numpy as np
 import pytest
@@ -14,42 +14,11 @@ from repro.devices import (
 from repro.sim import Environment
 
 
-def make(env, *, store_data=True, keep_service_log=False, timing=WREN_1989):
+def make(env, *, keep_service_log=False, timing=WREN_1989):
     geo = DiskGeometry(block_size=512, blocks_per_cylinder=8, cylinders=64)
     return DeviceController(
-        env, DiskModel(geo, timing), name="d0",
-        store_data=store_data, keep_service_log=keep_service_log,
+        env, DiskModel(geo, timing), name="d0", keep_service_log=keep_service_log,
     )
-
-
-class TestDatalessMode:
-    """store_data=False: pure timing model, no contents array (for very
-    large simulated devices)."""
-
-    def test_reads_return_zeros(self):
-        env = Environment()
-        dev = make(env, store_data=False)
-
-        def proc():
-            yield dev.write(0, b"hello")
-            data = yield dev.read(0, 5)
-            return bytes(data)
-
-        assert env.run(env.process(proc())) == b"\0" * 5
-
-    def test_timing_identical_to_stored_mode(self):
-        def run(store):
-            env = Environment()
-            dev = make(env, store_data=store)
-
-            def proc():
-                yield dev.write(0, b"x" * 2048)
-                yield dev.read(4096, 2048)
-
-            env.run(env.process(proc()))
-            return env.now
-
-        assert run(True) == run(False)
 
 
 class TestServiceLog:

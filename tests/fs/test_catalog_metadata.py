@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core import FileCategory, FileOrganization
-from repro.fs import FileAttributes, FileExistsError_, FileNotFoundError_
+from repro.core.errors import FileExistsError_, FileNotFoundError_
+from repro.fs import FileAttributes
 from repro.fs.catalog import Catalog, CatalogEntry
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import FileCategory, FileOrganization, OrganizationError
-from repro.fs import FileExistsError_, FileNotFoundError_
+from repro.core.errors import FileExistsError_, FileNotFoundError_
 from repro.storage import ClusteredLayout, InterleavedLayout, StripedLayout
 
 from .conftest import build_pfs

@@ -80,13 +80,15 @@ class TestRenameAtomicity:
         assert "b" not in cat
 
     def test_errors_are_importable_from_core(self):
-        """Satellite: the shared error vocabulary lives in core.errors,
-        with back-compat aliases still exposed by fs.catalog."""
+        """The shared error vocabulary lives in core.errors, exported by
+        repro.core and not by repro.fs."""
+        import repro.core as core
         import repro.core.errors as core_errors
-        import repro.fs.catalog as fs_catalog
+        import repro.fs as fs
 
-        assert fs_catalog.FileExistsError_ is core_errors.FileExistsError_
-        assert fs_catalog.FileNotFoundError_ is core_errors.FileNotFoundError_
+        assert core.FileExistsError_ is core_errors.FileExistsError_
+        assert core.FileNotFoundError_ is core_errors.FileNotFoundError_
+        assert not {"FileExistsError_", "FileNotFoundError_"} & set(fs.__all__)
         from repro.core.errors import ReproError
 
         assert issubclass(core_errors.FileExistsError_, ReproError)

@@ -86,21 +86,18 @@ def test_int_io_nodes_is_shorthand_for_a_config():
     by_config = build_parallel_fs(Environment(), 4, io_nodes=IONodeConfig(nodes=2))
     for a, b in zip(by_int.io_cluster.nodes, by_config.io_cluster.nodes):
         assert set(a.devices) == set(b.devices)
-        assert (a.queue_depth, a.batch_limit, a.sieve) == (
-            b.queue_depth, b.batch_limit, b.sieve,
-        )
+        assert (a.queue_depth, a.batch_limit) == (b.queue_depth, b.batch_limit)
 
 
 def test_node_config_reaches_every_node():
     cfg = IONodeConfig(
-        nodes=2, policy="round-robin", queue_depth=3, batch_limit=5,
-        sieve=False, cache_blocks=8, cache_block_bytes=512,
+        nodes=2, queue_depth=3, batch_limit=5, cache_blocks=8, cache_block_bytes=512,
     )
     pfs = build_parallel_fs(Environment(), 4, io_nodes=cfg)
     cluster = pfs.io_cluster
-    assert [cluster.router.node_of(d) for d in range(4)] == [0, 1, 0, 1]
+    assert [cluster.router.node_of(d) for d in range(4)] == [0, 0, 1, 1]
     for node in cluster.nodes:
-        assert (node.queue_depth, node.batch_limit, node.sieve) == (3, 5, False)
+        assert (node.queue_depth, node.batch_limit) == (3, 5)
         assert node.cache is not None
 
 
@@ -110,9 +107,8 @@ def test_node_config_reaches_every_node():
         IONodeConfig(nodes=0),
         IONodeConfig(nodes=5),
         IONodeConfig(nodes=2, queue_depth=0),
-        IONodeConfig(nodes=2, policy="hash"),
     ],
-    ids=["no-nodes", "more-nodes-than-drives", "zero-queue", "unknown-policy"],
+    ids=["no-nodes", "more-nodes-than-drives", "zero-queue"],
 )
 def test_bad_node_config_is_rejected_at_build(config):
     with pytest.raises(ValueError):

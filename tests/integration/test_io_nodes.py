@@ -65,12 +65,11 @@ def test_mediated_bytes_match_direct(org):
 
 
 @pytest.mark.parametrize("org", ["PS", "IS"])
-@pytest.mark.parametrize("policy", ["contiguous", "round-robin"])
-def test_concurrent_internal_views_through_nodes(org, policy):
+def test_concurrent_internal_views_through_nodes(org):
     """Every process reads its own partition back through the node path."""
     env = Environment()
     sanitizer = attach(env)
-    pfs = build_stack(env, io_nodes=IONodeConfig(nodes=2, policy=policy, queue_depth=4))
+    pfs = build_stack(env, io_nodes=IONodeConfig(nodes=2, queue_depth=4))
     f = pfs.create(
         f"file_{org}",
         org,

@@ -58,6 +58,36 @@ def test_validation():
         node.submit("write", [(0, 0, 4)])  # missing payload
 
 
+def test_item_past_its_device_is_refused_at_submit():
+    """Accepted, an item ending past its drive reaches the drive's range
+    check inside the service loop: the run aborts and the well-formed
+    request batched with it never settles."""
+    env = Environment()
+    node = make_node(env)
+    capacity = node.devices[1].capacity_bytes
+    out = []
+    env.process(client(node, "read", [(0, 0, 512)], out=out))
+    with pytest.raises(ValueError):
+        node.submit("read", [(1, capacity - 256, 512)])
+    env.run()
+    assert [kind for kind, _ in out] == ["ok"]
+    assert node.accepted == node.completed == 1
+    node.assert_drained()
+
+
+def test_write_payload_must_match_its_item():
+    """A payload longer than its item would write past the item's range
+    while the request reports the item's size."""
+    env = Environment()
+    node = make_node(env)
+    for size in (1024, 256):
+        with pytest.raises(ValueError):
+            node.submit("write", [(0, 0, 512)], data=[np.ones(size, np.uint8)])
+    env.run()
+    assert node.accepted == 0
+    assert not node.devices[0].peek(0, 1024).any()
+
+
 def test_write_then_read_round_trip():
     env = Environment()
     node = make_node(env)
@@ -200,9 +230,7 @@ def test_batch_overlapping_read_and_write_never_caches_stale_bytes():
     geo = DiskGeometry(block_size=512, blocks_per_cylinder=1, cylinders=64)
     dev = DeviceController(env, DiskModel(geo, WREN_1989), name="d0", policy=SSTF())
     dev.poke(0, np.full(1024, 0xAA, np.uint8))
-    node = IONode(
-        env, "ion0", {0: dev}, cache_blocks=8, cache_block_bytes=512, sieve=False
-    )
+    node = IONode(env, "ion0", {0: dev}, cache_blocks=8, cache_block_bytes=512)
     arrays = []
 
     def scenario():

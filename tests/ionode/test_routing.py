@@ -32,27 +32,19 @@ def test_router_validation():
         DeviceRouter(4, 0)
     with pytest.raises(ValueError):
         DeviceRouter(4, 5)
-    with pytest.raises(ValueError):
-        DeviceRouter(4, 2, policy="hash")
 
 
 def test_contiguous_policy_bands():
-    r = DeviceRouter(5, 2, policy="contiguous")
+    r = DeviceRouter(5, 2)
     assert [r.node_of(d) for d in range(5)] == [0, 0, 0, 1, 1]
     assert r.devices_of(0) == [0, 1, 2]
     assert r.devices_of(1) == [3, 4]
 
 
-def test_round_robin_policy_interleaves():
-    r = DeviceRouter(5, 2, policy="round-robin")
-    assert [r.node_of(d) for d in range(5)] == [0, 1, 0, 1, 0]
-
-
 def test_every_device_owned_by_exactly_one_node():
-    for policy in ("contiguous", "round-robin"):
-        r = DeviceRouter(7, 3, policy=policy)
-        owned = [d for n in range(3) for d in r.devices_of(n)]
-        assert sorted(owned) == list(range(7))
+    r = DeviceRouter(7, 3)
+    owned = [d for n in range(3) for d in r.devices_of(n)]
+    assert sorted(owned) == list(range(7))
 
 
 # -- IONodeCluster ------------------------------------------------------------

@@ -22,8 +22,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         QoSConfig(scheduler="lifo")
     with pytest.raises(ValueError):
-        QoSConfig(default_weight=0)
-    with pytest.raises(ValueError):
         QoSConfig(starvation_threshold=0)
 
 
@@ -127,18 +125,3 @@ def test_starvation_forwards_to_sanitizer():
     assert mgr.starvations == 1
     assert not san.clean
     assert san.violations[0].kind == "qos-starvation"
-
-
-def test_deadline_miss_strictness():
-    env = Environment()
-    san = seeded_sanitizer(env)
-    lax = QoSManager(env, QoSConfig(strict_deadlines=False))
-    t = lax.tenant("t", deadline=0.001)
-    t.note_deadline_miss()
-    assert lax.deadline_misses == 1
-    assert san.clean  # counted, not a violation
-    strict = QoSManager(env, QoSConfig(strict_deadlines=True))
-    t2 = strict.tenant("t2", deadline=0.001)
-    t2.note_deadline_miss()
-    assert not san.clean
-    assert san.violations[0].kind == "qos-deadline-miss"

@@ -62,9 +62,8 @@ def test_admission_blocking_is_accounted():
 
 def test_flooding_tenant_is_billed_for_backpressure():
     env = Environment()
-    node = make_node(env, queue_depth=1, batch_limit=1)
     mgr = QoSManager(env, QoSConfig())
-    node.enable_qos(mgr)
+    node = make_node(env, queue_depth=1, batch_limit=1, qos=mgr)
     greedy = mgr.tenant("greedy")
     done = []
 
@@ -88,10 +87,8 @@ def test_flooding_tenant_is_billed_for_backpressure():
 @pytest.mark.parametrize("with_qos", [False, True])
 def test_crash_during_flood_salvages_every_pending_request(with_qos):
     env = Environment()
-    node = make_node(env, queue_depth=2, batch_limit=1)
-    if with_qos:
-        mgr = QoSManager(env, QoSConfig())
-        node.enable_qos(mgr)
+    mgr = QoSManager(env, QoSConfig()) if with_qos else None
+    node = make_node(env, queue_depth=2, batch_limit=1, qos=mgr)
     statuses = []
 
     def one(i):

@@ -1,4 +1,4 @@
-"""Unit tests for the WFQ/EDF scheduler and its queue adapters."""
+"""Unit tests for the WFQ scheduler and its queue adapters."""
 
 import pytest
 
@@ -7,8 +7,8 @@ from repro.qos.scheduler import TenantStore
 from repro.sim import Environment
 
 
-def make_tenant(env, name, weight=1.0, deadline=None):
-    return Tenant(env, QoSClass(name, weight=weight, deadline=deadline))
+def make_tenant(env, name, weight=1.0):
+    return Tenant(env, QoSClass(name, weight=weight))
 
 
 def drain_order(sched, tags):
@@ -74,18 +74,6 @@ def test_idle_tenant_does_not_bank_credit():
     # the newcomer starts at the current virtual time, not at zero: it
     # gets its fair share from now on but no retroactive claim
     assert late.start == pytest.approx(sched.virtual_time)
-
-
-def test_edf_orders_by_deadline_then_arrival():
-    env = Environment()
-    sched = WeightedFairQueue(mode="edf")
-    a = make_tenant(env, "a")
-    t1 = sched.tag(a, 100, deadline=5.0)
-    t2 = sched.tag(a, 100, deadline=1.0)
-    t3 = sched.tag(a, 100, deadline=1.0)
-    t4 = sched.tag(a, 100)  # no deadline: served last
-    order = drain_order(sched, [t1, t2, t3, t4])
-    assert order == [t2, t3, t1, t4]
 
 
 def test_fifo_mode_is_arrival_order():

@@ -63,23 +63,6 @@ class TestBasic:
             alloc.free(0, 0)
         with pytest.raises(ValueError):
             ExtentAllocator(-1)
-        with pytest.raises(ValueError):
-            ExtentAllocator(10, alignment=0)
-
-
-class TestAlignment:
-    def test_allocations_aligned(self):
-        alloc = ExtentAllocator(1000, alignment=64)
-        a = alloc.allocate(10)   # rounds to 64
-        b = alloc.allocate(100)  # rounds to 128
-        assert a % 64 == 0 and b % 64 == 0
-        assert b == 64
-
-    def test_aligned_free_roundtrip(self):
-        alloc = ExtentAllocator(1000, alignment=64)
-        a = alloc.allocate(10)
-        alloc.free(a, 10)
-        assert alloc.free_bytes == 1000
 
 
 class TestFragmentationMetric:
