@@ -11,8 +11,8 @@ JSON metadata sidecar, so files genuinely persist across program runs and
 the "global view" of any sequential organization is — exactly as §2
 requires — a plain flat file any conventional tool can read.
 
-Positioned I/O uses ``os.pread``/``os.pwrite``, which are thread-safe
-without shared seek pointers.
+Positioned I/O uses ``os.pread``/``os.preadv``/``os.pwrite``, which are
+thread-safe without shared seek pointers.
 """
 
 from __future__ import annotations
@@ -138,7 +138,8 @@ class LiveParallelFile(RecordFile):
         The access plan — list I/O vs covering-extent sieving — comes
         from the same :mod:`repro.datatype.planner` the simulator's
         :meth:`~repro.fs.pfs.ParallelFile.read_view` consumes; only the
-        byte movement differs (``os.pread`` here, device processes there).
+        byte movement differs (one ``os.preadv`` per run into one buffer
+        here, device processes there).
         """
         from ..datatype.planner import prepare_view_read, sieved_read
 
@@ -146,12 +147,23 @@ class LiveParallelFile(RecordFile):
             view, self.n_records, self.attrs.record_spec.record_size,
             sieve=sieve, sieve_factor=sieve_factor, sieve_window=sieve_window,
         )
-        if plan.mode == "empty":
-            return self.attrs.record_spec.decode(b"")
         if plan.mode == "sieved":
             return self.run_plan(sieved_read(plan))
-        pieces = [self.read_records(*r) for r in plan.runs]
-        return np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
+        # list I/O: each run lands in its slice of one buffer, decoded once
+        spec = self.attrs.record_spec
+        size = spec.record_size
+        buf = bytearray(plan.n_view_records * size)
+        dest = memoryview(buf)
+        fd, pos = self.fd, 0
+        for start, count in plan.runs:
+            offset, nbytes = start * size, count * size
+            got = os.preadv(fd, [dest[pos : pos + nbytes]], offset)
+            if got != nbytes:
+                raise IOError(
+                    f"short read: wanted {nbytes} bytes at {offset}, got {got}"
+                )
+            pos += nbytes
+        return spec.decode(buf)
 
     def write_view(
         self,
@@ -172,10 +184,16 @@ class LiveParallelFile(RecordFile):
         )
         if plan.mode == "sieved":
             return self.run_plan(sieved_write(plan, decoded))
-        pos = 0
+        # list I/O: each run is written from its slice of the rows' bytes
+        size = self.attrs.record_spec.record_size
+        src = memoryview(decoded.reshape(-1).view(np.uint8))
+        fd, pos = self.fd, 0
         for start, count in plan.runs:
-            self.write_records(start, decoded[pos : pos + count])
-            pos += count
+            nbytes = count * size
+            written = os.pwrite(fd, src[pos : pos + nbytes], start * size)
+            if written != nbytes:
+                raise IOError(f"short write: {written} of {nbytes} bytes")
+            pos += nbytes
         return plan.n_view_records
 
     # -- the plan driver --------------------------------------------------------

@@ -348,3 +348,18 @@ class TestLiveSievedWrites:
                          sieve=True, sieve_factor=8.0)
         assert not f._sieve_lock.locked()
         f.close()
+
+
+class TestLiveListIO:
+    def test_short_run_read_raises(self, lfs):
+        """List I/O fills one buffer run by run; a run that reads past the
+        host file is a short read, not a zero-filled row."""
+        f = lfs.create("ls", "IS", n_records=64, record_size=16,
+                       dtype="float64", records_per_block=4, n_processes=4)
+        view = StridedView(0, 16, 1, 2)
+        f.write_view(np.ones((16, 2)), view)
+        assert np.array_equal(f.read_view(view), np.ones((16, 2)))
+        os.truncate(f.path, 8 * 16)   # the view's later runs now lie past EOF
+        with pytest.raises(IOError, match="short read"):
+            f.read_view(view)
+        f.close()

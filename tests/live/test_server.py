@@ -9,7 +9,12 @@ import pytest
 
 from repro.dataset import DatasetSchema, LiveDataset
 from repro.live import LiveParallelFileSystem
-from repro.live.server import DatasetClient, DatasetServer
+from repro.live.server import (
+    MAX_HEADER_BYTES,
+    MAX_PAYLOAD_BYTES,
+    DatasetClient,
+    DatasetServer,
+)
 
 
 @pytest.fixture
@@ -114,6 +119,116 @@ class TestProtocol:
                 c = await DatasetClient.connect("127.0.0.1", srv.port)
                 assert await c.list_datasets() == ["grid_ds"]
                 await c.close()
+
+        run_async(go())
+
+
+async def _closed_after(reader) -> bytes:
+    """Everything the server sends until it closes the connection."""
+    return await asyncio.wait_for(reader.read(), timeout=10)
+
+
+class TestHostileInput:
+    @pytest.mark.parametrize(
+        "line",
+        [
+            b"x" * (MAX_HEADER_BYTES + 4096) + b"\n",    # longer than the bound
+            b"[" * 60_000 + b"\n",                       # nested past the parser
+        ],
+        ids=["oversized", "deeply_nested"],
+    )
+    def test_bad_header_closes_and_is_counted(self, lfs, populated, line):
+        async def go():
+            async with DatasetServer(lfs) as srv:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", srv.port
+                )
+                writer.write(line + json.dumps({"op": "list"}).encode() + b"\n")
+                await writer.drain()
+                assert await _closed_after(reader) == b""
+                writer.close()
+                await writer.wait_closed()
+                assert srv.stats()["protocol_errors"] == 1
+                # the server still serves new clients
+                c = await DatasetClient.connect("127.0.0.1", srv.port)
+                assert await c.list_datasets() == ["grid_ds"]
+                await c.close()
+
+        run_async(go())
+
+    def test_header_bound_is_exact(self, lfs, populated):
+        """A header line of MAX_HEADER_BYTES (newline included) is served;
+        one byte more ends the connection."""
+        def padded(size):
+            body = json.dumps({"op": "list"}).encode()
+            return body + b" " * (size - len(body) - 1) + b"\n"
+
+        async def go():
+            async with DatasetServer(lfs) as srv:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", srv.port
+                )
+                writer.write(padded(MAX_HEADER_BYTES))
+                await writer.drain()
+                assert json.loads(await reader.readline())["ok"]
+                writer.write(padded(MAX_HEADER_BYTES + 1))
+                await writer.drain()
+                assert await _closed_after(reader) == b""
+                writer.close()
+                await writer.wait_closed()
+                assert srv.stats()["protocol_errors"] == 1
+
+        run_async(go())
+
+    @pytest.mark.parametrize(
+        "nbytes", [-1, MAX_PAYLOAD_BYTES + 1, "14", 1.5],
+        ids=["negative", "over_max", "string", "float"],
+    )
+    def test_refused_payload_is_not_run_as_requests(self, lfs, populated, nbytes):
+        """A refused write leaves its payload unread: the server replies
+        with the error and closes instead of parsing those bytes."""
+        async def go():
+            async with DatasetServer(lfs) as srv:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", srv.port
+                )
+                req = {"op": "write", "dataset": "grid_ds", "var": "grid",
+                       "start": [0, 0], "count": [1, 16], "nbytes": nbytes}
+                smuggled = json.dumps({"op": "list"}).encode() + b"\n"
+                writer.write(json.dumps(req).encode() + b"\n" + smuggled)
+                await writer.drain()
+                resp = json.loads(await reader.readline())
+                assert not resp["ok"]
+                assert "invalid payload size" in resp["error"]
+                assert await _closed_after(reader) == b""
+                writer.close()
+                await writer.wait_closed()
+                stats = srv.stats()
+                assert stats["protocol_errors"] == 1
+                assert stats["requests_total"] == 1
+
+        run_async(go())
+
+
+class TestStop:
+    def test_stop_ends_open_connections(self, lfs, populated):
+        async def go():
+            srv = await DatasetServer(lfs).start()
+            c = await DatasetClient.connect("127.0.0.1", srv.port)
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", srv.port
+            )
+            await c.read("grid_ds", "grid", (0, 0), (1, 16))
+            assert srv.stats()["datasets_open"] == ["grid_ds"]
+            await srv.stop()
+            # both connections see EOF, and neither is served any more
+            assert await _closed_after(reader) == b""
+            writer.close()
+            await writer.wait_closed()
+            with pytest.raises(ConnectionError):
+                await c.read("grid_ds", "grid", (0, 0), (1, 16))
+            await c.close()
+            assert srv.stats()["datasets_open"] == []
 
         run_async(go())
 
